@@ -29,10 +29,7 @@ import numpy as np
 
 from . import closed_forms, metrology, optimize
 from .exceptions import SloppyModelError
-from .model import ModelConfig, evaluate_state, jacobian_analytic
-from .gaussian import physicality_check
-
-MODEL_FIELDS = ("r", "q", "beta", "theta", "phi", "x", "alpha", "lam1", "lam2")
+from .model import MODEL_FIELDS, ModelConfig, jacobian_analytic
 
 THREADS_ENV_VAR = "MZSLOPPY_THREADS"
 
@@ -133,9 +130,8 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
         raise ConfigError("missing model field 'model'")
     config = _parse_model(config_obj["model"])
 
-    state = evaluate_state(config)
-    phys = physicality_check(state)
     jet = jacobian_analytic(config)
+    phys = jet.state.physicality
     q = metrology.qfi_matrix(jet)
     u = metrology.uhlmann_matrix(jet)
 

@@ -18,11 +18,19 @@ Conventions (fixed here, relied on everywhere else):
   mean by (amplitude/sqrt(2)) (cos angle, sin angle).
 
 All values are immutable; all operations are pure functions.
+
+Stacks: gates whose parameters are arrays of N values, states whose moments
+carry a leading axis of N points, and the numeric functions built on them
+evaluate N configurations at once. A per-point failure never fails the
+stack: each such function records, per point, the exception that the
+single-point call raises (None where the point is fine), and a single point
+raises it as before.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import NamedTuple, Sequence, Union
 
@@ -52,13 +60,79 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return b
 
 
+def first_errors(*per_point: Sequence) -> tuple:
+    """Per point, the first non-None entry of several per-point error lists."""
+    return tuple(
+        next((e for e in point if e is not None), None) for point in zip(*per_point)
+    )
+
+
+def guarded_call(fn, errors: Sequence, *stacks: np.ndarray):
+    """Apply a stacked numpy function to the points without an error yet.
+
+    `errors` marks each point that already failed with anything but None.
+    numpy raises LinAlgError for a whole stack when one matrix fails; such
+    a point is retried alone and, if it fails again, takes the error.
+    Returns (out, errors): out has NaN at every point with an error.
+    """
+    errors = list(errors)
+    if all(e is None for e in errors):
+        try:
+            return fn(*stacks), tuple(errors)
+        except np.linalg.LinAlgError:
+            pass
+    ok = np.array([e is None for e in errors], dtype=bool)
+    try:
+        sub = fn(*(s[ok] for s in stacks))
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(ok):
+            try:
+                fn(*(s[i : i + 1] for s in stacks))
+            except np.linalg.LinAlgError as exc:
+                errors[i], ok[i] = exc, False
+        sub = fn(*(s[ok] for s in stacks))
+    out = np.full((len(errors),) + sub.shape[1:], np.nan, dtype=sub.dtype)
+    out[ok] = sub
+    return out, tuple(errors)
+
+
+def unstack(values, errors: Sequence, stacked: bool):
+    """(values, errors) for a stack; for one point its value, or its error raised."""
+    if stacked:
+        return values, tuple(errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def _moment_errors(mean: np.ndarray, cov: np.ndarray) -> tuple:
+    finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
+    if not finite.all():
+        cov = np.where(finite[:, None, None], cov, 0.0)
+    skew = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2), initial=0.0))
+    symmetric = skew <= COV_SYMMETRY_RTOL * scale
+    return tuple(
+        None
+        if f and sym
+        else ValueError("cov must be symmetric" if f else "state moments must be finite")
+        for f, sym in zip(finite.tolist(), symmetric.tolist())
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix of M bosonic modes."""
+    """Mean vector and covariance matrix of M bosonic modes.
+
+    A stack of N states has mean (N, 2M) and cov (N, 2M, 2M). `errors` holds
+    per state the ValueError its moments fail validation with (non-finite or
+    asymmetric), or None; a single state raises that error instead.
+    """
 
     modes: int
     mean: np.ndarray
     cov: np.ndarray
+    errors: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modes < 1:
@@ -66,17 +140,23 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         n = 2 * self.modes
-        if mean.shape != (n,):
-            raise ValueError(f"mean must have shape ({n},), got {mean.shape}")
-        if cov.shape != (n, n):
+        lead = cov.shape[:1] if cov.ndim == 3 else ()
+        if mean.shape != lead + (n,):
+            raise ValueError(f"mean must have shape {lead + (n,)}, got {mean.shape}")
+        if cov.shape != lead + (n, n):
             raise ValueError(f"cov must have shape ({n}, {n}), got {cov.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("state moments must be finite")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_RTOL * scale:
-            raise ValueError("cov must be symmetric")
+        errors = _moment_errors(mean, cov) if lead else _moment_errors(mean[None], cov[None])
+        if not lead and errors[0] is not None:
+            raise errors[0]
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(cov))
+        object.__setattr__(self, "errors", errors)
+
+    @functools.cached_property
+    def physicality(self) -> "Physicality":
+        """physicality_check of this state; the moments are immutable, so it
+        is computed once however many purity checks consult it."""
+        return physicality_check(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,77 +216,84 @@ def vacuum_state(modes: int) -> GaussianState:
     return GaussianState(modes=int(modes), mean=np.zeros(n), cov=np.eye(n) / 2)
 
 
-def _rotation_block(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, s], [-s, c]])
+def _set_block(S: np.ndarray, i: int, j: int, a, b, c, d) -> None:
+    """Write the 2x2 block [[a, b], [c, d]] at (i, j) of every matrix in S."""
+    S[..., i, j], S[..., i, j + 1] = a, b
+    S[..., i + 1, j], S[..., i + 1, j + 1] = c, d
 
 
-def _squeezer_block(magnitude: float, angle: float) -> np.ndarray:
-    ch, sh = math.cosh(magnitude), math.sinh(magnitude)
-    ca, sa = math.cos(angle), math.sin(angle)
-    # Rc(a/2) diag(e^x, e^-x) Rc(a/2)^T, Rc counterclockwise; angle=0 stretches q
-    return np.array([[ch + sh * ca, sh * sa], [sh * sa, ch - sh * ca]])
-
-
-def _beamsplitter_pair(gate: BeamSplitter) -> np.ndarray:
-    """4x4 action on the ordered pair (q_a, p_a, q_b, p_b)."""
+def _beamsplitter_pair(S: np.ndarray, gate: BeamSplitter, i: int, j: int) -> None:
+    """Write the action on the ordered pair (q_a, p_a, q_b, p_b) into S, with
+    mode a at offset i and mode b at offset j."""
     if gate.convention == "transmissivity":
-        c, s = math.cos(gate.mix), math.sin(gate.mix)
-        mixer = np.block(
-            [[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]]
-        )
-        pre = np.eye(4)
-        pre[2:4, 2:4] = _rotation_block(gate.phase)
-        return mixer @ pre
+        # real mixer [[c I, s I], [-s I, c I]] after a rotation of mode b
+        c, s = np.cos(gate.mix), np.sin(gate.mix)
+        cp, sp = np.cos(gate.phase), np.sin(gate.phase)
+        _set_block(S, i, i, c, 0.0, 0.0, c)
+        _set_block(S, i, j, s * cp, s * sp, -s * sp, s * cp)
+        _set_block(S, j, i, -s, 0.0, 0.0, -s)
+        _set_block(S, j, j, c * cp, c * sp, -c * sp, c * cp)
+        return
     # literal: a' = a cos(t) + e^{i(m+pi/2)} b sin(t), t=phase field, m=mix field
     t = gate.phase
-    c, s = math.cos(t), math.sin(t)
-    ct, st = math.cos(gate.mix + math.pi / 2), math.sin(gate.mix + math.pi / 2)
-    return np.array(
-        [
-            [c, 0.0, s * ct, -s * st],
-            [0.0, c, s * st, s * ct],
-            [-s * ct, -s * st, c, 0.0],
-            [s * st, -s * ct, 0.0, c],
-        ]
-    )
+    c, s = np.cos(t), np.sin(t)
+    ct, st = np.cos(gate.mix + math.pi / 2), np.sin(gate.mix + math.pi / 2)
+    _set_block(S, i, i, c, 0.0, 0.0, c)
+    _set_block(S, i, j, s * ct, -s * st, s * st, s * ct)
+    _set_block(S, j, i, -s * ct, -s * st, s * st, -s * ct)
+    _set_block(S, j, j, c, 0.0, 0.0, c)
 
 
-def _check_finite(gate: Gate, *values: float) -> None:
+def _check_finite(gate: Gate, *values) -> None:
     for v in values:
-        if not math.isfinite(v):
+        if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
             raise ValueError(f"non-finite parameter in {type(gate).__name__}")
 
 
+def _identity(n: int, *params) -> tuple[np.ndarray, np.ndarray]:
+    """Identity S and zero shift, stacked when a parameter is an array."""
+    lead = max((np.shape(p) for p in params), key=len)
+    S = np.zeros(lead + (n, n))
+    S.reshape(lead + (n * n,))[..., :: n + 1] = 1.0
+    return S, np.zeros(lead + (n,))
+
+
 def gate_symplectic(gate: Gate, modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic matrix and mean shift of a gate on an M-mode register."""
+    """Symplectic matrix and mean shift of a gate on an M-mode register.
+
+    Gate parameters given as arrays of N values give a stack: S of shape
+    (N, 2M, 2M) and shift of shape (N, 2M).
+    """
     n = 2 * modes
-    S = np.eye(n)
-    shift = np.zeros(n)
     if isinstance(gate, PhaseRotation):
         _check_finite(gate, gate.angle)
         _check_mode(gate.mode, modes)
-        S[2 * gate.mode : 2 * gate.mode + 2, 2 * gate.mode : 2 * gate.mode + 2] = (
-            _rotation_block(gate.angle)
-        )
+        S, shift = _identity(n, gate.angle)
+        c, s = np.cos(gate.angle), np.sin(gate.angle)
+        k = 2 * gate.mode
+        _set_block(S, k, k, c, s, -s, c)
     elif isinstance(gate, Squeezer):
         _check_finite(gate, gate.magnitude, gate.angle)
         _check_mode(gate.mode, modes)
-        S[2 * gate.mode : 2 * gate.mode + 2, 2 * gate.mode : 2 * gate.mode + 2] = (
-            _squeezer_block(gate.magnitude, gate.angle)
-        )
+        S, shift = _identity(n, gate.magnitude, gate.angle)
+        ch, sh = np.cosh(gate.magnitude), np.sinh(gate.magnitude)
+        ca, sa = np.cos(gate.angle), np.sin(gate.angle)
+        # Rc(a/2) diag(e^x, e^-x) Rc(a/2)^T, Rc counterclockwise; angle=0 stretches q
+        k = 2 * gate.mode
+        _set_block(S, k, k, ch + sh * ca, sh * sa, sh * sa, ch - sh * ca)
     elif isinstance(gate, BeamSplitter):
         _check_finite(gate, gate.mix, gate.phase)
         a, b = gate.modes
         _check_mode(a, modes)
         _check_mode(b, modes)
-        idx = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
-        S[np.ix_(idx, idx)] = _beamsplitter_pair(gate)
+        S, shift = _identity(n, gate.mix, gate.phase)
+        _beamsplitter_pair(S, gate, 2 * a, 2 * b)
     elif isinstance(gate, Displacement):
         _check_finite(gate, gate.amplitude, gate.angle)
         _check_mode(gate.mode, modes)
-        shift[2 * gate.mode] = gate.amplitude / math.sqrt(2) * math.cos(gate.angle)
-        shift[2 * gate.mode + 1] = gate.amplitude / math.sqrt(2) * math.sin(gate.angle)
+        S, shift = _identity(n, gate.amplitude, gate.angle)
+        shift[..., 2 * gate.mode] = gate.amplitude / math.sqrt(2) * np.cos(gate.angle)
+        shift[..., 2 * gate.mode + 1] = gate.amplitude / math.sqrt(2) * np.sin(gate.angle)
     else:
         raise ValueError(f"unknown gate type: {type(gate).__name__}")
     return S, shift
@@ -218,12 +305,15 @@ def _check_mode(mode: int, modes: int) -> None:
 
 
 def apply_gate(state: GaussianState, gate: Gate) -> GaussianState:
-    """Conjugation rule: cov -> S cov S^T, mean -> S mean + shift."""
+    """Conjugation rule: cov -> S cov S^T, mean -> S mean + shift.
+
+    A stacked state or a gate with array parameters gives a stacked state.
+    """
     S, shift = gate_symplectic(gate, state.modes)
     return GaussianState(
         modes=state.modes,
-        mean=S @ state.mean + shift,
-        cov=S @ state.cov @ S.T,
+        mean=(S @ state.mean[..., None])[..., 0] + shift,
+        cov=S @ state.cov @ np.swapaxes(S, -1, -2),
     )
 
 
@@ -238,30 +328,41 @@ def apply_circuit(state: GaussianState, gates: Sequence[Gate]) -> GaussianState:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum: moduli of the eigenvalues of Omega @ cov.
 
-    The 2M eigenvalues come in +-i*nu pairs; returns the M moduli, ascending.
+    The 2M eigenvalues come in +-i*nu pairs; returns the M moduli, ascending
+    (along the last axis, for a stack of covariances).
     """
     cov = np.asarray(cov, dtype=float)
-    modes = cov.shape[0] // 2
-    ev = np.linalg.eigvals(symplectic_form(modes) @ cov)
-    return np.sort(np.abs(ev))[::2]
+    ev = np.linalg.eigvals(symplectic_form(cov.shape[-1] // 2) @ cov)
+    return np.sort(np.abs(ev), axis=-1)[..., ::2]
 
 
 class Physicality(NamedTuple):
-    classification: str  # "pure" | "mixed" | "unphysical"
+    classification: str  # "pure" | "mixed" | "unphysical"; a tuple on a stack
     symplectic_eigenvalues: np.ndarray
+
+
+def _label(nu_min: float, deviation: float) -> str:
+    if not nu_min >= 0.5 - PHYSICALITY_TOL:  # NaN: no spectrum, no state
+        return "unphysical"
+    return "pure" if deviation <= PURITY_TOL else "mixed"
 
 
 def physicality_check(state: GaussianState) -> Physicality:
     """Classify a state from its symplectic spectrum.
 
     Unphysical is a classification, not an error: any eigenvalue below
-    1/2 - 1e-10. Pure means all eigenvalues equal 1/2 within 1e-9.
+    1/2 - 1e-10. Pure means all eigenvalues equal 1/2 within 1e-9. On a
+    stack, classification is a tuple of labels and the eigenvalues gain a
+    leading axis; a state whose spectrum cannot be computed (non-finite
+    moments) is unphysical, with NaN eigenvalues.
     """
-    nus = symplectic_eigenvalues(state.cov)
-    if np.min(nus) < 0.5 - PHYSICALITY_TOL:
-        label = "unphysical"
-    elif np.max(np.abs(nus - 0.5)) <= PURITY_TOL:
-        label = "pure"
-    else:
-        label = "mixed"
-    return Physicality(label, nus)
+    stacked = state.cov.ndim == 3
+    cov = state.cov if stacked else state.cov[None]
+    finite = np.isfinite(cov).all(axis=(1, 2)).tolist()
+    nus, _ = guarded_call(symplectic_eigenvalues, [None if f else "" for f in finite], cov)
+    labels = tuple(
+        map(_label, np.min(nus, axis=1).tolist(), np.max(np.abs(nus - 0.5), axis=1).tolist())
+    )
+    if stacked:
+        return Physicality(labels, nus)
+    return Physicality(labels[0], nus[0])

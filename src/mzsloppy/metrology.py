@@ -10,6 +10,11 @@ moments and their parameter derivatives:
 
 Both formulas assume a pure model state and are gated on that. Linear
 systems are solved directly rather than through explicit inverses.
+
+qfi_matrix, uhlmann_matrix and quantumness_general also take a stack: a
+stacked jet, or (N, n, n) matrices. They then return (values, errors), with
+NaN values at the points whose errors entry holds the exception a single
+call raises there, and never raise for one point.
 """
 
 from __future__ import annotations
@@ -19,66 +24,111 @@ import dataclasses
 import numpy as np
 
 from .exceptions import SloppyModelError
-from .gaussian import physicality_check, symplectic_form
+from .gaussian import first_errors, guarded_call, symplectic_form, unstack
 from .model import ModelJet
 
-# Q below this minimum eigenvalue is treated as singular for R / bounds
+# Q is singular for R / bounds when its smallest eigenvalue is at most this
+# fraction of max(1, largest eigenvalue)
 SINGULAR_Q_TOL = 1e-12
 
 # default sloppiness threshold is relative to trace(Q); absolute floor for
 # the degenerate zero-trace matrix (vacuum-like configs are legal downstream)
 THRESHOLD_SCALE = 1e-8
 
+_SINGULAR_MESSAGE = (
+    "information matrix is singular: some parameter combination is "
+    "unestimable, so quantumness and scalar bounds are undefined; "
+    "reduce or recombine the parameters and retry"
+)
 
-def _require_pure(jet: ModelJet, op: str) -> None:
-    label, _ = physicality_check(jet.state)
-    if label != "pure":
-        raise ValueError(f"{op} requires a pure model state, got {label}")
+
+# Stacked products go through matmul and np.trace, which run the same BLAS
+# call and reduction on every point as on a single matrix, so a point's
+# value does not depend on the stack it is evaluated in.
 
 
-def qfi_matrix(jet: ModelJet) -> np.ndarray:
+def _pure_stack(jet: ModelJet, op: str):
+    """(stacked, cov, dcov, dmean, errors) of a jet, points first: dcov is
+    (N, n, 2M, 2M) and dmean (N, n, 2M) for n parameters. The per-point
+    errors are the state's own, then the pure-state gate of `op`."""
+    state = jet.state
+    stacked = state.cov.ndim == 3
+    labels = state.physicality.classification
+    if isinstance(labels, str):
+        labels = (labels,)
+    gate = [
+        None if label == "pure" else ValueError(f"{op} requires a pure model state, got {label}")
+        for label in labels
+    ]
+    axis = 1 if stacked else 0
+    dcov, dmean = np.stack(jet.dcov, axis=axis), np.stack(jet.dmean, axis=axis)
+    if not stacked:
+        return False, state.cov[None], dcov[None], dmean[None], first_errors(state.errors, gate)
+    return True, state.cov, dcov, dmean, first_errors(state.errors, gate)
+
+
+def qfi_matrix(jet: ModelJet):
     """Quantum Fisher information matrix, 2x2 symmetric."""
-    _require_pure(jet, "qfi_matrix")
-    cov = jet.state.cov
-    n = len(jet.dcov)
-    A = [np.linalg.solve(cov, d) for d in jet.dcov]
-    m = [np.linalg.solve(cov, d) for d in jet.dmean]
-    Q = np.empty((n, n))
+    stacked, cov, dcov, dmean, errors = _pure_stack(jet, "qfi_matrix")
+    n, dim = dcov.shape[1], cov.shape[-1]
+    # one solve per parameter for [cov^-1 dcov_j | cov^-1 dmean_j]
+    rhs = np.concatenate([dcov, dmean[..., None]], axis=-1)
+    sol, errors = guarded_call(np.linalg.solve, errors, cov[:, None], rhs)
+    A, m = sol[..., :dim], sol[..., dim:]
+    traces = np.trace(A[:, :, None] @ A[:, None, :], axis1=-2, axis2=-1)
+    means = (dmean[:, :, None, None, :] @ m[:, None])[..., 0, 0]
+    Q = 0.25 * traces + 2.0 * means
     # both terms are symmetric in (j, k); mirroring keeps that exact
     for j in range(n):
-        for k in range(j, n):
-            Q[j, k] = 0.25 * np.trace(A[j] @ A[k]) + 2.0 * jet.dmean[j] @ m[k]
-            Q[k, j] = Q[j, k]
-    return Q
+        for k in range(j):
+            Q[:, j, k] = Q[:, k, j]
+    return unstack(Q, errors, stacked)
 
 
-def uhlmann_matrix(jet: ModelJet) -> np.ndarray:
+def uhlmann_matrix(jet: ModelJet):
     """Uhlmann curvature, 2x2 antisymmetric (enforced structurally)."""
-    _require_pure(jet, "uhlmann_matrix")
-    cov = jet.state.cov
+    stacked, cov, dcov, dmean, errors = _pure_stack(jet, "uhlmann_matrix")
     Om = symplectic_form(jet.state.modes)
-    d1, d2 = jet.dcov
-    comm = Om @ d1 @ Om @ d2 - Om @ d2 @ Om @ d1
-    si_m2 = np.linalg.solve(cov, jet.dmean[1])
-    si_m1 = np.linalg.solve(cov, jet.dmean[0])
-    u = 0.25 * np.trace(Om @ cov @ comm) + 4.0 * si_m1 @ Om @ si_m2
-    return np.array([[0.0, u], [-u, 0.0]])
+    X1, X2 = Om @ dcov[:, 0], Om @ dcov[:, 1]
+    comm = X1 @ X2 - X2 @ X1
+    si, errors = guarded_call(np.linalg.solve, errors, cov, dmean.transpose(0, 2, 1))
+    u = 0.25 * np.trace(Om @ cov @ comm, axis1=1, axis2=2) + 4.0 * (
+        si[:, None, :, 0] @ Om @ si[:, :, 1:]
+    )[:, 0, 0]
+    U = np.zeros((len(cov), 2, 2))
+    U[:, 0, 1], U[:, 1, 0] = u, -u
+    U[[e is not None for e in errors]] = np.nan
+    return unstack(U, errors, stacked)
+
+
+def _singular_errors(Q: np.ndarray) -> tuple:
+    """Per point of a stack of Q: SloppyModelError where Q is singular
+    relative to its scale (or not finite), else None."""
+    finite = np.isfinite(Q).all(axis=(1, 2)).tolist()
+    w, _ = guarded_call(np.linalg.eigvalsh, [None if f else "" for f in finite], Q)
+    return tuple(
+        None if lo > SINGULAR_Q_TOL * max(1.0, hi) else SloppyModelError(_SINGULAR_MESSAGE)
+        for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist())
+    )
 
 
 def _require_invertible(Q: np.ndarray) -> None:
-    if np.min(np.linalg.eigvalsh(Q)) <= SINGULAR_Q_TOL:
-        raise SloppyModelError(
-            "information matrix is singular: some parameter combination is "
-            "unestimable, so quantumness and scalar bounds are undefined; "
-            "reduce or recombine the parameters and retry"
-        )
+    error = _singular_errors(np.asarray(Q, dtype=float)[None])[0]
+    if error is not None:
+        raise error
 
 
-def quantumness_general(Q: np.ndarray, U: np.ndarray) -> float:
+def quantumness_general(Q: np.ndarray, U: np.ndarray):
     """R as the largest eigenvalue modulus of Q^-1 U (any parameter count)."""
-    _require_invertible(Q)
-    ev = np.linalg.eigvals(np.linalg.solve(Q, U))
-    return float(np.max(np.abs(ev)))
+    Q, U = np.asarray(Q, dtype=float), np.asarray(U, dtype=float)
+    stacked = Q.ndim == 3
+    if not stacked:
+        Q, U = Q[None], U[None]
+    ev, errors = guarded_call(
+        lambda q, u: np.linalg.eigvals(np.linalg.solve(q, u)), _singular_errors(Q), Q, U
+    )
+    R = np.max(np.abs(ev), axis=-1)
+    return (R, errors) if stacked else float(unstack(R, errors, False))
 
 
 def quantumness_two_param(Q: np.ndarray, U: np.ndarray) -> float:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -20,9 +22,7 @@ from .gaussian import (
     GaussianState,
     PhaseRotation,
     Squeezer,
-    apply_circuit,
     gate_symplectic,
-    vacuum_state,
 )
 
 FD_STEP_DEFAULT = 1e-5
@@ -30,6 +30,8 @@ FD_STEP_MIN = 1e-8
 FD_STEP_MAX = 1e-3
 
 PARAMETER_NAMES = ("lam1", "lam2")
+
+MODEL_FIELDS = ("r", "q", "beta", "theta", "phi", "x", "alpha", "lam1", "lam2")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +54,7 @@ class ModelConfig:
     lam2: float = 0.0
 
     def __post_init__(self):
-        for name in ("r", "q", "beta", "theta", "phi", "x", "alpha", "lam1", "lam2"):
+        for name in MODEL_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"model field {name} must be finite")
@@ -69,24 +71,32 @@ class ModelConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ModelJet:
-    """Output state with its derivatives along (lam1, lam2)."""
+    """Output state with its derivatives along (lam1, lam2).
+
+    For a stack of N configurations every array has a leading point axis
+    and state.errors holds the per-point failures.
+    """
 
     state: GaussianState
     dcov: tuple[np.ndarray, np.ndarray]
     dmean: tuple[np.ndarray, np.ndarray]
 
 
+def _circuit(r, q, beta, theta, phi, x, alpha, lam1, lam2) -> list[Gate]:
+    return [
+        Squeezer(mode=0, magnitude=r, angle=0.0),
+        Squeezer(mode=1, magnitude=r, angle=0.0),
+        Displacement(mode=0, amplitude=q, angle=beta),
+        BeamSplitter(modes=(0, 1), mix=phi, phase=theta),
+        PhaseRotation(mode=0, angle=lam1),
+        Squeezer(mode=0, magnitude=x, angle=alpha),
+        PhaseRotation(mode=0, angle=lam2),
+    ]
+
+
 def build_mz_model(config: ModelConfig) -> list[Gate]:
     """Gate sequence on two modes; inputs are vacuum + vacuum."""
-    return [
-        Squeezer(mode=0, magnitude=config.r, angle=0.0),
-        Squeezer(mode=1, magnitude=config.r, angle=0.0),
-        Displacement(mode=0, amplitude=config.q, angle=config.beta),
-        BeamSplitter(modes=(0, 1), mix=config.phi, phase=config.theta),
-        PhaseRotation(mode=0, angle=config.lam1),
-        Squeezer(mode=0, magnitude=config.x, angle=config.alpha),
-        PhaseRotation(mode=0, angle=config.lam2),
-    ]
+    return _circuit(*(getattr(config, name) for name in MODEL_FIELDS))
 
 
 # positions of the bound phase gates in the list above -> derivative slot
@@ -95,44 +105,74 @@ _BOUND_GATES = {4: 0, 6: 1}
 # d/da [[cos a, sin a], [-sin a, cos a]] = R(a) @ [[0, 1], [-1, 0]]
 _ROTATION_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-
-def evaluate_state(config: ModelConfig) -> GaussianState:
-    return apply_circuit(vacuum_state(2), build_mz_model(config))
+_fields = operator.attrgetter(*MODEL_FIELDS)
 
 
-def jacobian_analytic(config: ModelConfig) -> ModelJet:
-    """Exact (dcov, dmean) along (lam1, lam2) by chain rule.
+def _propagate(configs: Sequence[ModelConfig]):
+    """(cov, mean, dcov, dmean) of the output for a stack of configs.
 
     At each bound phase gate the derivative S' = S @ J is inserted once
     (J is the rotation generator on the gate's mode); every later gate
     conjugates the accumulated derivatives exactly.
     """
-    gates = build_mz_model(config)
-    state = vacuum_state(2)
-    cov, mean = state.cov.copy(), state.mean.copy()
-    dcov = [np.zeros((4, 4)), np.zeros((4, 4))]
-    dmean = [np.zeros(4), np.zeros(4)]
-    for i, gate in enumerate(gates):
+    params = np.array([_fields(c) for c in configs], dtype=float).reshape(-1, len(MODEL_FIELDS))
+    n = len(params)
+    cov = np.broadcast_to(np.eye(4) / 2, (n, 4, 4))
+    mean = np.zeros((n, 4, 1))  # means are carried as columns
+    # None stands for a derivative that is still exactly zero
+    dcov: list = [None, None]
+    dmean: list = [None, None]
+    for i, gate in enumerate(_circuit(*params.T)):
         S, shift = gate_symplectic(gate, 2)
+        St = S.transpose(0, 2, 1)
         for p in range(2):
-            dcov[p] = S @ dcov[p] @ S.T
-            dmean[p] = S @ dmean[p]
+            if dcov[p] is not None:
+                dcov[p] = S @ dcov[p] @ St
+                dmean[p] = S @ dmean[p]
         if i in _BOUND_GATES:
             p = _BOUND_GATES[i]
             mode = gate.mode
             J = np.zeros((4, 4))
             J[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = _ROTATION_GENERATOR
             Sp = S @ J
-            dcov[p] += Sp @ cov @ S.T + S @ cov @ Sp.T
-            dmean[p] += Sp @ mean
-        cov = S @ cov @ S.T
-        mean = S @ mean + shift
-    out = GaussianState(modes=2, mean=mean, cov=cov)
-    return ModelJet(state=out, dcov=(dcov[0], dcov[1]), dmean=(dmean[0], dmean[1]))
+            inserted = Sp @ cov @ St + S @ cov @ Sp.transpose(0, 2, 1)
+            dcov[p] = inserted if dcov[p] is None else dcov[p] + inserted
+            dmean[p] = Sp @ mean if dmean[p] is None else dmean[p] + Sp @ mean
+        cov = S @ cov @ St
+        mean = S @ mean + shift[..., None]
+    return cov, mean[..., 0], dcov, [d[..., 0] for d in dmean]
+
+
+def jacobian_analytic(config: Union[ModelConfig, Sequence[ModelConfig]]) -> ModelJet:
+    """Exact (dcov, dmean) along (lam1, lam2) by chain rule.
+
+    Given a sequence of configs, propagates all of them in one pass and
+    returns a stacked jet; a config whose output moments fail validation
+    has its ValueError in jet.state.errors. A single config raises it.
+    Overflow at extreme squeezing surfaces as that error, not as a warning.
+    """
+    single = isinstance(config, ModelConfig)
+    with np.errstate(all="ignore"):
+        cov, mean, dcov, dmean = _propagate([config] if single else config)
+    if single:
+        cov, mean = cov[0], mean[0]
+        dcov, dmean = [d[0] for d in dcov], [d[0] for d in dmean]
+    return ModelJet(
+        state=GaussianState(modes=2, mean=mean, cov=cov),
+        dcov=(dcov[0], dcov[1]),
+        dmean=(dmean[0], dmean[1]),
+    )
+
+
+def evaluate_state(config: Union[ModelConfig, Sequence[ModelConfig]]) -> GaussianState:
+    """Output state: the state of the same propagation as jacobian_analytic."""
+    return jacobian_analytic(config).state
 
 
 def jacobian_fd(config: ModelConfig, step: float = FD_STEP_DEFAULT) -> ModelJet:
-    """Central-difference jet; the independent oracle for jacobian_analytic."""
+    """Central-difference jet from output states alone; the oracle for the
+    derivative insertion of jacobian_analytic, whose propagation of the
+    states it shares (tests check those against a separate oracle)."""
     if not (FD_STEP_MIN <= step <= FD_STEP_MAX):
         raise ValueError(
             f"step must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {step:g}"

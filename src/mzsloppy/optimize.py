@@ -24,7 +24,8 @@ import scipy.optimize
 
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
-from .model import ModelConfig, jacobian_analytic
+from .gaussian import first_errors, guarded_call, unstack
+from .model import MODEL_FIELDS, ModelConfig, jacobian_analytic
 
 OBJECTIVE_KINDS = ("Q11", "Q22", "detQ", "minus_R", "weighted_CQ_inverse")
 OBJECTIVE_LAYERS = ("closed_form", "numeric")
@@ -33,7 +34,8 @@ OBJECTIVE_LAYERS = ("closed_form", "numeric")
 ANGLE_MATCH_TOL = 1e-3
 VALUE_MATCH_RTOL = 1e-6
 
-_MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+# what one configuration can fail with; anything else is a programming error
+POINT_ERRORS = (ValueError, ArithmeticError, SloppyModelError)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,15 +75,59 @@ class Objective:
             raise ValueError("repetitions must be a positive integer")
 
 
-def _matrices(config: ModelConfig, objective: Objective) -> tuple[np.ndarray, np.ndarray]:
-    """(information, curvature) matrices on the requested layer."""
+def _matrices(configs: list[ModelConfig], objective: Objective):
+    """Stacked (information, curvature) matrices on the requested layer,
+    with per-point errors.
+
+    The numeric layer propagates all configs in one pass; the closed-form
+    layer evaluates its scalar expressions point by point.
+    """
     if objective.layer == "numeric":
-        jet = jacobian_analytic(config)
-        return metrology.qfi_matrix(jet), metrology.uhlmann_matrix(jet)
-    inp = closed_forms.ClosedFormInputs.from_model_config(config)
-    q = closed_forms.closed_q_matrix(inp)
-    u = closed_forms.u12_closed(inp)
-    return q, np.array([[0.0, u], [-u, 0.0]])
+        jet = jacobian_analytic(configs)
+        q, q_errors = metrology.qfi_matrix(jet)
+        u, u_errors = metrology.uhlmann_matrix(jet)
+        return q, u, first_errors(q_errors, u_errors)
+    q = np.full((len(configs), 2, 2), np.nan)
+    u = np.full((len(configs), 2, 2), np.nan)
+    errors = [None] * len(configs)
+    for i, config in enumerate(configs):
+        try:
+            inp = closed_forms.ClosedFormInputs.from_model_config(config)
+            q_i, u12 = closed_forms.closed_q_matrix(inp), closed_forms.u12_closed(inp)
+        except POINT_ERRORS as exc:
+            errors[i] = exc
+            continue
+        q[i], u[i] = q_i, ((0.0, u12), (-u12, 0.0))
+    return q, u, tuple(errors)
+
+
+def _objective_values(configs: list[ModelConfig], objective: Objective):
+    """The figure of merit at each config: (values, errors), NaN where the
+    point failed, one batch."""
+    q, u, errors = _matrices(configs, objective)
+    if objective.kind == "Q11":
+        return q[:, 0, 0], errors
+    if objective.kind == "Q22":
+        return q[:, 1, 1], errors
+    if objective.kind == "detQ":
+        return guarded_call(np.linalg.det, errors, q)
+    if objective.kind == "minus_R":
+        r, r_errors = metrology.quantumness_general(q, u)
+        return -r, first_errors(errors, r_errors)
+    w = np.asarray(objective.weight, dtype=float)
+    values = np.full(len(configs), np.nan)
+    errors = list(errors)
+    for i in [i for i, e in enumerate(errors) if e is None]:
+        try:
+            bounds = metrology.scalar_crb(q[i], u[i], w, repetitions=objective.repetitions)
+            if bounds.c_q <= 0:
+                raise SloppyModelError(
+                    "weighted scalar bound is zero, its reciprocal objective is undefined"
+                )
+            values[i] = 1.0 / bounds.c_q
+        except POINT_ERRORS as exc:
+            errors[i] = exc
+    return values, tuple(errors)
 
 
 def objective_value(config: ModelConfig, objective: Objective) -> float:
@@ -90,22 +136,7 @@ def objective_value(config: ModelConfig, objective: Objective) -> float:
     Raises SloppyModelError where the underlying quantity is undefined
     (singular information matrix, vanishing weighted bound).
     """
-    q, u = _matrices(config, objective)
-    if objective.kind == "Q11":
-        return float(q[0, 0])
-    if objective.kind == "Q22":
-        return float(q[1, 1])
-    if objective.kind == "detQ":
-        return float(np.linalg.det(q))
-    if objective.kind == "minus_R":
-        return -metrology.quantumness_general(q, u)
-    w = np.asarray(objective.weight, dtype=float)
-    bounds = metrology.scalar_crb(q, u, w, repetitions=objective.repetitions)
-    if bounds.c_q <= 0:
-        raise SloppyModelError(
-            "weighted scalar bound is zero, its reciprocal objective is undefined"
-        )
-    return 1.0 / bounds.c_q
+    return float(unstack(*_objective_values([config], objective), False))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +147,7 @@ class Axis:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.name not in _MODEL_FIELDS:
+        if self.name not in MODEL_FIELDS:
             raise ValueError(f"unknown axis {self.name!r}; expected a model field")
         vals = tuple(float(v) for v in self.values)
         if not vals:
@@ -156,29 +187,57 @@ def _point_config(spec: SearchSpec, values: tuple[float, ...]) -> ModelConfig:
     return dataclasses.replace(spec.base, **updates)
 
 
+def _row_error(exc: Exception) -> str:
+    if isinstance(exc, ArithmeticError):
+        # e.g. "math range error" alone does not say what went wrong
+        return f"{type(exc).__name__}: {exc}"
+    return str(exc)
+
+
+def _chunks(points: list, count: int) -> list[list]:
+    """Split points into at most `count` contiguous, non-empty chunks of
+    near-equal size."""
+    size, extra = divmod(len(points), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [points[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
 def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanResult:
     """Exhaustive scan over the grid product, rows in lexicographic order.
 
     Pointwise failures are captured in the row's error field instead of
     aborting the scan. The best row maximizes the value; exact ties go to
-    the numerically smallest value tuple.
+    the numerically smallest value tuple. The points are split into
+    `workers` contiguous chunks, each evaluated as one batch (on a thread
+    pool when workers > 1); the rows do not depend on the split.
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
     grids = [axis.values for axis in spec.axes]
     points = list(itertools.product(*grids)) if grids else [()]
 
-    def _eval(values: tuple[float, ...]) -> tuple[float | None, str | None]:
-        try:
-            return objective_value(_point_config(spec, values), objective), None
-        except (ValueError, SloppyModelError) as exc:
-            return None, str(exc)
+    def _eval(chunk: list) -> list[tuple[float | None, str | None]]:
+        outcomes: list = [None] * len(chunk)
+        configs, where = [], []
+        for i, values in enumerate(chunk):
+            try:
+                configs.append(_point_config(spec, values))
+                where.append(i)
+            except ValueError as exc:
+                outcomes[i] = (None, str(exc))
+        # extreme settings overflow; the row shows it, no warning is printed
+        with np.errstate(all="ignore"):
+            values, errors = _objective_values(configs, objective)
+        for i, value, error in zip(where, values.tolist(), errors):
+            outcomes[i] = (None, _row_error(error)) if error is not None else (value, None)
+        return outcomes
 
+    chunks = _chunks(points, workers)
     if workers == 1:
-        outcomes = [_eval(p) for p in points]
+        outcomes = [o for chunk in chunks for o in _eval(chunk)]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_eval, points))
+            outcomes = [o for part in pool.map(_eval, chunks) for o in part]
 
     rows = tuple(
         ScanRow(
@@ -240,7 +299,7 @@ def refine_local(
     def negated(vec: np.ndarray) -> float:
         try:
             return -objective_value(_point_config(spec, tuple(vec)), objective)
-        except (ValueError, SloppyModelError):
+        except POINT_ERRORS:
             return math.inf  # out-of-domain probe, reject the step
 
     res = scipy.optimize.minimize(
@@ -310,7 +369,7 @@ def _axis_flat(
         cfg = dataclasses.replace(spec.base, **probe_point)
         try:
             vals.append(objective_value(cfg, objective))
-        except (ValueError, SloppyModelError):
+        except POINT_ERRORS:
             return False
     spread = max(vals) - min(vals)
     return spread <= 1e-9 * max(1.0, max(abs(v) for v in vals))
@@ -336,13 +395,16 @@ def _worst_case_quantumness(
     base: ModelConfig, theta: float, phi: float, gamma_grid: tuple[float, ...]
 ) -> float:
     """Largest closed-form quantumness over the squeezer-phase grid at
-    fixed (theta, phi)."""
-    objective = Objective(kind="minus_R")
-    worst = 0.0
-    for gamma in gamma_grid:
-        cfg = dataclasses.replace(base, theta=theta, phi=phi, alpha=gamma, lam1=0.0)
-        worst = max(worst, -objective_value(cfg, objective))
-    return worst
+    fixed (theta, phi); raises the first phase's error, if any."""
+    configs = [
+        dataclasses.replace(base, theta=theta, phi=phi, alpha=gamma, lam1=0.0)
+        for gamma in gamma_grid
+    ]
+    values, errors = _objective_values(configs, Objective(kind="minus_R"))
+    for error in errors:
+        if error is not None:
+            raise error
+    return max([0.0] + (-values).tolist())
 
 
 THETA_GRID = tuple(i * math.pi / 8 for i in range(8))

@@ -340,3 +340,38 @@ class TestDriver:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == "mzsloppy.eval/1"
+
+
+class TestSinglePropagation:
+    def test_eval_propagates_the_circuit_once(self, tmp_path, capsys, monkeypatch):
+        from mzsloppy import model
+
+        calls = []
+        original = model._propagate
+
+        def counting(configs):
+            calls.append(len(configs))
+            return original(configs)
+
+        monkeypatch.setattr(model, "_propagate", counting)
+        cfg = write_config(tmp_path, {"model": model_dict(r=0.5, x=0.5, theta=PI / 2)})
+        code, out, _ = run_cli(capsys, ["eval", "--config", cfg])
+        assert code in (0, 2)
+        assert json.loads(out)["physicality"]["classification"] == "pure"
+        assert calls == [1]
+
+    def test_overflowing_scan_point_is_a_row(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": model_dict(r=0.5, x=0.5),
+                "objective": {"kind": "Q22"},
+                "axes": [{"name": "r", "values": [0.5, 400.0]}],
+            },
+        )
+        code, out, _ = run_cli(capsys, ["scan", "--config", cfg])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["error"] is None
+        assert rows[1] == {"point": {"r": 400.0}, "value": None,
+                           "error": "OverflowError: math range error"}

@@ -15,6 +15,7 @@ from mzsloppy.gaussian import (
     apply_circuit,
     apply_gate,
     gate_symplectic,
+    guarded_call,
     physicality_check,
     symplectic_eigenvalues,
     symplectic_form,
@@ -309,3 +310,53 @@ class TestLiteralConvention:
         out = apply_gate(state, BeamSplitter(mix=phi, phase=1.3))
         e_out = (out.cov[0, 0] + out.cov[1, 1] - 1.0) / 2.0
         assert abs(e_out - e_in * math.cos(phi) ** 2) < 1e-12
+
+
+# -- stacks -------------------------------------------------------------------
+
+
+class TestStacks:
+    def test_gate_with_array_parameters_stacks_matrices(self):
+        angles = np.array([0.1, 0.7, -2.0])
+        S, shift = gate_symplectic(Squeezer(mode=1, magnitude=0.4, angle=angles), 2)
+        assert S.shape == (3, 4, 4) and shift.shape == (3, 4)
+        for i, a in enumerate(angles):
+            one, _ = gate_symplectic(Squeezer(mode=1, magnitude=0.4, angle=float(a)), 2)
+            np.testing.assert_array_equal(S[i], one)
+
+    def test_apply_gate_on_a_stack_matches_each_point(self):
+        state = apply_gate(vacuum_state(2), Squeezer(mode=0, magnitude=0.5))
+        angles = np.array([0.3, -1.2])
+        stacked = apply_gate(state, BeamSplitter(mix=0.4, phase=angles))
+        assert stacked.cov.shape == (2, 4, 4) and stacked.mean.shape == (2, 4)
+        for i, a in enumerate(angles):
+            one = apply_gate(state, BeamSplitter(mix=0.4, phase=float(a)))
+            np.testing.assert_allclose(stacked.cov[i], one.cov, atol=1e-15)
+
+    def test_stacked_state_records_bad_points(self):
+        cov = np.stack([np.eye(2) / 2, np.array([[1.0, 0.2], [0.0, 1.0]]), np.eye(2)])
+        mean = np.zeros((3, 2))
+        mean[2, 0] = np.inf
+        state = GaussianState(modes=1, mean=mean, cov=cov)
+        assert [str(e) if e else None for e in state.errors] == [
+            None, "cov must be symmetric", "state moments must be finite",
+        ]
+
+    def test_stacked_physicality_labels(self):
+        cov = np.stack([np.eye(2) / 2, np.eye(2), np.eye(2) / 4, np.full((2, 2), np.nan)])
+        state = GaussianState(modes=1, mean=np.zeros((4, 2)), cov=cov)
+        phys = physicality_check(state)
+        assert phys.classification == ("pure", "mixed", "unphysical", "unphysical")
+        assert phys.symplectic_eigenvalues.shape == (4, 1)
+        assert np.isnan(phys.symplectic_eigenvalues[3, 0])
+        assert state.physicality.classification == phys.classification
+
+    def test_linalg_failure_stays_with_its_point(self):
+        a = np.stack([2 * np.eye(2), np.zeros((2, 2)), np.eye(2)])
+        b = np.ones((3, 2, 1))
+        out, errors = guarded_call(np.linalg.solve, (None, None, None), a, b)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], np.linalg.LinAlgError)
+        np.testing.assert_array_equal(out[0], np.linalg.solve(a[:1], b[:1])[0])
+        assert np.isnan(out[1]).all()
+        np.testing.assert_array_equal(out[2], b[2])

@@ -305,3 +305,105 @@ def test_optimal_configuration_is_phase_covariant():
     u_spread = max(np.max(np.abs(m - us[0])) for m in us)
     assert q_spread < 1e-10
     assert u_spread < 1e-10
+
+
+# -- stacked evaluation ---------------------------------------------------
+
+
+def _reference_qfi(jet):
+    """Per-matrix loop form of the Q formula, one config at a time."""
+    cov = jet.state.cov
+    A = [np.linalg.solve(cov, d) for d in jet.dcov]
+    m = [np.linalg.solve(cov, d) for d in jet.dmean]
+    return np.array([
+        [0.25 * np.trace(A[j] @ A[k]) + 2.0 * jet.dmean[j] @ m[k] for k in range(2)]
+        for j in range(2)
+    ])
+
+
+def _reference_u12(jet):
+    cov = jet.state.cov
+    Om = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0.0]])
+    d1, d2 = jet.dcov
+    comm = Om @ d1 @ Om @ d2 - Om @ d2 @ Om @ d1
+    si = [np.linalg.solve(cov, d) for d in jet.dmean]
+    return 0.25 * np.trace(Om @ cov @ comm) + 4.0 * si[0] @ Om @ si[1]
+
+
+def test_stacked_metrology_matches_loop_reference_and_single_calls():
+    rng = np.random.default_rng(61)
+    configs = [random_config(rng) for _ in range(40)]
+    configs += [dataclasses.replace(configs[0], x=0.0)]
+    jet = jacobian_analytic(configs)
+    Q, q_errors = qfi_matrix(jet)
+    U, u_errors = uhlmann_matrix(jet)
+    R, r_errors = quantumness_general(Q, U)
+    assert q_errors == u_errors == (None,) * len(configs)
+    for i, cfg in enumerate(configs):
+        single = jacobian_analytic(cfg)
+        q, u = qfi_matrix(single), uhlmann_matrix(single)
+        assert np.array_equal(Q[i], q) and np.array_equal(U[i], u)
+        scale = max(1.0, np.max(np.abs(q)))
+        assert np.max(np.abs(q - _reference_qfi(single))) < 1e-12 * scale
+        assert abs(u[0, 1] - _reference_u12(single)) < 1e-12 * scale
+        try:
+            assert R[i] == quantumness_general(q, u) and r_errors[i] is None
+        except SloppyModelError as exc:
+            assert np.isnan(R[i]) and str(r_errors[i]) == str(exc)
+    assert isinstance(r_errors[-1], SloppyModelError)
+
+
+def test_stacked_gates_never_raise_for_one_point():
+    good = ModelConfig(r=0.5, q=0.3, x=0.5, alpha=0.4)
+    thermal_like = ModelConfig(r=4.0, x=2.0, theta=1.0, phi=0.5)
+    jet = jacobian_analytic([good, ModelConfig(r=400.0), thermal_like, good])
+    Q, errors = qfi_matrix(jet)
+    assert errors[0] is None and errors[3] is None
+    assert str(errors[1]) == "state moments must be finite"
+    np.testing.assert_array_equal(Q[0], qfi_matrix(jacobian_analytic(good)))
+    assert np.isnan(Q[1]).all()
+    label = jet.state.physicality.classification[2]
+    if label != "pure":
+        assert str(errors[2]) == f"qfi_matrix requires a pure model state, got {label}"
+        assert np.isnan(Q[2]).all()
+
+
+def test_stacked_purity_gate_is_per_point():
+    vacuum_and_thermal = GaussianState(
+        modes=2, mean=np.zeros((2, 4)), cov=np.stack([np.eye(4) / 2, np.eye(4)])
+    )
+    zeros = np.zeros((2, 4, 4)), np.zeros((2, 4, 4))
+    jet = ModelJet(state=vacuum_and_thermal, dcov=zeros, dmean=(np.zeros((2, 4)),) * 2)
+    for fn in (qfi_matrix, uhlmann_matrix):
+        values, errors = fn(jet)
+        assert errors[0] is None and np.array_equal(values[0], np.zeros((2, 2)))
+        assert str(errors[1]) == f"{fn.__name__} requires a pure model state, got mixed"
+        assert np.isnan(values[1]).all()
+
+
+class TestSingularGate:
+    def test_scale_relative(self):
+        # an eigenvalue far above the old absolute floor, yet negligible
+        # next to the largest one
+        q = np.diag([1e6, 1e-7])
+        with pytest.raises(SloppyModelError):
+            quantumness_general(q, np.zeros((2, 2)))
+        assert quantumness_general(np.diag([1e6, 1e-3]), np.zeros((2, 2))) == 0.0
+
+    def test_stacked_rows_get_their_own_verdict(self):
+        Q = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.full((2, 2), np.nan)])
+        U = np.zeros((3, 2, 2))
+        R, errors = quantumness_general(Q, U)
+        assert R[0] == 0.0 and errors[0] is None
+        assert all(isinstance(e, SloppyModelError) for e in errors[1:])
+        assert np.isnan(R[1:]).all()
+
+    def test_zero_intermediate_squeezing_is_singular_up_to_large_squeezing(self):
+        # Q is analytically singular at x = 0; an absolute floor let
+        # round-off through once r grew past about 1.2
+        rng = np.random.default_rng(67)
+        for _ in range(150):
+            cfg = dataclasses.replace(random_config(rng), r=rng.uniform(0.1, 2.4), x=0.0)
+            jet = jacobian_analytic(cfg)
+            with pytest.raises(SloppyModelError):
+                quantumness_general(qfi_matrix(jet), uhlmann_matrix(jet))

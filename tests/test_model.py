@@ -312,3 +312,54 @@ def test_reparametrization_chain_rule():
     fd_v = (state_uv(u0, v0 + h) - state_uv(u0, v0 - h)) / (2 * h)
     np.testing.assert_allclose(pulled["u"], fd_u, atol=1e-6)
     np.testing.assert_allclose(pulled["v"], fd_v, atol=1e-6)
+
+
+# -- stacked evaluation -----------------------------------------------------
+
+CONFIGS = st.builds(
+    ModelConfig,
+    r=st.floats(min_value=0.05, max_value=1.2),
+    q=st.floats(min_value=0.0, max_value=1.0),
+    beta=ANGLES,
+    theta=ANGLES,
+    phi=st.floats(min_value=0.0, max_value=math.pi / 2),
+    x=st.floats(min_value=0.0, max_value=1.2),
+    alpha=ANGLES,
+    lam1=ANGLES,
+    lam2=ANGLES,
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(configs=st.lists(CONFIGS, min_size=1, max_size=6))
+def test_stacked_jet_is_bitwise_its_single_jets(configs):
+    jet = jacobian_analytic(configs)
+    assert jet.state.cov.shape == (len(configs), 4, 4)
+    assert jet.state.errors == (None,) * len(configs)
+    for i, cfg in enumerate(configs):
+        single = jacobian_analytic(cfg)
+        assert np.array_equal(jet.state.cov[i], single.state.cov)
+        assert np.array_equal(jet.state.mean[i], single.state.mean)
+        for k in range(2):
+            assert np.array_equal(jet.dcov[k][i], single.dcov[k])
+            assert np.array_equal(jet.dmean[k][i], single.dmean[k])
+        assert jet_distance(single, jacobian_fd(cfg)) < 1e-6
+
+
+def test_overflowing_point_is_an_error_of_its_own(recwarn):
+    good = ModelConfig(r=0.5, x=0.5)
+    jet = jacobian_analytic([good, ModelConfig(r=400.0), good])
+    assert [str(e) if e else None for e in jet.state.errors] == [
+        None, "state moments must be finite", None,
+    ]
+    np.testing.assert_array_equal(jet.state.cov[0], jacobian_analytic(good).state.cov)
+    with pytest.raises(ValueError, match="state moments must be finite"):
+        jacobian_analytic(ModelConfig(r=400.0))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_empty_stack():
+    jet = jacobian_analytic([])
+    assert jet.state.cov.shape == (0, 4, 4)
+    assert jet.dmean[1].shape == (0, 4)
+    assert jet.state.errors == ()

@@ -1,9 +1,11 @@
 """Grid scan, refinement, angle folding, and landmark recovery."""
 
+import dataclasses
 import math
 
 import pytest
 
+from mzsloppy.exceptions import SloppyModelError
 from mzsloppy.model import ModelConfig
 from mzsloppy.optimize import (
     Axis,
@@ -288,3 +290,103 @@ class TestFindKnownConfigurations:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             find_known_configurations(-0.5, 0.5)
+
+
+# -- batches and the per-point error boundary --------------------------------
+
+
+def mixed_spec():
+    # x = 0 is singular, r = 4 with x = 2 strains the purity gate, r = 400
+    # overflows both layers
+    return SearchSpec(
+        base=ModelConfig(r=0.5, q=0.3, beta=0.2, theta=1.0, phi=0.4, alpha=0.7,
+                         lam1=0.3, lam2=0.9),
+        axes=(Axis("r", (0.5, 4.0, 400.0)), Axis("x", (0.0, 2.0, 0.5))),
+    )
+
+
+@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+@pytest.mark.parametrize("kind", ["Q22", "minus_R"])
+def test_mixed_grid_never_raises_and_names_every_failure(layer, kind, recwarn):
+    result = grid_scan(mixed_spec(), Objective(kind=kind, layer=layer), workers=2)
+    assert len(result.rows) == 9
+    for row in result.rows:
+        assert (row.value is None) == (row.error is not None)
+        assert row.error is None or len(row.error) > 0
+        if row.point["r"] == 400.0:
+            assert row.error is not None
+        if kind == "minus_R" and row.point["x"] == 0.0:
+            assert row.error is not None
+    assert result.best is not None and result.best.point["r"] != 400.0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+def test_huge_displacement_scans_silently(layer, recwarn):
+    # finite states whose information overflows inside the metrology layer
+    spec = SearchSpec(
+        base=ModelConfig(r=0.5, beta=0.2, theta=1.0, phi=0.4, x=0.5, alpha=0.7),
+        axes=(Axis("q", (0.3, 1e150, 1e200)), Axis("r", (0.5, 100.0))),
+    )
+    for kind in ("Q11", "detQ", "minus_R"):
+        result = grid_scan(spec, Objective(kind=kind, layer=layer))
+        assert result.rows[0].error is None
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflow_row_names_its_error():
+    result = grid_scan(mixed_spec(), Objective(kind="Q22"))
+    overflow = [row.error for row in result.rows if row.point["r"] == 400.0]
+    assert overflow == ["OverflowError: math range error"] * 3
+    numeric = grid_scan(mixed_spec(), Objective(kind="Q22", layer="numeric"))
+    overflow = [row.error for row in numeric.rows if row.point["r"] == 400.0]
+    assert overflow == ["state moments must be finite"] * 3
+
+
+def test_numeric_scan_independent_of_chunking():
+    spec = SearchSpec(
+        base=ModelConfig(r=0.6, q=0.4, beta=0.3, lam1=0.2, lam2=0.5),
+        axes=(Axis("x", (0.0, 0.4, 0.9)), Axis("theta", HALF_GRID[:5]),
+              Axis("alpha", (0.0, 1.0))),
+    )
+    obj = Objective(kind="minus_R", layer="numeric")
+    results = [grid_scan(spec, obj, workers=w) for w in (1, 2, 3)]
+    assert repr(results[0]) == repr(results[1]) == repr(results[2])
+    for row in results[0].rows[::7]:
+        config = dataclasses.replace(spec.base, **row.point)
+        if row.error is None:
+            assert row.value == objective_value(config, obj)
+        else:
+            with pytest.raises(SloppyModelError, match="singular"):
+                objective_value(config, obj)
+
+
+def test_more_workers_than_points():
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("theta", (0.0, 1.0)),))
+    for layer in ("closed_form", "numeric"):
+        obj = Objective(kind="Q22", layer=layer)
+        assert repr(grid_scan(spec, obj, workers=5)) == repr(grid_scan(spec, obj))
+
+
+def test_zero_intermediate_squeezing_rows_are_errors_up_to_large_squeezing():
+    spec = SearchSpec(
+        base=ModelConfig(q=0.5, beta=0.4, lam1=0.3, lam2=1.1),
+        axes=(
+            Axis("r", tuple(0.1 * k for k in range(1, 25))),
+            Axis("theta", (0.3, 1.4, 2.6)),
+            Axis("phi", (0.2, 0.9)),
+            Axis("alpha", (0.5, 2.5, 4.5)),
+        ),
+    )
+    for layer in ("closed_form", "numeric"):
+        result = grid_scan(spec, Objective(kind="minus_R", layer=layer))
+        assert result.best is None
+        assert all(row.value is None and "singular" in row.error for row in result.rows)
+
+
+@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+def test_chunk_with_no_valid_configuration(layer):
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("x", (-1.0, -2.0)),))
+    result = grid_scan(spec, Objective(kind="minus_R", layer=layer))
+    assert [row.error for row in result.rows] == ["model field x must be non-negative"] * 2
+    assert result.best is None
