@@ -1,0 +1,114 @@
+"""Golden CLI outputs: fixed configs whose output must not change.
+
+Each case in golden/cases.json names a subcommand, an output format and a
+config; golden/<case>.<format> holds the output the case gave when it was
+frozen, and the case's exit code is stored beside its config. Both outputs
+are parsed before they are compared: keys, strings, ints, bools and nulls
+must be equal, floats equal to a relative 1e-12 (csv cells that read as
+numbers count as floats). A float within 1e-13 of its golden value also
+matches: several outputs are round-off around zero (a worst-case
+quantumness of 3e-17, the determinant of a singular matrix), whose digits
+change with the BLAS build. To refreeze after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from mzsloppy.cli import THREADS_ENV_VAR, main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+FLOAT_RTOL = 1e-12
+FLOAT_ATOL = 1e-13
+
+
+def run_case(case: dict, work: Path) -> tuple[int, str]:
+    config = work / "config.json"
+    config.write_text(json.dumps(case["config"]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([case["command"], "--config", str(config), "--format", case["format"]])
+    return code, out.getvalue()
+
+
+def parse(text: str, fmt: str):
+    if fmt == "json":
+        return json.loads(text)
+    return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def mismatches(got, want, where="$") -> list[str]:
+    """Paths at which two parsed outputs differ."""
+    if isinstance(want, float) and isinstance(got, float):
+        if got == want or math.isclose(got, want, rel_tol=FLOAT_RTOL, abs_tol=FLOAT_ATOL):
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{where}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in mismatches(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [
+            m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{where}[{i}]")
+        ]
+    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def test_mismatches_catches_each_kind_of_difference():
+    same = {"a": [1.0 + 1e-15, "s", None, True, 2]}
+    assert mismatches({"a": [1.0, "s", None, True, 2]}, same) == []
+    assert mismatches(3e-17, 0.0) == []
+    assert mismatches(1.0, 1.0 + 1e-9)
+    assert mismatches(1e-10, 0.0)
+    assert mismatches(1, 1.0)
+    assert mismatches(True, 1)
+    assert mismatches(None, 0.0)
+    assert mismatches("a", "b")
+    assert mismatches({"a": 1}, {"b": 1})
+    assert mismatches([1], [1, 2])
+    assert mismatches(float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    case = CASES[name]
+    code, text = run_case(case, tmp_path)
+    assert code == case["exit_code"]
+    want = (GOLDEN / f"{name}.{case['format']}").read_text()
+    assert mismatches(parse(text, case["format"]), parse(want, case["format"])) == []
+
+
+def refreeze() -> None:
+    os.environ.pop(THREADS_ENV_VAR, None)
+    with tempfile.TemporaryDirectory() as work:
+        for name, case in CASES.items():
+            case["exit_code"], text = run_case(case, Path(work))
+            (GOLDEN / f"{name}.{case['format']}").write_text(text)
+    (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(refreeze())
