@@ -8,11 +8,12 @@ Four subcommands, all driven by a JSON config file:
   mzsloppy compare  --config cfg.json [--out path] [--format json]
 
 Data goes to stdout (or --out), diagnostics to stderr. Exit code 0 means
-success, 1 a usage or config error, 2 a detected degenerate condition
-(eval: the model is sloppy at the requested threshold). Output is
-deterministic: keys are sorted and floats are written with full precision,
-so identical inputs give byte-identical output. The csv format is only
-available for scan, whose rows form a rectangular table.
+success, 1 a usage or config error or a config the engine cannot evaluate
+(say, squeezing so large that the state moments overflow), 2 a detected
+degenerate condition (eval: the model is sloppy at the requested
+threshold). Output is deterministic: keys are sorted and floats are written
+with full precision, so identical inputs give byte-identical output. The
+csv format is only available for scan, whose rows form a rectangular table.
 """
 
 from __future__ import annotations
@@ -83,10 +84,7 @@ def _parse_model(obj) -> ModelConfig:
         if name not in obj:
             raise ConfigError(f"missing model field {name!r}")
         fields[name] = _require_number(obj[name], f"model.{name}")
-    try:
-        return ModelConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelConfig(**fields)
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -146,10 +144,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
     threshold = None
     if "threshold" in config_obj:
         threshold = _require_number(config_obj["threshold"], "threshold")
-    try:
-        report = metrology.sloppiness_report(q, threshold=threshold)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = metrology.sloppiness_report(q, threshold=threshold)
 
     payload = {
         "schema": _SCHEMAS["eval"],
@@ -184,8 +179,6 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
             }
         except SloppyModelError as exc:
             payload["scalar_bounds"] = {"error": str(exc)}
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     elif "repetitions" in config_obj:
         raise ConfigError("config field 'repetitions' requires 'weight'")
 
@@ -209,12 +202,7 @@ def _parse_objective(obj) -> optimize.Objective:
     if "weight" in obj:
         weight = tuple(tuple(row) for row in _parse_weight(obj["weight"]).tolist())
     reps = _parse_repetitions(obj.get("repetitions", 1))
-    try:
-        return optimize.Objective(
-            kind=obj["kind"], layer=layer, weight=weight, repetitions=reps
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return optimize.Objective(kind=obj["kind"], layer=layer, weight=weight, repetitions=reps)
 
 
 def _parse_axes(obj) -> tuple[optimize.Axis, ...]:
@@ -230,10 +218,7 @@ def _parse_axes(obj) -> tuple[optimize.Axis, ...]:
         if "values" not in item or not isinstance(item["values"], list):
             raise ConfigError("config field 'axis.values' must be an array")
         values = tuple(_require_number(v, "axis.values") for v in item["values"])
-        try:
-            axes.append(optimize.Axis(name=item["name"], values=values))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        axes.append(optimize.Axis(name=item["name"], values=values))
     return tuple(axes)
 
 
@@ -257,19 +242,24 @@ def _resolve_workers(config_obj: dict) -> int:
     return 1
 
 
-def run_scan(config_obj: dict) -> tuple[dict, int]:
-    _check_keys(config_obj, ("model", "objective", "axes", "workers"), "scan")
+def _parse_search(
+    config_obj: dict, command: str
+) -> tuple[optimize.SearchSpec, optimize.Objective, int]:
+    """The model/objective/axes/workers config of scan and of the custom
+    optimize mode; `command` names the command in error messages."""
+    _check_keys(config_obj, ("model", "objective", "axes", "workers"), command)
     for required in ("model", "objective", "axes"):
         if required not in config_obj:
-            raise ConfigError(f"missing scan field {required!r}")
+            raise ConfigError(f"missing {command} field {required!r}")
     base = _parse_model(config_obj["model"])
     objective = _parse_objective(config_obj["objective"])
     axes = _parse_axes(config_obj["axes"])
     workers = _resolve_workers(config_obj)
-    try:
-        spec = optimize.SearchSpec(base=base, axes=axes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return optimize.SearchSpec(base=base, axes=axes), objective, workers
+
+
+def run_scan(config_obj: dict) -> tuple[dict, int]:
+    spec, objective, workers = _parse_search(config_obj, "scan")
     result = optimize.grid_scan(spec, objective, workers=workers)
 
     def row_dict(row: optimize.ScanRow) -> dict:
@@ -281,7 +271,7 @@ def run_scan(config_obj: dict) -> tuple[dict, int]:
 
     payload = {
         "schema": _SCHEMAS["scan"],
-        "model": _model_dict(base),
+        "model": _model_dict(spec.base),
         "objective": {
             "kind": objective.kind,
             "layer": objective.layer,
@@ -290,7 +280,7 @@ def run_scan(config_obj: dict) -> tuple[dict, int]:
             if objective.weight is None
             else [list(row) for row in objective.weight],
         },
-        "axes": [{"name": a.name, "values": list(a.values)} for a in axes],
+        "axes": [{"name": a.name, "values": list(a.values)} for a in spec.axes],
         "workers": workers,
         "rows": [row_dict(r) for r in result.rows],
         "best": None if result.best is None else row_dict(result.best),
@@ -322,18 +312,7 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
     find_known_configurations recovery with landmark labels.
     """
     if "model" in config_obj or "objective" in config_obj or "axes" in config_obj:
-        _check_keys(config_obj, ("model", "objective", "axes", "workers"), "optimize")
-        for required in ("model", "objective", "axes"):
-            if required not in config_obj:
-                raise ConfigError(f"missing optimize field {required!r}")
-        base = _parse_model(config_obj["model"])
-        objective = _parse_objective(config_obj["objective"])
-        axes = _parse_axes(config_obj["axes"])
-        workers = _resolve_workers(config_obj)
-        try:
-            spec = optimize.SearchSpec(base=base, axes=axes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec, objective, workers = _parse_search(config_obj, "optimize")
         scan = optimize.grid_scan(spec, objective, workers=workers)
         if scan.best is None:
             raise SloppyModelError("objective failed at every grid point")
@@ -341,7 +320,7 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
         payload = {
             "schema": _SCHEMAS["optimize"],
             "mode": "custom",
-            "model": _model_dict(base),
+            "model": _model_dict(spec.base),
             "objective": {
                 "kind": objective.kind,
                 "layer": objective.layer,
@@ -364,10 +343,7 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
     r = _require_number(config_obj["r"], "r")
     x = _require_number(config_obj["x"], "x")
     q = _require_number(config_obj.get("q", 0.0), "q")
-    try:
-        found = optimize.find_known_configurations(r, x, q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    found = optimize.find_known_configurations(r, x, q)
     payload = {
         "schema": _SCHEMAS["optimize"],
         "mode": "find_known",
@@ -472,11 +448,7 @@ def run_compare_command(config_obj: dict) -> tuple[dict, int]:
     for name in ("q_values", "phi_values", "x_values"):
         if name in config_obj:
             kwargs[name] = _parse_value_list(config_obj[name], name)
-    try:
-        payload = run_compare(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return payload, 0
+    return run_compare(**kwargs), 0
 
 
 # -- driver --------------------------------------------------------------
@@ -526,6 +498,11 @@ def main(argv=None) -> int:
         payload, exit_code = _RUNNERS[args.command](config_obj)
     except ConfigError as exc:
         print(f"mzsloppy: error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as exc:
+        # a config the engine cannot evaluate, or a field value the model
+        # or search types reject
+        print(f"mzsloppy: error: {optimize.error_message(exc)}", file=sys.stderr)
         return 1
     except SloppyModelError as exc:
         print(f"mzsloppy: degenerate model: {exc}", file=sys.stderr)

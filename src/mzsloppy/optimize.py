@@ -101,9 +101,18 @@ def _matrices(configs: list[ModelConfig], objective: Objective):
     return q, u, tuple(errors)
 
 
-def _objective_values(configs: list[ModelConfig], objective: Objective):
-    """The figure of merit at each config: (values, errors), NaN where the
-    point failed, one batch."""
+class _WorstOverPhase(Objective):
+    """minus_R at its worst over the squeezer phase: -max(0, max R) over
+    GAMMA_GRID (alpha = gamma, lam1 = 0). Used by find_known_configurations
+    only; it is not an OBJECTIVE_KINDS entry, so no config can select it."""
+
+
+THETA_GRID = tuple(i * math.pi / 8 for i in range(8))
+PHI_GRID = tuple(i * math.pi / 8 for i in range(5))
+GAMMA_GRID = tuple(i * math.pi / 8 for i in range(16))
+
+
+def _kind_values(configs: list[ModelConfig], objective: Objective):
     q, u, errors = _matrices(configs, objective)
     if objective.kind == "Q11":
         return q[:, 0, 0], errors
@@ -130,11 +139,41 @@ def _objective_values(configs: list[ModelConfig], objective: Objective):
     return values, tuple(errors)
 
 
+def _worst_over_phase(configs: list[ModelConfig]):
+    """All phases of all configs as one minus_R batch; a config fails with
+    its first phase's error."""
+    n = len(GAMMA_GRID)
+    phased = [dataclasses.replace(c, alpha=g, lam1=0.0) for c in configs for g in GAMMA_GRID]
+    values, errors = _objective_values(phased, Objective(kind="minus_R"))
+    r_max = (-values).reshape(-1, n).max(axis=1)
+    worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
+    return -worst, first_errors(*(errors[j::n] for j in range(n)))
+
+
+def _objective_values(configs: list[ModelConfig], objective: Objective):
+    """The figure of merit at each config: (values, errors), NaN where the
+    point failed, one batch. A non-finite value is the point's error.
+    Extreme settings overflow; the error says so, no warning is printed."""
+    with np.errstate(all="ignore"):
+        if isinstance(objective, _WorstOverPhase):
+            values, errors = _worst_over_phase(configs)
+        else:
+            values, errors = _kind_values(configs, objective)
+    errors = tuple(
+        ValueError(f"objective {objective.kind} is {v}, not a finite number")
+        if e is None and not math.isfinite(v)
+        else e
+        for v, e in zip(values.tolist(), errors)
+    )
+    return np.where([e is None for e in errors], values, np.nan), errors
+
+
 def objective_value(config: ModelConfig, objective: Objective) -> float:
     """Evaluate the figure of merit at one configuration.
 
     Raises SloppyModelError where the underlying quantity is undefined
-    (singular information matrix, vanishing weighted bound).
+    (singular information matrix, vanishing weighted bound), and
+    ValueError where it overflows to a non-finite value.
     """
     return float(unstack(*_objective_values([config], objective), False))
 
@@ -187,7 +226,8 @@ def _point_config(spec: SearchSpec, values: tuple[float, ...]) -> ModelConfig:
     return dataclasses.replace(spec.base, **updates)
 
 
-def _row_error(exc: Exception) -> str:
+def error_message(exc: Exception) -> str:
+    """What a failed point's row, or a command that fails, reports for exc."""
     if isinstance(exc, ArithmeticError):
         # e.g. "math range error" alone does not say what went wrong
         return f"{type(exc).__name__}: {exc}"
@@ -225,11 +265,9 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
                 where.append(i)
             except ValueError as exc:
                 outcomes[i] = (None, str(exc))
-        # extreme settings overflow; the row shows it, no warning is printed
-        with np.errstate(all="ignore"):
-            values, errors = _objective_values(configs, objective)
+        values, errors = _objective_values(configs, objective)
         for i, value, error in zip(where, values.tolist(), errors):
-            outcomes[i] = (None, _row_error(error)) if error is not None else (value, None)
+            outcomes[i] = (None, error_message(error)) if error is not None else (value, None)
         return outcomes
 
     chunks = _chunks(points, workers)
@@ -250,7 +288,7 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     best = None
     best_key: tuple | None = None
     for values, row in zip(points, rows):
-        if row.value is None or math.isnan(row.value):
+        if row.value is None:
             continue
         key = (-row.value, values)
         if best_key is None or key < best_key:
@@ -311,7 +349,7 @@ def refine_local(
     candidate = -float(res.fun)
     capped = not bool(res.success)
     margin = 1e-12 * max(1.0, abs(start_value))
-    if math.isfinite(candidate) and candidate > start_value + margin:
+    if candidate > start_value + margin:
         coords = [float(v) for v in res.x]
         noise = 1e-12 * max(1.0, abs(candidate))
         for i, name in enumerate(names):
@@ -321,7 +359,7 @@ def refine_local(
             probe = list(coords)
             probe[i] = base_value
             snapped = -negated(np.array(probe))
-            if math.isfinite(snapped) and abs(snapped - candidate) <= noise:
+            if abs(snapped - candidate) <= noise:
                 coords, candidate = probe, snapped
         point = dict(start_point)
         point.update({n: v for n, v in zip(names, coords)})
@@ -391,37 +429,31 @@ def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> lis
     return flat
 
 
-def _worst_case_quantumness(
-    base: ModelConfig, theta: float, phi: float, gamma_grid: tuple[float, ...]
-) -> float:
-    """Largest closed-form quantumness over the squeezer-phase grid at
-    fixed (theta, phi); raises the first phase's error, if any."""
-    configs = [
-        dataclasses.replace(base, theta=theta, phi=phi, alpha=gamma, lam1=0.0)
-        for gamma in gamma_grid
-    ]
-    values, errors = _objective_values(configs, Objective(kind="minus_R"))
-    for error in errors:
-        if error is not None:
-            raise error
-    return max([0.0] + (-values).tolist())
-
-
-THETA_GRID = tuple(i * math.pi / 8 for i in range(8))
-PHI_GRID = tuple(i * math.pi / 8 for i in range(5))
-GAMMA_GRID = tuple(i * math.pi / 8 for i in range(16))
+def _polish(
+    spec: SearchSpec, objective: Objective, start: dict, reference: dict, max_iterations: int
+):
+    """Refine a scan point, fold it and probe its flat axes: (folded point,
+    refine result, the report fields both recovered settings share)."""
+    refined = refine_local(spec, objective, start, max_iterations)
+    point = fold_angles(refined.point)
+    return point, refined, {
+        "angles_match_reference": all(
+            abs(point[k] - v) <= ANGLE_MATCH_TOL for k, v in reference.items()
+        ),
+        "degenerate_axes": degenerate_axes(spec, objective, refined.point),
+    }
 
 
 def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     """Recover the two distinguished settings at fixed squeezing strengths.
 
     "maximum": the (theta, phi, gamma) point maximizing the second
-    diagonal information entry, scanned then polished, labeled when it
-    reproduces the closed-form landmark value and reference angles.
-    "optimal": the (theta, phi) point minimizing the worst-case
-    quantumness over the squeezer phase, labeled when that worst case is
-    numerically zero at the reference angles. Landmark values ride along
-    for context. Degenerate (flat) axes are reported, not hidden.
+    diagonal information entry, labeled when it reproduces the closed-form
+    landmark value and reference angles. "optimal": the (theta, phi) point
+    minimizing the worst-case quantumness over the squeezer phase, labeled
+    when that worst case is numerically zero at the reference angles. Both
+    run the same scan, polish, fold and flatness probe. Landmark values
+    ride along for context. Degenerate (flat) axes are reported, not hidden.
     """
     if r < 0 or x < 0 or q < 0:
         raise ValueError("r, x and q must be non-negative")
@@ -442,95 +474,38 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     scan = grid_scan(spec, objective)
     if scan.best is None:
         raise SloppyModelError("no grid point yielded a finite information entry")
-    refined = refine_local(spec, objective, scan.best.point)
-    max_point = fold_angles(refined.point)
-    max_value = refined.value
     reference = {"theta": 0.0, "phi": 0.0, "alpha": 0.0}
-    angles_ok = all(
-        abs(max_point[k] - reference[k]) <= ANGLE_MATCH_TOL for k in reference
+    point, refined, maximum = _polish(spec, objective, scan.best.point, reference, 400)
+    value_ok = abs(refined.value - lm["q22_max"]) <= VALUE_MATCH_RTOL * abs(lm["q22_max"])
+    maximum.update(
+        point={"theta": point["theta"], "phi": point["phi"], "gamma": point["alpha"]},
+        value=refined.value,
+        landmark_value=lm["q22_max"],
+        label="maximum" if (maximum["angles_match_reference"] and value_ok) else "unlabeled",
+        value_matches_landmark=value_ok,
+        refine_iterations=refined.iterations,
+        refine_capped=refined.capped,
     )
-    value_ok = abs(max_value - lm["q22_max"]) <= VALUE_MATCH_RTOL * abs(lm["q22_max"])
-    maximum = {
-        "point": {
-            "theta": max_point["theta"],
-            "phi": max_point["phi"],
-            "gamma": max_point["alpha"],
-        },
-        "value": max_value,
-        "landmark_value": lm["q22_max"],
-        "label": "maximum" if (angles_ok and value_ok) else "unlabeled",
-        "angles_match_reference": angles_ok,
-        "value_matches_landmark": value_ok,
-        "degenerate_axes": degenerate_axes(spec, objective, refined.point),
-        "refine_iterations": refined.iterations,
-        "refine_capped": refined.capped,
-    }
 
     # -- quantumness-free setting: minimize the worst case over the squeezer
     # phase, since a setting is only useful if no phase choice spoils it
-    try:
-        optimal = _find_optimal_setting(base)
-    except SloppyModelError as exc:
+    spec = SearchSpec(base=base, axes=spec.axes[:2])
+    objective = _WorstOverPhase(kind="minus_R")
+    scan = grid_scan(spec, objective)
+    failed = next((row.error for row in scan.rows if row.error is not None), None)
+    if failed is not None:
         # e.g. x = 0: both layers' information matrices are singular, so
         # the quantumness measure is undefined everywhere
-        optimal = {"label": "undefined", "reason": str(exc)}
-    return {"maximum": maximum, "optimal": optimal, "landmarks": lm}
-
-
-def _find_optimal_setting(base: ModelConfig) -> dict:
-    best_pair = None
-    best_worst = math.inf
-    for theta in THETA_GRID:
-        for phi in PHI_GRID:
-            worst = _worst_case_quantumness(base, theta, phi, GAMMA_GRID)
-            if worst < best_worst:
-                best_pair, best_worst = (theta, phi), worst
-
-    def pair_objective(vec: np.ndarray) -> float:
-        try:
-            return _worst_case_quantumness(base, float(vec[0]), float(vec[1]), GAMMA_GRID)
-        except SloppyModelError:
-            return math.inf
-
-    res = scipy.optimize.minimize(
-        pair_objective,
-        np.array(best_pair),
-        method="Nelder-Mead",
-        options={"maxiter": 200, "xatol": 1e-9, "fatol": 1e-12},
-    )
-    margin = 1e-12 * max(1.0, abs(best_worst))
-    if math.isfinite(res.fun) and float(res.fun) < best_worst - margin:
-        opt_pair = (float(res.x[0]), float(res.x[1]))
-        opt_worst = float(res.fun)
+        optimal = {"label": "undefined", "reason": failed}
     else:
-        opt_pair, opt_worst = best_pair, best_worst
-    opt_point = fold_angles({"theta": opt_pair[0], "phi": opt_pair[1]})
-    opt_reference = {"theta": math.pi / 2, "phi": math.pi / 4}
-    opt_angles_ok = all(
-        abs(opt_point[k] - opt_reference[k]) <= ANGLE_MATCH_TOL for k in opt_reference
-    )
-    opt_zero = opt_worst <= 1e-6
-
-    # flatness probe for the pair axes against the worst-case score
-    flat_pair = []
-    for name in ("theta", "phi"):
-
-        def _slice_flat(offset: float) -> bool:
-            vals = []
-            for v in (THETA_GRID if name == "theta" else PHI_GRID):
-                t = v if name == "theta" else opt_pair[0] + offset
-                p = v if name == "phi" else opt_pair[1] + offset
-                vals.append(_worst_case_quantumness(base, t, p, GAMMA_GRID))
-            return max(vals) - min(vals) <= 1e-9 * max(1.0, max(abs(v) for v in vals))
-
-        if _slice_flat(0.0) and _slice_flat(0.4):
-            flat_pair.append(name)
-
-    return {
-        "point": opt_point,
-        "worst_case_quantumness": opt_worst,
-        "label": "optimal" if (opt_angles_ok and opt_zero) else "unlabeled",
-        "angles_match_reference": opt_angles_ok,
-        "quantumness_vanishes": opt_zero,
-        "degenerate_axes": flat_pair,
-    }
+        reference = {"theta": math.pi / 2, "phi": math.pi / 4}
+        point, refined, optimal = _polish(spec, objective, scan.best.point, reference, 200)
+        worst = -refined.value
+        vanishes = worst <= 1e-6
+        optimal.update(
+            point=point,
+            worst_case_quantumness=worst,
+            label="optimal" if (optimal["angles_match_reference"] and vanishes) else "unlabeled",
+            quantumness_vanishes=vanishes,
+        )
+    return {"maximum": maximum, "optimal": optimal, "landmarks": lm}

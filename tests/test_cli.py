@@ -35,6 +35,20 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_python(args):
+    """Run python with `args` in a subprocess that imports the same package
+    as this test."""
+    package_root = str(Path(mzsloppy.__file__).resolve().parents[1])
+    path = [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+
+
 class TestEval:
     def test_degenerate_model_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": model_dict(r=0.5)})
@@ -365,16 +379,7 @@ class TestDriver:
             tmp_path,
             {"model": model_dict(r=0.5, x=0.5, theta=PI / 2, phi=PI / 4)},
         )
-        # the subprocess imports the same package as this test
-        package_root = str(Path(mzsloppy.__file__).resolve().parents[1])
-        path = [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        proc = subprocess.run(
-            [sys.executable, "-c", wrapper, "eval", "--config", cfg],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        )
+        proc = run_python(["-c", wrapper, "eval", "--config", cfg])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["schema"] == "mzsloppy.eval/1"
 
@@ -412,3 +417,27 @@ class TestSinglePropagation:
         assert rows[0]["error"] is None
         assert rows[1] == {"point": {"r": 400.0}, "value": None,
                            "error": "OverflowError: math range error"}
+
+
+class TestEngineErrors:
+    """A config the engine cannot evaluate ends in one error line and exit
+    code 1, not in a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("optimize", {"r": 400, "x": 1}),
+            ("eval", {"model": model_dict(r=400.0, x=0.5)}),
+            # a pure state misclassified at large squeezing
+            ("eval", {"model": model_dict(r=4.0, x=2.0, theta=1.0, phi=0.7, alpha=0.3)}),
+        ],
+        ids=["optimize_r400", "eval_r400", "eval_r4_x2"],
+    )
+    def test_error_line_and_exit_one(self, tmp_path, command, config):
+        cfg = write_config(tmp_path, config)
+        proc = run_python(["-m", "mzsloppy.cli", command, "--config", cfg])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("mzsloppy: error: ")
+        assert proc.stderr.count("\n") == 1

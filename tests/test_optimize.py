@@ -390,3 +390,48 @@ def test_chunk_with_no_valid_configuration(layer):
     result = grid_scan(spec, Objective(kind="minus_R", layer=layer))
     assert [row.error for row in result.rows] == ["model field x must be non-negative"] * 2
     assert result.best is None
+
+
+# -- non-finite values and the worst case over the squeezer phase ------------
+
+
+@pytest.mark.parametrize("kind, shown", [("Q11", "inf"), ("detQ", "nan")])
+def test_non_finite_value_is_a_point_error(kind, shown):
+    # at q = 1e160 the numeric information entries overflow
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("q", (0.5, 1e160)),))
+    objective = Objective(kind=kind, layer="numeric")
+    result = grid_scan(spec, objective)
+    assert result.rows[1].value is None
+    assert result.rows[1].error == f"objective {kind} is {shown}, not a finite number"
+    assert result.best == result.rows[0]
+    with pytest.raises(ValueError, match="not a finite number"):
+        objective_value(ModelConfig(r=0.5, x=0.5, q=1e160), objective)
+
+
+def test_refine_rejects_steps_to_non_finite_values(recwarn):
+    # Q11 grows with q until it overflows near q = 6e153
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("q", (1e150,)),))
+    refined = refine_local(spec, Objective(kind="Q11", layer="numeric"), {"q": 1e150})
+    assert refined.improved and not refined.capped
+    assert math.isfinite(refined.value) and refined.value > refined.start_value
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
+    from mzsloppy.optimize import GAMMA_GRID, _objective_values, _WorstOverPhase
+
+    minus_r = Objective(kind="minus_R")
+    configs = [ModelConfig(r=0.5, x=0.5, q=0.3, theta=t, phi=p)
+               for t, p in ((0.3, 0.2), (PI / 2, PI / 4), (1.1, 0.0))]
+    values, errors = _objective_values(configs, _WorstOverPhase(kind="minus_R"))
+    assert errors == (None,) * 3
+    for config, value in zip(configs, values.tolist()):
+        r = [-objective_value(dataclasses.replace(config, alpha=g, lam1=0.0), minus_r)
+             for g in GAMMA_GRID]
+        assert value == -max([0.0] + r)
+    # a failed phase fails the config, with the first phase's error
+    values, errors = _objective_values(
+        [configs[0], ModelConfig(r=0.5, x=0.0)], _WorstOverPhase(kind="minus_R")
+    )
+    assert errors[0] is None and isinstance(errors[1], SloppyModelError)
+    assert math.isnan(values[1])
