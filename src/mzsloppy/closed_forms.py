@@ -5,6 +5,9 @@ the reference analytic results for this interferometer (information-matrix
 entries, curvature entry, landmark values, ratio identities, displacement
 coefficients f22/f12). They are kept as written, typos and all: no symbolic
 simplification, no re-derivation, no reconciliation with the numeric layer.
+Each expression takes the ModelConfig `inp` and reads the squeezer phase
+and lam1 only through inp.gamma = alpha + 2*lam1; lam2 enters only the
+displacement term of u12_closed.
 `compare` reports differences between the two layers and never asserts
 agreement; the known tensions are documented in the report notes and in the
 README.
@@ -21,53 +24,14 @@ from . import metrology
 from .model import ModelConfig, jacobian_analytic
 
 
-@dataclasses.dataclass(frozen=True)
-class ClosedFormInputs:
-    """Arguments of the reference expressions.
-
-    gamma = alpha + 2*lam1 is used directly; lam2 is needed only by the
-    displacement term of u12_closed.
-    """
-
-    r: float = 0.0
-    q: float = 0.0
-    beta: float = 0.0
-    theta: float = 0.0
-    phi: float = 0.0
-    x: float = 0.0
-    gamma: float = 0.0
-    lam2: float = 0.0
-
-    def __post_init__(self):
-        for name in ("r", "q", "beta", "theta", "phi", "x", "gamma", "lam2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"closed-form input {name} must be finite")
-        for name in ("r", "q", "x"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"closed-form input {name} must be non-negative")
-
-    @classmethod
-    def from_model_config(cls, config: ModelConfig) -> "ClosedFormInputs":
-        return cls(
-            r=config.r,
-            q=config.q,
-            beta=config.beta,
-            theta=config.theta,
-            phi=config.phi,
-            x=config.x,
-            gamma=config.gamma,
-            lam2=config.lam2,
-        )
-
-
-def _mix_trig(inp: ClosedFormInputs) -> float:
+def _mix_trig(inp: ModelConfig) -> float:
     # recurring bracket: cos(t) cos(g+t) + cos(2f) sin(t) sin(g+t)
     return math.cos(inp.theta) * math.cos(inp.gamma + inp.theta) + math.cos(
         2 * inp.phi
     ) * math.sin(inp.theta) * math.sin(inp.gamma + inp.theta)
 
 
-def q11_closed(inp: ClosedFormInputs) -> float:
+def q11_closed(inp: ModelConfig) -> float:
     # the printed "sin(2 phi)^2" is read as sin^2(2 phi)
     bracket = math.cos(2 * inp.beta) * math.cos(2 * inp.phi) + math.cos(
         2 * inp.beta + inp.theta
@@ -77,14 +41,14 @@ def q11_closed(inp: ClosedFormInputs) -> float:
     )
 
 
-def q22_closed(inp: ClosedFormInputs) -> float:
+def q22_closed(inp: ModelConfig) -> float:
     base = math.cosh(2 * inp.r) * math.cosh(2 * inp.x) + math.sinh(
         2 * inp.r
     ) * _mix_trig(inp) * math.sinh(2 * inp.x)
     return 2 * base**2 + 2 * inp.q**2 * f22(inp)
 
 
-def q12_closed(inp: ClosedFormInputs) -> float:
+def q12_closed(inp: ModelConfig) -> float:
     return (
         2 * math.cosh(2 * inp.r) ** 2
         + 2
@@ -96,7 +60,7 @@ def q12_closed(inp: ClosedFormInputs) -> float:
     )
 
 
-def f22(inp: ClosedFormInputs) -> float:
+def f22(inp: ModelConfig) -> float:
     """Displacement coefficient of q22_closed (enters as +2 q^2 f22)."""
     r, b, t, f, x, g = inp.r, inp.beta, inp.theta, inp.phi, inp.x, inp.gamma
     inner = 2 * math.cosh(2 * x) * (
@@ -118,7 +82,7 @@ def f22(inp: ClosedFormInputs) -> float:
     )
 
 
-def f12(inp: ClosedFormInputs) -> float:
+def f12(inp: ModelConfig) -> float:
     """Displacement coefficient of q12_closed (enters as +2 q^2 f12)."""
     r, b, t, f, x, g = inp.r, inp.beta, inp.theta, inp.phi, inp.x, inp.gamma
     middle = (
@@ -160,7 +124,7 @@ def f22_optimal(r: float, x: float, beta: float, gamma: float) -> float:
     )
 
 
-def u12_closed(inp: ClosedFormInputs) -> float:
+def u12_closed(inp: ModelConfig) -> float:
     return 2 * (
         math.cos(inp.gamma + inp.theta) * math.cos(2 * inp.phi) * math.sin(inp.theta)
         - math.cos(inp.theta) * math.sin(inp.gamma + inp.theta)
@@ -170,7 +134,7 @@ def u12_closed(inp: ClosedFormInputs) -> float:
 
 
 # configurations behind the landmark values
-MAXIMUM_CONFIGURATION = {"theta": 0.0, "phi": 0.0, "gamma": 0.0}
+MAXIMUM_CONFIGURATION = {"theta": 0.0, "phi": 0.0, "alpha": 0.0}
 OPTIMAL_CONFIGURATION = {"theta": math.pi / 2, "phi": math.pi / 4}
 
 
@@ -189,7 +153,7 @@ def landmarks(r: float, x: float, q: float = 0.0) -> dict[str, float]:
     }
 
 
-def closed_q_matrix(inp: ClosedFormInputs) -> np.ndarray:
+def closed_q_matrix(inp: ModelConfig) -> np.ndarray:
     """Reference-layer 2x2 information matrix (displacement terms included)."""
     q11 = q11_closed(inp)
     q22 = q22_closed(inp)
@@ -205,21 +169,10 @@ def det_ratio(r: float, x: float) -> float:
     """
     if r < 0 or x < 0:
         raise ValueError("r and x must be non-negative")
-    det_max = float(
-        np.linalg.det(closed_q_matrix(ClosedFormInputs(r=r, x=x, **MAXIMUM_CONFIGURATION)))
-    )
-    det_opt = float(
-        np.linalg.det(
-            closed_q_matrix(
-                ClosedFormInputs(
-                    r=r,
-                    x=x,
-                    theta=OPTIMAL_CONFIGURATION["theta"],
-                    phi=OPTIMAL_CONFIGURATION["phi"],
-                )
-            )
-        )
-    )
+    maximum = ModelConfig(r=r, x=x, **MAXIMUM_CONFIGURATION)
+    optimal = ModelConfig(r=r, x=x, **OPTIMAL_CONFIGURATION)
+    det_max = float(np.linalg.det(closed_q_matrix(maximum)))
+    det_opt = float(np.linalg.det(closed_q_matrix(optimal)))
     if x == 0 or det_opt == 0:
         return float("nan")
     return det_max / det_opt
@@ -262,12 +215,11 @@ def compare(config: ModelConfig) -> DiscrepancyReport:
     jet = jacobian_analytic(config)
     Q = metrology.qfi_matrix(jet)
     U = metrology.uhlmann_matrix(jet)
-    inp = ClosedFormInputs.from_model_config(config)
     records = (
-        _record("Q11", q11_closed(inp), Q[0, 0]),
-        _record("Q22", q22_closed(inp), Q[1, 1]),
-        _record("Q12", q12_closed(inp), Q[0, 1]),
-        _record("U12", u12_closed(inp), U[0, 1]),
+        _record("Q11", q11_closed(config), Q[0, 0]),
+        _record("Q22", q22_closed(config), Q[1, 1]),
+        _record("Q12", q12_closed(config), Q[0, 1]),
+        _record("U12", u12_closed(config), U[0, 1]),
     )
     diffs = [rec.closed_form - rec.numeric for rec in records[:3]]
     spread = max(diffs) - min(diffs)

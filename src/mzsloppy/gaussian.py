@@ -305,24 +305,22 @@ def _check_mode(mode: int, modes: int) -> None:
 
 
 def apply_gate(state: GaussianState, gate: Gate) -> GaussianState:
-    """Conjugation rule: cov -> S cov S^T, mean -> S mean + shift.
-
-    A stacked state or a gate with array parameters gives a stacked state.
-    """
-    S, shift = gate_symplectic(gate, state.modes)
-    return GaussianState(
-        modes=state.modes,
-        mean=(S @ state.mean[..., None])[..., 0] + shift,
-        cov=S @ state.cov @ np.swapaxes(S, -1, -2),
-    )
+    """Conjugation rule of one gate: the circuit of that gate alone."""
+    return apply_circuit(state, [gate])
 
 
 def apply_circuit(state: GaussianState, gates: Sequence[Gate]) -> GaussianState:
-    """Left-to-right composition of apply_gate."""
-    out = state
+    """Conjugation rule cov -> S cov S^T, mean -> S mean + shift of each gate
+    in turn, left to right; the moments are validated once, after the last.
+
+    A stacked state or a gate with array parameters gives a stacked state.
+    """
+    mean, cov = state.mean, state.cov
     for gate in gates:
-        out = apply_gate(out, gate)
-    return out
+        S, shift = gate_symplectic(gate, state.modes)
+        mean = (S @ mean[..., None])[..., 0] + shift
+        cov = S @ cov @ np.swapaxes(S, -1, -2)
+    return GaussianState(modes=state.modes, mean=mean, cov=cov)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

@@ -65,8 +65,12 @@ class ModelConfig:
 
     @property
     def gamma(self) -> float:
-        # the squeezer angle and lam1 enter the second moments only through this
-        return self.alpha + 2.0 * self.lam1
+        # the squeezer angle and lam1 enter the second moments only through
+        # this; the closed-form layer reads it, the numeric layer does not
+        gamma = self.alpha + 2.0 * self.lam1
+        if not math.isfinite(gamma):
+            raise ValueError("closed-form input gamma must be finite")
+        return gamma
 
 
 @dataclasses.dataclass(frozen=True)

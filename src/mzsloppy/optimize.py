@@ -92,8 +92,8 @@ def _matrices(configs: list[ModelConfig], objective: Objective):
     errors = [None] * len(configs)
     for i, config in enumerate(configs):
         try:
-            inp = closed_forms.ClosedFormInputs.from_model_config(config)
-            q_i, u12 = closed_forms.closed_q_matrix(inp), closed_forms.u12_closed(inp)
+            config.gamma  # an overflowing alpha + 2 lam1 is the point's first error
+            q_i, u12 = closed_forms.closed_q_matrix(config), closed_forms.u12_closed(config)
         except POINT_ERRORS as exc:
             errors[i] = exc
             continue
@@ -451,9 +451,11 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     diagonal information entry, labeled when it reproduces the closed-form
     landmark value and reference angles. "optimal": the (theta, phi) point
     minimizing the worst-case quantumness over the squeezer phase, labeled
-    when that worst case is numerically zero at the reference angles. Both
-    run the same scan, polish, fold and flatness probe. Landmark values
-    ride along for context. Degenerate (flat) axes are reported, not hidden.
+    when that worst case is numerically zero at the reference angles, and
+    "undefined" when no grid point can be evaluated. Both run the same
+    scan, polish, fold and flatness probe, from the best grid point that
+    can be evaluated. Landmark values ride along for context. Degenerate
+    (flat) axes are reported, not hidden.
     """
     if r < 0 or x < 0 or q < 0:
         raise ValueError("r, x and q must be non-negative")
@@ -474,8 +476,9 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     scan = grid_scan(spec, objective)
     if scan.best is None:
         raise SloppyModelError("no grid point yielded a finite information entry")
-    reference = {"theta": 0.0, "phi": 0.0, "alpha": 0.0}
-    point, refined, maximum = _polish(spec, objective, scan.best.point, reference, 400)
+    point, refined, maximum = _polish(
+        spec, objective, scan.best.point, closed_forms.MAXIMUM_CONFIGURATION, 400
+    )
     value_ok = abs(refined.value - lm["q22_max"]) <= VALUE_MATCH_RTOL * abs(lm["q22_max"])
     maximum.update(
         point={"theta": point["theta"], "phi": point["phi"], "gamma": point["alpha"]},
@@ -492,14 +495,14 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     spec = SearchSpec(base=base, axes=spec.axes[:2])
     objective = _WorstOverPhase(kind="minus_R")
     scan = grid_scan(spec, objective)
-    failed = next((row.error for row in scan.rows if row.error is not None), None)
-    if failed is not None:
+    if scan.best is None:
         # e.g. x = 0: both layers' information matrices are singular, so
         # the quantumness measure is undefined everywhere
-        optimal = {"label": "undefined", "reason": failed}
+        optimal = {"label": "undefined", "reason": scan.rows[0].error}
     else:
-        reference = {"theta": math.pi / 2, "phi": math.pi / 4}
-        point, refined, optimal = _polish(spec, objective, scan.best.point, reference, 200)
+        point, refined, optimal = _polish(
+            spec, objective, scan.best.point, closed_forms.OPTIMAL_CONFIGURATION, 200
+        )
         worst = -refined.value
         vanishes = worst <= 1e-6
         optimal.update(

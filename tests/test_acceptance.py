@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mzsloppy import cli
-from mzsloppy.closed_forms import ClosedFormInputs, det_ratio, f22, landmarks
+from mzsloppy.closed_forms import det_ratio, f22, landmarks
 from mzsloppy.gaussian import gate_symplectic, symplectic_form
 from mzsloppy.metrology import (
     qfi_matrix,
@@ -178,11 +178,11 @@ def test_criterion_06_closed_form_identity_suite():
             assert lm["q22_inf"] / lm["q22_opt"] == pytest.approx(
                 (math.tanh(2 * x) * math.tanh(2 * r) - 1) ** 2, rel=1e-12
             )
-            assert f22(ClosedFormInputs(r=r, x=x)) == pytest.approx(
+            assert f22(ModelConfig(r=r, x=x)) == pytest.approx(
                 math.exp(2 * r + 4 * x), rel=1e-12
             )
-            opt_over_max = f22(ClosedFormInputs(r=r, x=x, **OPT)) / f22(
-                ClosedFormInputs(r=r, x=x)
+            opt_over_max = f22(ModelConfig(r=r, x=x, **OPT)) / f22(
+                ModelConfig(r=r, x=x)
             )
             assert opt_over_max == pytest.approx(
                 (1 + math.exp(-4 * x)) * (1 + math.exp(-4 * r)) / 4, rel=1e-12

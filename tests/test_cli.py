@@ -12,6 +12,8 @@ import pytest
 
 import mzsloppy
 from mzsloppy.cli import THREADS_ENV_VAR, main
+from mzsloppy.model import ModelConfig
+from mzsloppy.optimize import Objective, objective_value
 
 PI = math.pi
 
@@ -220,6 +222,33 @@ class TestScan:
         code, _, err = run_cli(capsys, ["scan", "--config", cfg])
         assert code == 1
         assert "waist" in err
+
+    def test_overflowing_phase_sum_is_a_closed_form_row_error(self, tmp_path, capsys):
+        # alpha + 2 lam1 overflows: only the closed-form layer reads that
+        # sum, so only its rows fail; the numeric layer keeps its values
+        model = model_dict(r=0.5, alpha=1e308, lam1=1e308)
+        rows = {}
+        for layer in ("closed_form", "numeric"):
+            cfg = write_config(tmp_path, {
+                "model": model,
+                "objective": {"kind": "Q22", "layer": layer},
+                "axes": [{"name": "x", "values": [0.5, 1.0]},
+                         {"name": "r", "values": [0.5, 400.0]}],
+            })
+            code, out, err = run_cli(capsys, ["scan", "--config", cfg])
+            assert (code, err) == (0, "")
+            rows[layer] = json.loads(out)["rows"]
+        # the gamma error wins over the overflow at r = 400
+        for row in rows["closed_form"]:
+            assert row["value"] is None
+            assert row["error"] == "closed-form input gamma must be finite"
+        for row in rows["numeric"]:
+            if row["point"]["r"] == 400.0:
+                assert row["error"] == "state moments must be finite"
+                continue
+            config = ModelConfig(**dict(model, **row["point"]))
+            assert row["error"] is None
+            assert row["value"] == objective_value(config, Objective("Q22", "numeric"))
 
 
 class TestOptimize:

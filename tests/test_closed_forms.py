@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mzsloppy.closed_forms import (
-    ClosedFormInputs,
+    closed_q_matrix,
     compare,
     det_ratio,
     f12,
@@ -24,65 +24,66 @@ OPT = {"theta": math.pi / 2, "phi": math.pi / 4}
 GRID = [0.25 * k for k in range(9)]  # 0 .. 2
 
 
-class TestInputs:
-    def test_rejects_nonfinite_and_negative_magnitudes(self):
-        with pytest.raises(ValueError):
-            ClosedFormInputs(r=float("nan"))
-        with pytest.raises(ValueError):
-            ClosedFormInputs(r=-0.2)
-        with pytest.raises(ValueError):
-            ClosedFormInputs(q=-1.0)
-        with pytest.raises(ValueError):
-            ClosedFormInputs(x=-0.5)
-
-    def test_from_model_config_maps_phase_sum(self):
-        cfg = ModelConfig(r=0.4, q=0.3, beta=0.1, theta=0.2, phi=0.3,
-                          x=0.5, alpha=0.6, lam1=0.7, lam2=0.8)
-        inp = ClosedFormInputs.from_model_config(cfg)
-        assert inp.gamma == pytest.approx(cfg.alpha + 2 * cfg.lam1)
-        assert inp.lam2 == cfg.lam2
-        assert inp.r == cfg.r and inp.x == cfg.x and inp.q == cfg.q
+class TestPhaseSum:
+    def test_alpha_and_lam1_enter_only_through_gamma(self):
+        # moving part of the squeezer phase from alpha to lam1 at fixed
+        # gamma = alpha + 2 lam1 must not change a single bit
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            fixed = dict(
+                r=float(rng.uniform(0, 1.5)), q=float(rng.uniform(0, 1.5)),
+                beta=float(rng.uniform(-math.pi, math.pi)),
+                theta=float(rng.uniform(-math.pi, math.pi)),
+                phi=float(rng.uniform(0, math.pi / 2)), x=float(rng.uniform(0, 1.5)),
+                lam2=float(rng.uniform(-math.pi, math.pi)),
+            )
+            a, d = (float(v) for v in rng.uniform(-2 * math.pi, 2 * math.pi, size=2))
+            on_alpha = ModelConfig(alpha=a + 2 * d, lam1=0.0, **fixed)
+            on_lam1 = ModelConfig(alpha=a, lam1=d, **fixed)
+            for fn in (q11_closed, q22_closed, q12_closed, f22, f12, u12_closed):
+                assert fn(on_alpha).hex() == fn(on_lam1).hex(), fn.__name__
+            assert closed_q_matrix(on_alpha).tobytes() == closed_q_matrix(on_lam1).tobytes()
 
 
 class TestQ11:
     def test_no_displacement_is_angle_independent(self):
         expected = 2 * math.cosh(1.0) ** 2
         for beta, theta, phi in [(0, 0, 0), (0.3, 1.0, 0.7), (2.0, -0.5, 0.2)]:
-            inp = ClosedFormInputs(r=0.5, q=0.0, beta=beta, theta=theta, phi=phi)
+            inp = ModelConfig(r=0.5, q=0.0, beta=beta, theta=theta, phi=phi)
             assert q11_closed(inp) == pytest.approx(expected, rel=1e-14)
 
     def test_unit_displacement_at_maximizing_angles(self):
-        inp = ClosedFormInputs(r=0.5, q=1.0)
+        inp = ModelConfig(r=0.5, q=1.0)
         expected = 2 * math.cosh(1.0) ** 2 + 2 * math.e
         assert q11_closed(inp) == pytest.approx(expected, rel=1e-14)
 
     def test_no_input_squeezing(self):
         for q in (0.0, 0.5, 1.3):
             for angles in [(0, 0, 0), (0.7, 1.1, 0.4)]:
-                inp = ClosedFormInputs(r=0.0, q=q, beta=angles[0],
-                                       theta=angles[1], phi=angles[2])
+                inp = ModelConfig(r=0.0, q=q, beta=angles[0],
+                                  theta=angles[1], phi=angles[2])
                 assert q11_closed(inp) == pytest.approx(2 + 2 * q * q, rel=1e-14)
 
 
 class TestQ22Q12:
     def test_maximum_configuration_value(self):
-        inp = ClosedFormInputs(r=0.5, x=0.5)
+        inp = ModelConfig(r=0.5, x=0.5)
         assert q22_closed(inp) == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-14)
 
     def test_optimal_configuration_value(self):
-        inp = ClosedFormInputs(r=0.5, x=0.5, **OPT)
+        inp = ModelConfig(r=0.5, x=0.5, **OPT)
         expected = 2 * math.cosh(1.0) ** 2 * math.cosh(1.0) ** 2
         assert q22_closed(inp) == pytest.approx(expected, rel=1e-13)
 
     def test_q12_at_optimal_configuration(self):
-        inp = ClosedFormInputs(r=0.5, x=0.5, **OPT)
+        inp = ModelConfig(r=0.5, x=0.5, **OPT)
         expected = 2 * math.cosh(1.0) ** 2 + 2 * math.sinh(1.0) ** 2 * math.sinh(0.5) ** 2
         assert q12_closed(inp) == pytest.approx(expected, rel=1e-13)
 
     def test_maximum_identity_on_grid(self):
         for r in GRID:
             for x in GRID:
-                inp = ClosedFormInputs(r=r, x=x)
+                inp = ModelConfig(r=r, x=x)
                 assert q22_closed(inp) == pytest.approx(
                     2 * math.cosh(2 * (r + x)) ** 2, rel=1e-12
                 )
@@ -90,7 +91,7 @@ class TestQ22Q12:
     def test_optimal_identity_on_grid(self):
         for r in GRID:
             for x in GRID:
-                inp = ClosedFormInputs(r=r, x=x, **OPT)
+                inp = ModelConfig(r=r, x=x, **OPT)
                 assert q22_closed(inp) == pytest.approx(
                     2 * math.cosh(2 * r) ** 2 * math.cosh(2 * x) ** 2, rel=1e-12
                 )
@@ -98,8 +99,8 @@ class TestQ22Q12:
     def test_baseline_entries_coincide_for_any_displacement(self):
         # x = 0 collapses all three entries, q-terms included
         for q in (0.0, 0.7, 1.4):
-            inp = ClosedFormInputs(r=0.8, q=q, beta=0.9, theta=1.7, phi=0.35,
-                                   x=0.0, gamma=2.2, lam2=0.4)
+            inp = ModelConfig(r=0.8, q=q, beta=0.9, theta=1.7, phi=0.35,
+                              x=0.0, alpha=2.2, lam2=0.4)
             a, b, c = q11_closed(inp), q22_closed(inp), q12_closed(inp)
             assert a == pytest.approx(b, rel=1e-12)
             assert a == pytest.approx(c, rel=1e-12)
@@ -107,25 +108,25 @@ class TestQ22Q12:
 
 class TestDisplacementCoefficients:
     def test_f22_at_maximizing_angles(self):
-        assert f22(ClosedFormInputs(r=0.5, x=0.5)) == pytest.approx(
+        assert f22(ModelConfig(r=0.5, x=0.5)) == pytest.approx(
             math.exp(3.0), rel=1e-13
         )
         for r in (0.0, 0.3, 1.1):
             for x in (0.0, 0.6, 1.5):
-                assert f22(ClosedFormInputs(r=r, x=x)) == pytest.approx(
+                assert f22(ModelConfig(r=r, x=x)) == pytest.approx(
                     math.exp(2 * r + 4 * x), rel=1e-12
                 )
 
     def test_f22_ratio_identity_on_grid(self):
         for r in GRID[1:]:
             for x in GRID[1:]:
-                opt = f22(ClosedFormInputs(r=r, x=x, **OPT))
-                top = f22(ClosedFormInputs(r=r, x=x))
+                opt = f22(ModelConfig(r=r, x=x, **OPT))
+                top = f22(ModelConfig(r=r, x=x))
                 expected = (1 + math.exp(-4 * x)) * (1 + math.exp(-4 * r)) / 4
                 assert opt / top == pytest.approx(expected, rel=1e-12)
 
     def test_values_at_origin(self):
-        origin = ClosedFormInputs()
+        origin = ModelConfig()
         assert f22(origin) == pytest.approx(1.0, abs=1e-15)
         assert f12(origin) == pytest.approx(1.0, abs=1e-15)
 
@@ -136,8 +137,8 @@ class TestDisplacementCoefficients:
             for x in (0.4, 1.2):
                 for beta in (0.0, 0.7, 2.1):
                     for gamma in (0.0, 1.3, -0.9):
-                        general = f22(ClosedFormInputs(
-                            r=r, x=x, beta=beta, gamma=gamma, **OPT
+                        general = f22(ModelConfig(
+                            r=r, x=x, beta=beta, alpha=gamma, **OPT
                         ))
                         display = f22_optimal(r, x, beta, gamma)
                         assert general == pytest.approx(display, rel=1e-12)
@@ -147,16 +148,16 @@ class TestU12:
     def test_vanishes_at_optimal_configuration(self):
         for gamma in np.linspace(0, 2 * math.pi, 7):
             for r, x in [(0.2, 0.9), (1.0, 0.4), (1.5, 1.5)]:
-                inp = ClosedFormInputs(r=r, x=x, gamma=float(gamma), **OPT)
+                inp = ModelConfig(r=r, x=x, alpha=float(gamma), **OPT)
                 assert abs(u12_closed(inp)) < 1e-12 * max(1.0, r * x)
 
     def test_vanishes_without_intermediate_squeezer(self):
-        inp = ClosedFormInputs(r=0.9, q=0.8, beta=0.4, theta=1.2, phi=0.5,
-                               x=0.0, gamma=0.7, lam2=0.2)
+        inp = ModelConfig(r=0.9, q=0.8, beta=0.4, theta=1.2, phi=0.5,
+                          x=0.0, alpha=0.7, lam2=0.2)
         assert u12_closed(inp) == 0.0
 
     def test_transmissive_quarter_phase_value(self):
-        inp = ClosedFormInputs(r=0.5, x=0.5, gamma=math.pi / 2)
+        inp = ModelConfig(r=0.5, x=0.5, alpha=math.pi / 2)
         assert u12_closed(inp) == pytest.approx(-2 * math.sinh(1.0) ** 2, rel=1e-13)
 
 
@@ -165,16 +166,16 @@ class TestParities:
         # q-independent parts of Q22 and Q12 are even in (gamma, beta, theta)
         base = dict(r=0.7, x=0.9, q=0.0, phi=0.4)
         for gamma, beta, theta in [(0.5, 0.3, 1.1), (2.0, -0.8, 0.6)]:
-            plus = ClosedFormInputs(beta=beta, theta=theta, gamma=gamma, **base)
-            minus = ClosedFormInputs(beta=-beta, theta=-theta, gamma=-gamma, **base)
+            plus = ModelConfig(beta=beta, theta=theta, alpha=gamma, **base)
+            minus = ModelConfig(beta=-beta, theta=-theta, alpha=-gamma, **base)
             assert q22_closed(plus) == pytest.approx(q22_closed(minus), rel=1e-12)
             assert q12_closed(plus) == pytest.approx(q12_closed(minus), rel=1e-12)
 
     def test_curvature_is_odd(self):
         base = dict(r=0.7, x=0.9, q=0.6, phi=0.4, lam2=0.0)
         for gamma, beta, theta in [(0.5, 0.3, 1.1), (2.0, -0.8, 0.6)]:
-            plus = ClosedFormInputs(beta=beta, theta=theta, gamma=gamma, **base)
-            minus = ClosedFormInputs(beta=-beta, theta=-theta, gamma=-gamma, **base)
+            plus = ModelConfig(beta=beta, theta=theta, alpha=gamma, **base)
+            minus = ModelConfig(beta=-beta, theta=-theta, alpha=-gamma, **base)
             assert u12_closed(plus) == pytest.approx(-u12_closed(minus), rel=1e-12)
 
 

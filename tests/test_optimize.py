@@ -287,6 +287,23 @@ class TestFindKnownConfigurations:
         assert found["optimal"]["label"] == "undefined"
         assert found["optimal"]["reason"]
 
+    def test_large_squeezing_optimal_despite_failed_grid_rows(self):
+        # r = 8: the theta = 0 rows of the worst-case scan fail the
+        # singular-Q gate, yet the balanced setting is evaluable and found
+        from mzsloppy.optimize import PHI_GRID, _WorstOverPhase
+
+        base = ModelConfig(r=8.0, x=0.5, q=0.5)
+        rows = grid_scan(
+            SearchSpec(base=base, axes=(Axis("theta", (0.0,)), Axis("phi", PHI_GRID))),
+            _WorstOverPhase(kind="minus_R"),
+        ).rows
+        assert any(row.error is not None for row in rows)
+        opt = find_known_configurations(8.0, 0.5, 0.5)["optimal"]
+        assert opt["label"] == "optimal"
+        assert opt["point"]["theta"] == pytest.approx(PI / 2, abs=1e-3)
+        assert opt["point"]["phi"] == pytest.approx(PI / 4, abs=1e-3)
+        assert opt["worst_case_quantumness"] <= 1e-6
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             find_known_configurations(-0.5, 0.5)
