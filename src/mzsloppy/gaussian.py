@@ -10,10 +10,8 @@ Conventions (fixed here, relied on everywhere else):
 * Squeezer(x, angle) acts as Rc(angle/2) diag(e^x, e^-x) Rc(angle/2)^T with
   Rc the counterclockwise rotation, i.e.
   [[ch + sh cos a, sh sin a], [sh sin a, ch - sh cos a]]
-* BeamSplitter(mix, phase) under the default "transmissivity" convention
-  transmits cos^2(mix) of each input; the phase is a rotation of the second
-  mode applied before the real mixer. A "literal" convention is exposed in
-  which the phase field is the mixing prefactor instead (see BeamSplitter).
+* BeamSplitter(mix, phase) transmits cos^2(mix) of each input; the phase
+  is a rotation of the second mode applied before the real mixer.
 * Displacement(amplitude, angle) leaves the covariance alone and shifts the
   mean by (amplitude/sqrt(2)) (cos angle, sin angle).
 
@@ -174,26 +172,15 @@ class Squeezer:
 
 @dataclasses.dataclass(frozen=True)
 class BeamSplitter:
-    """Two-mode mixer.
-
-    convention="transmissivity" (default): `mix` is the mixing angle
-    (transmissivity cos^2 mix) and `phase` is a relative phase applied to
-    the second mode before mixing.
-
-    convention="literal": the roles follow the generator
-    exp[i*phase*(e^{i*mix} a^dag b + e^{-i*mix} b^dag a)], i.e. the phase
-    field is the mixing prefactor and the mix field is the internal phase.
-    Kept as an explicit switch so the two readings can be compared.
+    """Two-mode mixer: `mix` is the mixing angle (transmissivity cos^2 mix)
+    and `phase` is a relative phase applied to the second mode before mixing.
     """
 
     modes: tuple[int, int] = (0, 1)
     mix: float = 0.0
     phase: float = 0.0
-    convention: str = "transmissivity"
 
     def __post_init__(self):
-        if self.convention not in ("transmissivity", "literal"):
-            raise ValueError(f"unknown beam-splitter convention: {self.convention!r}")
         if len(self.modes) != 2 or self.modes[0] == self.modes[1]:
             raise ValueError("beam splitter needs two distinct modes")
 
@@ -220,28 +207,6 @@ def _set_block(S: np.ndarray, i: int, j: int, a, b, c, d) -> None:
     """Write the 2x2 block [[a, b], [c, d]] at (i, j) of every matrix in S."""
     S[..., i, j], S[..., i, j + 1] = a, b
     S[..., i + 1, j], S[..., i + 1, j + 1] = c, d
-
-
-def _beamsplitter_pair(S: np.ndarray, gate: BeamSplitter, i: int, j: int) -> None:
-    """Write the action on the ordered pair (q_a, p_a, q_b, p_b) into S, with
-    mode a at offset i and mode b at offset j."""
-    if gate.convention == "transmissivity":
-        # real mixer [[c I, s I], [-s I, c I]] after a rotation of mode b
-        c, s = np.cos(gate.mix), np.sin(gate.mix)
-        cp, sp = np.cos(gate.phase), np.sin(gate.phase)
-        _set_block(S, i, i, c, 0.0, 0.0, c)
-        _set_block(S, i, j, s * cp, s * sp, -s * sp, s * cp)
-        _set_block(S, j, i, -s, 0.0, 0.0, -s)
-        _set_block(S, j, j, c * cp, c * sp, -c * sp, c * cp)
-        return
-    # literal: a' = a cos(t) + e^{i(m+pi/2)} b sin(t), t=phase field, m=mix field
-    t = gate.phase
-    c, s = np.cos(t), np.sin(t)
-    ct, st = np.cos(gate.mix + math.pi / 2), np.sin(gate.mix + math.pi / 2)
-    _set_block(S, i, i, c, 0.0, 0.0, c)
-    _set_block(S, i, j, s * ct, -s * st, s * st, s * ct)
-    _set_block(S, j, i, -s * ct, -s * st, s * st, -s * ct)
-    _set_block(S, j, j, c, 0.0, 0.0, c)
 
 
 def _check_finite(gate: Gate, *values) -> None:
@@ -287,7 +252,14 @@ def gate_symplectic(gate: Gate, modes: int) -> tuple[np.ndarray, np.ndarray]:
         _check_mode(a, modes)
         _check_mode(b, modes)
         S, shift = _identity(n, gate.mix, gate.phase)
-        _beamsplitter_pair(S, gate, 2 * a, 2 * b)
+        # real mixer [[c I, s I], [-s I, c I]] after a rotation of mode b
+        c, s = np.cos(gate.mix), np.sin(gate.mix)
+        cp, sp = np.cos(gate.phase), np.sin(gate.phase)
+        i, j = 2 * a, 2 * b
+        _set_block(S, i, i, c, 0.0, 0.0, c)
+        _set_block(S, i, j, s * cp, s * sp, -s * sp, s * cp)
+        _set_block(S, j, i, -s, 0.0, 0.0, -s)
+        _set_block(S, j, j, c * cp, c * sp, -c * sp, c * cp)
     elif isinstance(gate, Displacement):
         _check_finite(gate, gate.amplitude, gate.angle)
         _check_mode(gate.mode, modes)

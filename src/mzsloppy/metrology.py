@@ -11,10 +11,10 @@ moments and their parameter derivatives:
 Both formulas assume a pure model state and are gated on that. Linear
 systems are solved directly rather than through explicit inverses.
 
-qfi_matrix, uhlmann_matrix and quantumness_general also take a stack: a
-stacked jet, or (N, n, n) matrices. They then return (values, errors), with
-NaN values at the points whose errors entry holds the exception a single
-call raises there, and never raise for one point.
+qfi_matrix, uhlmann_matrix, quantumness_general and scalar_crb also take a
+stack: a stacked jet, or (N, n, n) matrices. They then return (values,
+errors), with NaN values at the points whose errors entry holds the
+exception a single call raises there, and never raise for one point.
 """
 
 from __future__ import annotations
@@ -143,27 +143,39 @@ def quantumness_two_param(Q: np.ndarray, U: np.ndarray) -> float:
 class ScalarBounds:
     weight: np.ndarray
     repetitions: int
-    c_q: float
+    c_q: float  # an array on a stack, as is bracket_upper
     bracket_upper: float  # (1 + R) * c_q
 
 
-def scalar_crb(
-    Q: np.ndarray, U: np.ndarray, weight: np.ndarray, repetitions: int = 1
-) -> ScalarBounds:
-    """Scalar Cramer-Rao bound c_q = Tr[W Q^-1]/M and its (1+R) bracket."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+def check_weight(weight, shape: tuple = (2, 2)) -> np.ndarray:
+    """The weight as a float matrix; ValueError unless it is symmetric,
+    positive semidefinite and of the information matrix's shape."""
     W = np.asarray(weight, dtype=float)
-    if W.shape != Q.shape or np.max(np.abs(W - W.T)) > 1e-12 * max(1.0, np.max(np.abs(W))):
+    if W.shape != shape or np.max(np.abs(W - W.T)) > 1e-12 * max(1.0, np.max(np.abs(W))):
         raise ValueError("weight must be a symmetric matrix matching Q")
     if np.min(np.linalg.eigvalsh(W)) < -1e-9:
         raise ValueError("weight must be positive semidefinite")
-    _require_invertible(Q)
-    c_q = float(np.trace(np.linalg.solve(Q, W))) / repetitions
-    r = quantumness_general(Q, U)
-    return ScalarBounds(
-        weight=W, repetitions=int(repetitions), c_q=c_q, bracket_upper=(1.0 + r) * c_q
-    )
+    return W
+
+
+def scalar_crb(Q: np.ndarray, U: np.ndarray, weight: np.ndarray, repetitions: int = 1):
+    """Scalar Cramer-Rao bound c_q = Tr[W Q^-1]/M and its (1+R) bracket;
+    on a stack, c_q and bracket_upper are arrays."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    Q, U = np.asarray(Q, dtype=float), np.asarray(U, dtype=float)
+    W = check_weight(weight, Q.shape[-2:])
+    stacked = Q.ndim == 3
+    if not stacked:
+        Q, U = Q[None], U[None]
+    r, errors = quantumness_general(Q, U)  # its errors start with the singular-Q gate
+    sol, errors = guarded_call(np.linalg.solve, errors, Q, np.broadcast_to(W, Q.shape))
+    c_q = np.trace(sol, axis1=1, axis2=2) / repetitions
+    with np.errstate(over="ignore"):  # an overflowing bracket is inf, as with Python floats
+        upper = (1.0 + r) * c_q
+    if stacked:
+        return ScalarBounds(W, int(repetitions), c_q, upper), errors
+    return ScalarBounds(W, int(repetitions), float(unstack(c_q, errors, False)), float(upper[0]))
 
 
 @dataclasses.dataclass(frozen=True)

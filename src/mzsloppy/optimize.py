@@ -68,6 +68,7 @@ class Objective:
             if self.weight is None:
                 raise ValueError("objective weighted_CQ_inverse requires a weight matrix")
             w = tuple(tuple(float(v) for v in row) for row in self.weight)
+            metrology.check_weight(w)
             object.__setattr__(self, "weight", w)
         elif self.weight is not None:
             raise ValueError(f"objective {self.kind} takes no weight matrix")
@@ -123,20 +124,14 @@ def _kind_values(configs: list[ModelConfig], objective: Objective):
     if objective.kind == "minus_R":
         r, r_errors = metrology.quantumness_general(q, u)
         return -r, first_errors(errors, r_errors)
-    w = np.asarray(objective.weight, dtype=float)
-    values = np.full(len(configs), np.nan)
-    errors = list(errors)
-    for i in [i for i, e in enumerate(errors) if e is None]:
-        try:
-            bounds = metrology.scalar_crb(q[i], u[i], w, repetitions=objective.repetitions)
-            if bounds.c_q <= 0:
-                raise SloppyModelError(
-                    "weighted scalar bound is zero, its reciprocal objective is undefined"
-                )
-            values[i] = 1.0 / bounds.c_q
-        except POINT_ERRORS as exc:
-            errors[i] = exc
-    return values, tuple(errors)
+    bounds, crb_errors = metrology.scalar_crb(q, u, objective.weight, objective.repetitions)
+    errors = tuple(
+        SloppyModelError("weighted scalar bound is zero, its reciprocal objective is undefined")
+        if e is None and c_q <= 0
+        else e
+        for e, c_q in zip(first_errors(errors, crb_errors), bounds.c_q.tolist())
+    )
+    return 1.0 / bounds.c_q, errors
 
 
 def _worst_over_phase(configs: list[ModelConfig]):
@@ -228,6 +223,9 @@ def _point_config(spec: SearchSpec, values: tuple[float, ...]) -> ModelConfig:
 
 def error_message(exc: Exception) -> str:
     """What a failed point's row, or a command that fails, reports for exc."""
+    if isinstance(exc, OverflowError):
+        # float ** and math.cosh word the same overflow differently
+        return "OverflowError: math range error"
     if isinstance(exc, ArithmeticError):
         # e.g. "math range error" alone does not say what went wrong
         return f"{type(exc).__name__}: {exc}"

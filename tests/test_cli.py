@@ -330,6 +330,24 @@ class TestCompare:
         assert "r_values" in err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_example(command: str) -> dict:
+    """The JSON config shown under README's `### <command>` heading."""
+    section = README.read_text(encoding="utf-8").split(f"\n### {command}\n", 1)[1]
+    section = section.split("\n##", 1)[0]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("command", ["eval", "scan", "optimize", "compare"])
+def test_readme_example_runs(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, readme_example(command))
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert code == 0, err
+    assert json.loads(out)["schema"] == f"mzsloppy.{command}/1"
+
+
 class TestDriver:
     def test_csv_only_for_scan(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": model_dict(r=0.5)})
@@ -453,20 +471,39 @@ class TestEngineErrors:
     code 1, not in a traceback."""
 
     @pytest.mark.parametrize(
-        "command, config",
+        "command, config, reason",
         [
-            ("optimize", {"r": 400, "x": 1}),
-            ("eval", {"model": model_dict(r=400.0, x=0.5)}),
+            ("optimize", {"r": 400, "x": 1}, "OverflowError: math range error"),
+            ("eval", {"model": model_dict(r=400.0, x=0.5)}, "state moments must be finite"),
             # a pure state misclassified at large squeezing
-            ("eval", {"model": model_dict(r=4.0, x=2.0, theta=1.0, phi=0.7, alpha=0.3)}),
+            (
+                "eval",
+                {"model": model_dict(r=4.0, x=2.0, theta=1.0, phi=0.7, alpha=0.3)},
+                "requires a pure model state",
+            ),
+            # a malformed weight is the objective's error, not every row's
+            (
+                "scan",
+                dict(SCAN_CFG, objective={"kind": "weighted_CQ_inverse",
+                                          "weight": [[1.0, 0.2], [0.0, 1.0]]}),
+                "weight must be a symmetric matrix matching Q",
+            ),
+            (
+                "optimize",
+                dict(SCAN_CFG, objective={"kind": "weighted_CQ_inverse", "layer": "numeric",
+                                          "weight": [[1.0, 0.0], [0.0, -0.5]]}),
+                "weight must be positive semidefinite",
+            ),
         ],
-        ids=["optimize_r400", "eval_r400", "eval_r4_x2"],
+        ids=["optimize_r400", "eval_r400", "eval_r4_x2", "scan_asymmetric_weight",
+             "optimize_indefinite_weight"],
     )
-    def test_error_line_and_exit_one(self, tmp_path, command, config):
+    def test_error_line_and_exit_one(self, tmp_path, command, config, reason):
         cfg = write_config(tmp_path, config)
         proc = run_python(["-m", "mzsloppy.cli", command, "--config", cfg])
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("mzsloppy: error: ")
+        assert reason in proc.stderr
         assert proc.stderr.count("\n") == 1

@@ -120,10 +120,6 @@ class TestGateSymplectic:
         with pytest.raises(ValueError):
             gate_symplectic(BeamSplitter(modes=(0, 3), mix=0.1), modes=2)
 
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            BeamSplitter(mix=0.1, convention="whatever")
-
     def test_identical_beamsplitter_modes_rejected(self):
         with pytest.raises(ValueError):
             BeamSplitter(modes=(1, 1), mix=0.1)
@@ -179,7 +175,6 @@ class TestApplyCircuit:
             PhaseRotation(mode=1, angle=1.2),
             BeamSplitter(mix=0.6, phase=0.8),
             Squeezer(mode=1, magnitude=0.9, angle=-0.5),
-            BeamSplitter(mix=1.0, phase=-0.2, convention="literal"),
             PhaseRotation(mode=0, angle=-2.2),
         ]
         total = np.eye(4)
@@ -225,7 +220,6 @@ def _random_gates(angle, mix, mag):
         PhaseRotation(mode=0, angle=angle),
         Squeezer(mode=1, magnitude=mag, angle=angle),
         BeamSplitter(modes=(0, 1), mix=mix, phase=angle),
-        BeamSplitter(modes=(0, 1), mix=mix, phase=angle, convention="literal"),
         Displacement(mode=0, amplitude=mag, angle=angle),
     ]
 
@@ -269,11 +263,6 @@ def test_gate_inverse_roundtrip(angle, mix, mag):
         (Displacement(0, mag, angle), Displacement(0, -mag, angle)),
         # zero-phase mixer inverts by negating the mix angle
         (BeamSplitter(mix=mix, phase=0.0), BeamSplitter(mix=-mix, phase=0.0)),
-        # the literal form inverts by negating its phase field
-        (
-            BeamSplitter(mix=mix, phase=angle, convention="literal"),
-            BeamSplitter(mix=mix, phase=-angle, convention="literal"),
-        ),
     ]
     for gate, inverse in pairs:
         back = apply_gate(apply_gate(state, gate), inverse)
@@ -293,15 +282,8 @@ def test_displacements_add_linearly(a, b, beta):
 
 
 class TestLiteralConvention:
-    def test_energy_split_follows_phase_field(self):
-        # in the literal reading the phase field is the mixing angle: a
-        # squeezed input keeps cos^2(phase) of its excess energy
-        t = 0.6
-        state = apply_gate(vacuum_state(2), Squeezer(mode=0, magnitude=0.9))
-        e_in = (state.cov[0, 0] + state.cov[1, 1] - 1.0) / 2.0
-        out = apply_gate(state, BeamSplitter(mix=1.3, phase=t, convention="literal"))
-        e_out = (out.cov[0, 0] + out.cov[1, 1] - 1.0) / 2.0
-        assert abs(e_out - e_in * math.cos(t) ** 2) < 1e-12
+    """The mix field, not the phase field, sets a squeezed input's energy
+    split."""
 
     def test_energy_split_follows_mix_field_by_default(self):
         phi = 0.6

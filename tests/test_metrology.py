@@ -184,6 +184,26 @@ class TestScalarBounds:
         with pytest.raises(SloppyModelError):
             scalar_crb(np.diag([1.0, 0.0]), u, np.eye(2))
 
+    def test_stack_matches_single_points(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 2, 2))
+        q = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)
+        q[2] = np.diag([1.0, 0.0])
+        u = np.zeros((6, 2, 2))
+        u[:, 0, 1] = rng.normal(size=6)
+        u[:, 1, 0] = -u[:, 0, 1]
+        w = np.array([[1.0, 0.3], [0.3, 2.0]])
+        bounds, errors = scalar_crb(q, u, w, repetitions=3)
+        for i in range(6):
+            if i == 2:
+                assert isinstance(errors[i], SloppyModelError)
+                assert math.isnan(bounds.c_q[i])
+                continue
+            single = scalar_crb(q[i], u[i], w, repetitions=3)
+            assert errors[i] is None
+            assert bounds.c_q[i] == single.c_q
+            assert bounds.bracket_upper[i] == single.bracket_upper
+
 
 class TestSloppiness:
     def test_crafted_spectrum(self):

@@ -8,6 +8,7 @@ import pytest
 from mzsloppy.exceptions import SloppyModelError
 from mzsloppy.model import ModelConfig
 from mzsloppy.optimize import (
+    OBJECTIVE_KINDS,
     Axis,
     Objective,
     SearchSpec,
@@ -50,6 +51,12 @@ class TestObjective:
     def test_repetitions_positive(self):
         with pytest.raises(ValueError, match="repetitions"):
             Objective(kind="Q22", repetitions=0)
+
+    def test_malformed_weight_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            Objective(kind="weighted_CQ_inverse", weight=((1.0, 0.2), (0.0, 1.0)))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            Objective(kind="weighted_CQ_inverse", weight=((1.0, 0.0), (0.0, -0.5)))
 
     def test_layers_agree_where_no_known_tension(self):
         # Q22 at the landmark maximum: both layers give 2 cosh^2(2(r+x))
@@ -358,18 +365,29 @@ def test_overflow_row_names_its_error():
     numeric = grid_scan(mixed_spec(), Objective(kind="Q22", layer="numeric"))
     overflow = [row.error for row in numeric.rows if row.point["r"] == 400.0]
     assert overflow == ["state moments must be finite"] * 3
+    # at 180 a finite cosh overflows when squared, at 400 cosh itself does:
+    # the closed-form row reads the same either way
+    for field in ("r", "x"):
+        spec = SearchSpec(base=mixed_spec().base, axes=(Axis(field, (180.0,)),))
+        row = grid_scan(spec, Objective(kind="Q22")).rows[0]
+        assert row.error == "OverflowError: math range error"
 
 
-def test_numeric_scan_independent_of_chunking():
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_numeric_scan_independent_of_chunking(kind):
     spec = SearchSpec(
         base=ModelConfig(r=0.6, q=0.4, beta=0.3, lam1=0.2, lam2=0.5),
         axes=(Axis("x", (0.0, 0.4, 0.9)), Axis("theta", HALF_GRID[:5]),
               Axis("alpha", (0.0, 1.0))),
     )
-    obj = Objective(kind="minus_R", layer="numeric")
+    if kind == "weighted_CQ_inverse":
+        obj = Objective(kind=kind, layer="numeric", weight=((1.0, 0.3), (0.3, 2.0)),
+                        repetitions=7)
+    else:
+        obj = Objective(kind=kind, layer="numeric")
     results = [grid_scan(spec, obj, workers=w) for w in (1, 2, 3)]
     assert repr(results[0]) == repr(results[1]) == repr(results[2])
-    for row in results[0].rows[::7]:
+    for row in results[0].rows:
         config = dataclasses.replace(spec.base, **row.point)
         if row.error is None:
             assert row.value == objective_value(config, obj)
