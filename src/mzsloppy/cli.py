@@ -122,6 +122,7 @@ def _parse_repetitions(obj) -> int:
 # -- eval ----------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # an overflow is the error below, not a warning
 def run_eval(config_obj: dict) -> tuple[dict, int]:
     _check_keys(config_obj, ("model", "weight", "repetitions", "threshold"), "eval")
     if "model" not in config_obj:
@@ -132,6 +133,8 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
     phys = jet.state.physicality
     q = metrology.qfi_matrix(jet)
     u = metrology.uhlmann_matrix(jet)
+    if not (np.isfinite(q).all() and np.isfinite(u).all()):
+        raise OverflowError("math range error")
 
     try:
         quantumness = {

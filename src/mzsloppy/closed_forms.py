@@ -5,9 +5,14 @@ the reference analytic results for this interferometer (information-matrix
 entries, curvature entry, landmark values, ratio identities, displacement
 coefficients f22/f12). They are kept as written, typos and all: no symbolic
 simplification, no re-derivation, no reconciliation with the numeric layer.
-Each expression takes the ModelConfig `inp` and reads the squeezer phase
-and lam1 only through inp.gamma = alpha + 2*lam1; lam2 enters only the
-displacement term of u12_closed.
+Each expression takes `inp`, one ModelConfig or N configurations as
+ModelColumns, and reads the squeezer phase and lam1 only through
+inp.gamma = alpha + 2*lam1; lam2 enters only the displacement term of
+u12_closed. The one edit to the transcription is the prefix of its
+functions: `xp` is math for a ModelConfig, which gives a float and raises
+on overflow, and numpy for columns, which gives an (N,) array with inf or
+NaN where a row overflows (the caller checks). One point stays on math,
+which costs microseconds where a numpy pass costs hundreds.
 `compare` reports differences between the two layers and never asserts
 agreement; the known tensions are documented in the report notes and in the
 README.
@@ -17,101 +22,115 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Union
 
 import numpy as np
 
 from . import metrology
-from .model import ModelConfig, jacobian_analytic
+from .model import ModelColumns, ModelConfig, jacobian_analytic
+
+# one configuration, evaluated with math, or N of them as columns, with numpy
+Inputs = Union[ModelConfig, ModelColumns]
 
 
-def _mix_trig(inp: ModelConfig) -> float:
+def _xp(inp: Inputs):
+    return math if isinstance(inp, ModelConfig) else np
+
+
+def _mix_trig(inp: Inputs):
+    xp = _xp(inp)
     # recurring bracket: cos(t) cos(g+t) + cos(2f) sin(t) sin(g+t)
-    return math.cos(inp.theta) * math.cos(inp.gamma + inp.theta) + math.cos(
+    return xp.cos(inp.theta) * xp.cos(inp.gamma + inp.theta) + xp.cos(
         2 * inp.phi
-    ) * math.sin(inp.theta) * math.sin(inp.gamma + inp.theta)
+    ) * xp.sin(inp.theta) * xp.sin(inp.gamma + inp.theta)
 
 
-def q11_closed(inp: ModelConfig) -> float:
+def q11_closed(inp: Inputs):
+    xp = _xp(inp)
     # the printed "sin(2 phi)^2" is read as sin^2(2 phi)
-    bracket = math.cos(2 * inp.beta) * math.cos(2 * inp.phi) + math.cos(
+    bracket = xp.cos(2 * inp.beta) * xp.cos(2 * inp.phi) + xp.cos(
         2 * inp.beta + inp.theta
-    ) * math.sin(inp.theta) * math.sin(2 * inp.phi) ** 2
-    return 2 * math.cosh(2 * inp.r) ** 2 + 2 * inp.q**2 * (
-        math.cosh(2 * inp.r) + bracket * math.sinh(2 * inp.r)
+    ) * xp.sin(inp.theta) * xp.sin(2 * inp.phi) ** 2
+    return 2 * xp.cosh(2 * inp.r) ** 2 + 2 * inp.q**2 * (
+        xp.cosh(2 * inp.r) + bracket * xp.sinh(2 * inp.r)
     )
 
 
-def q22_closed(inp: ModelConfig) -> float:
-    base = math.cosh(2 * inp.r) * math.cosh(2 * inp.x) + math.sinh(
+def q22_closed(inp: Inputs):
+    xp = _xp(inp)
+    base = xp.cosh(2 * inp.r) * xp.cosh(2 * inp.x) + xp.sinh(
         2 * inp.r
-    ) * _mix_trig(inp) * math.sinh(2 * inp.x)
+    ) * _mix_trig(inp) * xp.sinh(2 * inp.x)
     return 2 * base**2 + 2 * inp.q**2 * f22(inp)
 
 
-def q12_closed(inp: ModelConfig) -> float:
+def q12_closed(inp: Inputs):
+    xp = _xp(inp)
     return (
-        2 * math.cosh(2 * inp.r) ** 2
+        2 * xp.cosh(2 * inp.r) ** 2
         + 2
-        * (2 - math.sin(2 * inp.phi) ** 2 * math.sin(inp.theta) ** 2)
-        * math.sinh(2 * inp.r) ** 2
-        * math.sinh(inp.x) ** 2
-        + _mix_trig(inp) * math.sinh(4 * inp.r) * math.sinh(2 * inp.x)
+        * (2 - xp.sin(2 * inp.phi) ** 2 * xp.sin(inp.theta) ** 2)
+        * xp.sinh(2 * inp.r) ** 2
+        * xp.sinh(inp.x) ** 2
+        + _mix_trig(inp) * xp.sinh(4 * inp.r) * xp.sinh(2 * inp.x)
         + 2 * inp.q**2 * f12(inp)
     )
 
 
-def f22(inp: ModelConfig) -> float:
+def f22(inp: Inputs):
     """Displacement coefficient of q22_closed (enters as +2 q^2 f22)."""
+    xp = _xp(inp)
     r, b, t, f, x, g = inp.r, inp.beta, inp.theta, inp.phi, inp.x, inp.gamma
-    inner = 2 * math.cosh(2 * x) * (
-        2 * math.cos(2 * b + t) * math.sin(t) * math.sin(f) ** 2
-        + math.sinh(2 * x) * _mix_trig(inp)
-    ) + math.sinh(2 * x) * (
-        4 * math.cos(g + t) * math.sin(t) * math.sin(f) ** 2
+    inner = 2 * xp.cosh(2 * x) * (
+        2 * xp.cos(2 * b + t) * xp.sin(t) * xp.sin(f) ** 2
+        + xp.sinh(2 * x) * _mix_trig(inp)
+    ) + xp.sinh(2 * x) * (
+        4 * xp.cos(g + t) * xp.sin(t) * xp.sin(f) ** 2
         + 2
-        * math.sinh(2 * x)
-        * math.cos(g - 2 * b)
-        * (math.cos(g) - 2 * math.sin(t) * math.sin(g + t) * math.sin(f) ** 2)
+        * xp.sinh(2 * x)
+        * xp.cos(g - 2 * b)
+        * (xp.cos(g) - 2 * xp.sin(t) * xp.sin(g + t) * xp.sin(f) ** 2)
     )
-    return math.sinh(2 * r) * (
-        math.cos(2 * b) * math.cos(2 * f) + math.cos(f) ** 2 * inner
-    ) + math.cosh(2 * r) * (
+    return xp.sinh(2 * r) * (
+        xp.cos(2 * b) * xp.cos(2 * f) + xp.cos(f) ** 2 * inner
+    ) + xp.cosh(2 * r) * (
         1
-        + math.cos(f) ** 2
-        * (math.cosh(4 * x) + math.cos(g - 2 * b) * math.sinh(4 * x) - 1)
+        + xp.cos(f) ** 2
+        * (xp.cosh(4 * x) + xp.cos(g - 2 * b) * xp.sinh(4 * x) - 1)
     )
 
 
-def f12(inp: ModelConfig) -> float:
+def f12(inp: Inputs):
     """Displacement coefficient of q12_closed (enters as +2 q^2 f12)."""
+    xp = _xp(inp)
     r, b, t, f, x, g = inp.r, inp.beta, inp.theta, inp.phi, inp.x, inp.gamma
     middle = (
         2
-        * math.sin(t)
+        * xp.sin(t)
         * (
             2
             * (
-                math.cos(2 * b + t) * math.cosh(x) ** 2
-                - math.sin(2 * b + t) * math.sinh(x) ** 2
+                xp.cos(2 * b + t) * xp.cosh(x) ** 2
+                - xp.sin(2 * b + t) * xp.sinh(x) ** 2
             )
-            - math.sinh(2 * x) * (math.sin(g + t) - math.cos(g + t))
+            - xp.sinh(2 * x) * (xp.sin(g + t) - xp.cos(g + t))
         )
-        * math.cos(f) ** 2
-        * math.sin(f) ** 2
+        * xp.cos(f) ** 2
+        * xp.sin(f) ** 2
     )
     return (
-        math.sinh(2 * r)
+        xp.sinh(2 * r)
         * (
-            math.cos(2 * b) * (2 * math.cosh(x) ** 2 * math.cos(f) ** 2 - 1)
+            xp.cos(2 * b) * (2 * xp.cosh(x) ** 2 * xp.cos(f) ** 2 - 1)
             + middle
-            + math.sinh(2 * x) * math.cos(f) ** 2 * math.cos(g)
+            + xp.sinh(2 * x) * xp.cos(f) ** 2 * xp.cos(g)
         )
-        + math.cosh(2 * r)
+        + xp.cosh(2 * r)
         + 2
-        * math.cosh(2 * r)
-        * math.sinh(x)
-        * math.cos(f) ** 2
-        * (math.sinh(x) + math.cos(g - 2 * b) * math.cosh(x))
+        * xp.cosh(2 * r)
+        * xp.sinh(x)
+        * xp.cos(f) ** 2
+        * (xp.sinh(x) + xp.cos(g - 2 * b) * xp.cosh(x))
     )
 
 
@@ -124,13 +143,14 @@ def f22_optimal(r: float, x: float, beta: float, gamma: float) -> float:
     )
 
 
-def u12_closed(inp: ModelConfig) -> float:
+def u12_closed(inp: Inputs):
+    xp = _xp(inp)
     return 2 * (
-        math.cos(inp.gamma + inp.theta) * math.cos(2 * inp.phi) * math.sin(inp.theta)
-        - math.cos(inp.theta) * math.sin(inp.gamma + inp.theta)
-    ) * math.sinh(2 * inp.r) * math.sinh(2 * inp.x) - 4 * inp.q**2 * math.cos(
+        xp.cos(inp.gamma + inp.theta) * xp.cos(2 * inp.phi) * xp.sin(inp.theta)
+        - xp.cos(inp.theta) * xp.sin(inp.gamma + inp.theta)
+    ) * xp.sinh(2 * inp.r) * xp.sinh(2 * inp.x) - 4 * inp.q**2 * xp.cos(
         inp.phi
-    ) ** 2 * math.sin(2 * (inp.beta - inp.lam2)) * math.sinh(2 * inp.x)
+    ) ** 2 * xp.sin(2 * (inp.beta - inp.lam2)) * xp.sinh(2 * inp.x)
 
 
 # configurations behind the landmark values
@@ -153,12 +173,13 @@ def landmarks(r: float, x: float, q: float = 0.0) -> dict[str, float]:
     }
 
 
-def closed_q_matrix(inp: ModelConfig) -> np.ndarray:
-    """Reference-layer 2x2 information matrix (displacement terms included)."""
+def closed_q_matrix(inp: Inputs) -> np.ndarray:
+    """Reference-layer 2x2 information matrix (displacement terms included);
+    (N, 2, 2) for N configurations as columns."""
     q11 = q11_closed(inp)
     q22 = q22_closed(inp)
     q12 = q12_closed(inp)
-    return np.array([[q11, q12], [q12, q22]])
+    return np.moveaxis(np.array([[q11, q12], [q12, q22]]), (0, 1), (-2, -1))
 
 
 def det_ratio(r: float, x: float) -> float:

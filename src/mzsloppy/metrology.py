@@ -106,10 +106,8 @@ def _singular_errors(Q: np.ndarray) -> tuple:
     relative to its scale (or not finite), else None."""
     finite = np.isfinite(Q).all(axis=(1, 2)).tolist()
     w, _ = guarded_call(np.linalg.eigvalsh, [None if f else "" for f in finite], Q)
-    return tuple(
-        None if lo > SINGULAR_Q_TOL * max(1.0, hi) else SloppyModelError(_SINGULAR_MESSAGE)
-        for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist())
-    )
+    regular = w[:, 0] > SINGULAR_Q_TOL * np.maximum(1.0, w[:, -1])  # False where NaN
+    return tuple(None if ok else SloppyModelError(_SINGULAR_MESSAGE) for ok in regular.tolist())
 
 
 def _require_invertible(Q: np.ndarray) -> None:
@@ -148,9 +146,11 @@ class ScalarBounds:
 
 
 def check_weight(weight, shape: tuple = (2, 2)) -> np.ndarray:
-    """The weight as a float matrix; ValueError unless it is symmetric,
-    positive semidefinite and of the information matrix's shape."""
+    """The weight as a float matrix; ValueError unless it is finite,
+    symmetric, positive semidefinite and of the information matrix's shape."""
     W = np.asarray(weight, dtype=float)
+    if W.shape == shape and not np.isfinite(W).all():
+        raise ValueError("weight must have finite entries")
     if W.shape != shape or np.max(np.abs(W - W.T)) > 1e-12 * max(1.0, np.max(np.abs(W))):
         raise ValueError("weight must be a symmetric matrix matching Q")
     if np.min(np.linalg.eigvalsh(W)) < -1e-9:
@@ -204,8 +204,8 @@ def sloppiness_report(Q: np.ndarray, threshold: float | None = None) -> Sloppine
         raise ValueError("sloppiness_report needs a symmetric matrix")
     if threshold is None:
         threshold = default_threshold(Q)
-    elif threshold <= 0:
-        raise ValueError("threshold must be positive")
+    elif not 0 < threshold < np.inf:  # false for NaN too
+        raise ValueError("threshold must be a finite positive number")
     w, V = np.linalg.eigh(Q)
     order = np.argsort(w)[::-1]
     w, V = w[order], V[:, order]

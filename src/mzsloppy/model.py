@@ -33,6 +33,11 @@ PARAMETER_NAMES = ("lam1", "lam2")
 
 MODEL_FIELDS = ("r", "q", "beta", "theta", "phi", "x", "alpha", "lam1", "lam2")
 
+# checked in this order, so the first negative one names a config's error
+NON_NEGATIVE_FIELDS = ("r", "x", "q")
+_NEGATIVE_MESSAGE = "model field {} must be non-negative"
+GAMMA_MESSAGE = "closed-form input gamma must be finite"
+
 
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
@@ -59,9 +64,9 @@ class ModelConfig:
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"model field {name} must be finite")
             object.__setattr__(self, name, float(v))
-        for name in ("r", "x", "q"):
+        for name in NON_NEGATIVE_FIELDS:
             if getattr(self, name) < 0:
-                raise ValueError(f"model field {name} must be non-negative")
+                raise ValueError(_NEGATIVE_MESSAGE.format(name))
 
     @property
     def gamma(self) -> float:
@@ -69,8 +74,42 @@ class ModelConfig:
         # this; the closed-form layer reads it, the numeric layer does not
         gamma = self.alpha + 2.0 * self.lam1
         if not math.isfinite(gamma):
-            raise ValueError("closed-form input gamma must be finite")
+            raise ValueError(GAMMA_MESSAGE)
         return gamma
+
+
+_fields = operator.attrgetter(*MODEL_FIELDS)
+
+
+def parameters(configs: Sequence[ModelConfig]) -> np.ndarray:
+    """The configs as an (N, 9) array, one row each, columns in MODEL_FIELDS
+    order."""
+    return np.array([_fields(c) for c in configs], dtype=float).reshape(-1, len(MODEL_FIELDS))
+
+
+def row_errors(params: np.ndarray) -> list:
+    """Per row of a finite (N, 9) parameter array, the ValueError message
+    ModelConfig gives for it, or None."""
+    negative = params[:, [MODEL_FIELDS.index(n) for n in NON_NEGATIVE_FIELDS]] < 0
+    return [
+        _NEGATIVE_MESSAGE.format(NON_NEGATIVE_FIELDS[first]) if bad else None
+        for first, bad in zip(negative.argmax(axis=1).tolist(), negative.any(axis=1).tolist())
+    ]
+
+
+class ModelColumns:
+    """N configurations as read-only columns: one (N,) array per model
+    field, plus gamma, which is not checked here (a row whose gamma is not
+    finite is the caller's error). The closed forms read it in place of a
+    ModelConfig and evaluate all rows at once."""
+
+    def __init__(self, params: np.ndarray):
+        columns = np.asarray(params, dtype=float).T.view()
+        columns.flags.writeable = False
+        for name, column in zip(MODEL_FIELDS, columns):
+            setattr(self, name, column)
+        self.gamma = self.alpha + 2.0 * self.lam1
+        self.gamma.flags.writeable = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,17 +148,14 @@ _BOUND_GATES = {4: 0, 6: 1}
 # d/da [[cos a, sin a], [-sin a, cos a]] = R(a) @ [[0, 1], [-1, 0]]
 _ROTATION_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-_fields = operator.attrgetter(*MODEL_FIELDS)
 
-
-def _propagate(configs: Sequence[ModelConfig]):
-    """(cov, mean, dcov, dmean) of the output for a stack of configs.
+def _propagate(params: np.ndarray):
+    """(cov, mean, dcov, dmean) of the output for an (N, 9) parameter array.
 
     At each bound phase gate the derivative S' = S @ J is inserted once
     (J is the rotation generator on the gate's mode); every later gate
     conjugates the accumulated derivatives exactly.
     """
-    params = np.array([_fields(c) for c in configs], dtype=float).reshape(-1, len(MODEL_FIELDS))
     n = len(params)
     cov = np.broadcast_to(np.eye(4) / 2, (n, 4, 4))
     mean = np.zeros((n, 4, 1))  # means are carried as columns
@@ -147,17 +183,22 @@ def _propagate(configs: Sequence[ModelConfig]):
     return cov, mean[..., 0], dcov, [d[..., 0] for d in dmean]
 
 
-def jacobian_analytic(config: Union[ModelConfig, Sequence[ModelConfig]]) -> ModelJet:
+def jacobian_analytic(
+    config: Union[ModelConfig, Sequence[ModelConfig], np.ndarray]
+) -> ModelJet:
     """Exact (dcov, dmean) along (lam1, lam2) by chain rule.
 
-    Given a sequence of configs, propagates all of them in one pass and
+    Given a sequence of configs, or their (N, 9) parameter array with rows
+    that ModelConfig accepts, propagates all of them in one pass and
     returns a stacked jet; a config whose output moments fail validation
     has its ValueError in jet.state.errors. A single config raises it.
     Overflow at extreme squeezing surfaces as that error, not as a warning.
     """
     single = isinstance(config, ModelConfig)
+    if not isinstance(config, np.ndarray):
+        config = parameters([config] if single else config)
     with np.errstate(all="ignore"):
-        cov, mean, dcov, dmean = _propagate([config] if single else config)
+        cov, mean, dcov, dmean = _propagate(config)
     if single:
         cov, mean = cov[0], mean[0]
         dcov, dmean = [d[0] for d in dcov], [d[0] for d in dmean]

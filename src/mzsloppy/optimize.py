@@ -2,8 +2,10 @@
 
 The search layer treats the model as a black box: an objective maps a full
 ModelConfig to a scalar and the scanner maximizes it over a rectangular grid
-of config fields. Objectives evaluate on the closed-form reference layer by
-default (fast, and its optima are the documented landmark settings); the
+of config fields. A scan never builds a ModelConfig per point: its grid is
+one (N, 9) parameter array, evaluated chunk by chunk in one pass on either
+layer. Objectives evaluate on the closed-form reference layer by default
+(fast, and its optima are the documented landmark settings); the
 first-principles numeric layer is available for validation runs. Local
 refinement is a guarded simplex polish that never returns a point worse
 than its starting value. `find_known_configurations` wires both together to
@@ -25,7 +27,15 @@ import scipy.optimize
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
 from .gaussian import first_errors, guarded_call, unstack
-from .model import MODEL_FIELDS, ModelConfig, jacobian_analytic
+from .model import (
+    GAMMA_MESSAGE,
+    MODEL_FIELDS,
+    ModelColumns,
+    ModelConfig,
+    jacobian_analytic,
+    parameters,
+    row_errors,
+)
 
 OBJECTIVE_KINDS = ("Q11", "Q22", "detQ", "minus_R", "weighted_CQ_inverse")
 OBJECTIVE_LAYERS = ("closed_form", "numeric")
@@ -76,30 +86,42 @@ class Objective:
             raise ValueError("repetitions must be a positive integer")
 
 
-def _matrices(configs: list[ModelConfig], objective: Objective):
+def _matrices(points, objective: Objective):
     """Stacked (information, curvature) matrices on the requested layer,
-    with per-point errors.
+    with per-point errors, for one ModelConfig (a stack of one) or an
+    (N, 9) parameter array of rows ModelConfig accepts.
 
-    The numeric layer propagates all configs in one pass; the closed-form
-    layer evaluates its scalar expressions point by point.
+    The numeric layer propagates all points in one pass. The closed-form
+    layer evaluates one ModelConfig with math, and an array as columns with
+    numpy in one pass; a point whose gamma is not finite fails with the
+    ModelConfig.gamma error, one whose matrices are not finite with the
+    overflow math raises.
     """
     if objective.layer == "numeric":
-        jet = jacobian_analytic(configs)
+        jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
         q, q_errors = metrology.qfi_matrix(jet)
         u, u_errors = metrology.uhlmann_matrix(jet)
         return q, u, first_errors(q_errors, u_errors)
-    q = np.full((len(configs), 2, 2), np.nan)
-    u = np.full((len(configs), 2, 2), np.nan)
-    errors = [None] * len(configs)
-    for i, config in enumerate(configs):
+    if isinstance(points, ModelConfig):
         try:
-            config.gamma  # an overflowing alpha + 2 lam1 is the point's first error
-            q_i, u12 = closed_forms.closed_q_matrix(config), closed_forms.u12_closed(config)
+            points.gamma  # an overflowing alpha + 2 lam1 is the point's first error
+            q = closed_forms.closed_q_matrix(points)[None]
+            u12 = np.array([closed_forms.u12_closed(points)])
         except POINT_ERRORS as exc:
-            errors[i] = exc
-            continue
-        q[i], u[i] = q_i, ((0.0, u12), (-u12, 0.0))
-    return q, u, tuple(errors)
+            return np.full((1, 2, 2), np.nan), np.full((1, 2, 2), np.nan), (exc,)
+        gamma_ok = [True]
+    else:
+        columns = ModelColumns(points)
+        q, u12 = closed_forms.closed_q_matrix(columns), closed_forms.u12_closed(columns)
+        gamma_ok = np.isfinite(columns.gamma).tolist()
+    finite = (np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u12)).tolist()
+    errors = tuple(
+        None if ok else OverflowError("math range error") if g_ok else ValueError(GAMMA_MESSAGE)
+        for ok, g_ok in zip(finite, gamma_ok)
+    )
+    u = np.zeros_like(q)
+    u[:, 0, 1], u[:, 1, 0] = u12, -u12
+    return q, u, errors
 
 
 class _WorstOverPhase(Objective):
@@ -111,10 +133,11 @@ class _WorstOverPhase(Objective):
 THETA_GRID = tuple(i * math.pi / 8 for i in range(8))
 PHI_GRID = tuple(i * math.pi / 8 for i in range(5))
 GAMMA_GRID = tuple(i * math.pi / 8 for i in range(16))
+_ALPHA, _LAM1 = MODEL_FIELDS.index("alpha"), MODEL_FIELDS.index("lam1")
 
 
-def _kind_values(configs: list[ModelConfig], objective: Objective):
-    q, u, errors = _matrices(configs, objective)
+def _kind_values(points, objective: Objective):
+    q, u, errors = _matrices(points, objective)
     if objective.kind == "Q11":
         return q[:, 0, 0], errors
     if objective.kind == "Q22":
@@ -134,26 +157,30 @@ def _kind_values(configs: list[ModelConfig], objective: Objective):
     return 1.0 / bounds.c_q, errors
 
 
-def _worst_over_phase(configs: list[ModelConfig]):
-    """All phases of all configs as one minus_R batch; a config fails with
+def _worst_over_phase(points):
+    """All phases of all points as one minus_R batch; a point fails with
     its first phase's error."""
+    params = points if isinstance(points, np.ndarray) else parameters([points])
     n = len(GAMMA_GRID)
-    phased = [dataclasses.replace(c, alpha=g, lam1=0.0) for c in configs for g in GAMMA_GRID]
+    phased = np.repeat(params, n, axis=0)
+    phased[:, _ALPHA] = np.tile(GAMMA_GRID, len(params))
+    phased[:, _LAM1] = 0.0
     values, errors = _objective_values(phased, Objective(kind="minus_R"))
     r_max = (-values).reshape(-1, n).max(axis=1)
     worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
     return -worst, first_errors(*(errors[j::n] for j in range(n)))
 
 
-def _objective_values(configs: list[ModelConfig], objective: Objective):
-    """The figure of merit at each config: (values, errors), NaN where the
-    point failed, one batch. A non-finite value is the point's error.
-    Extreme settings overflow; the error says so, no warning is printed."""
+def _objective_values(points, objective: Objective):
+    """The figure of merit at one ModelConfig, or at each row of an (N, 9)
+    parameter array: (values, errors), NaN where the point failed, one
+    batch. A non-finite value is the point's error. Extreme settings
+    overflow; the error says so, no warning is printed."""
     with np.errstate(all="ignore"):
         if isinstance(objective, _WorstOverPhase):
-            values, errors = _worst_over_phase(configs)
+            values, errors = _worst_over_phase(points)
         else:
-            values, errors = _kind_values(configs, objective)
+            values, errors = _kind_values(points, objective)
     errors = tuple(
         ValueError(f"objective {objective.kind} is {v}, not a finite number")
         if e is None and not math.isfinite(v)
@@ -170,7 +197,7 @@ def objective_value(config: ModelConfig, objective: Objective) -> float:
     (singular information matrix, vanishing weighted bound), and
     ValueError where it overflows to a non-finite value.
     """
-    return float(unstack(*_objective_values([config], objective), False))
+    return float(unstack(*_objective_values(config, objective), False))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,43 +259,43 @@ def error_message(exc: Exception) -> str:
     return str(exc)
 
 
-def _chunks(points: list, count: int) -> list[list]:
-    """Split points into at most `count` contiguous, non-empty chunks of
+def _chunks(n: int, count: int) -> list[slice]:
+    """Split range(n) into at most `count` contiguous, non-empty slices of
     near-equal size."""
-    size, extra = divmod(len(points), count)
+    size, extra = divmod(n, count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
-    return [points[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanResult:
     """Exhaustive scan over the grid product, rows in lexicographic order.
 
-    Pointwise failures are captured in the row's error field instead of
-    aborting the scan. The best row maximizes the value; exact ties go to
-    the numerically smallest value tuple. The points are split into
-    `workers` contiguous chunks, each evaluated as one batch (on a thread
-    pool when workers > 1); the rows do not depend on the split.
+    The grid is one (N, 9) parameter array, checked column by column: a
+    row ModelConfig would reject carries ModelConfig's message. Pointwise
+    failures are captured in the row's error field instead of aborting the
+    scan. The best row maximizes the value; exact ties go to the
+    numerically smallest value tuple. The rows are split into `workers`
+    contiguous chunks, each evaluated as one batch (on a thread pool when
+    workers > 1); the rows do not depend on the split.
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
     grids = [axis.values for axis in spec.axes]
     points = list(itertools.product(*grids)) if grids else [()]
+    params = np.repeat(parameters([spec.base]), len(points), axis=0)
+    if spec.axes:
+        params[:, [MODEL_FIELDS.index(axis.name) for axis in spec.axes]] = points
+    invalid = row_errors(params)
 
-    def _eval(chunk: list) -> list[tuple[float | None, str | None]]:
-        outcomes: list = [None] * len(chunk)
-        configs, where = [], []
-        for i, values in enumerate(chunk):
-            try:
-                configs.append(_point_config(spec, values))
-                where.append(i)
-            except ValueError as exc:
-                outcomes[i] = (None, str(exc))
-        values, errors = _objective_values(configs, objective)
+    def _eval(rows: slice) -> list[tuple[float | None, str | None]]:
+        outcomes = [(None, message) for message in invalid[rows]]
+        where = [i for i, (_, message) in enumerate(outcomes) if message is None]
+        values, errors = _objective_values(params[rows][where], objective)
         for i, value, error in zip(where, values.tolist(), errors):
             outcomes[i] = (None, error_message(error)) if error is not None else (value, None)
         return outcomes
 
-    chunks = _chunks(points, workers)
+    chunks = _chunks(len(points), workers)
     if workers == 1:
         outcomes = [o for chunk in chunks for o in _eval(chunk)]
     else:

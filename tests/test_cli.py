@@ -494,9 +494,41 @@ class TestEngineErrors:
                                           "weight": [[1.0, 0.0], [0.0, -0.5]]}),
                 "weight must be positive semidefinite",
             ),
+            # NaN passes every comparison, so finiteness is checked by itself
+            (
+                "eval",
+                {"model": model_dict(r=0.5, x=0.5, theta=PI / 2),
+                 "weight": [[math.nan, 0.0], [0.0, 1.0]]},
+                "weight must have finite entries",
+            ),
+            (
+                "eval",
+                {"model": model_dict(r=0.5, x=0.5, theta=PI / 2), "threshold": math.nan},
+                "threshold must be a finite positive number",
+            ),
+            (
+                "scan",
+                dict(SCAN_CFG, objective={"kind": "weighted_CQ_inverse",
+                                          "weight": [[math.nan, 0.0], [0.0, 1.0]]}),
+                "weight must have finite entries",
+            ),
+            (
+                "optimize",
+                dict(SCAN_CFG, objective={"kind": "weighted_CQ_inverse",
+                                          "weight": [[1.0, 0.0], [0.0, math.inf]]}),
+                "weight must have finite entries",
+            ),
+            # a finite state whose information overflows: no warnings either
+            (
+                "eval",
+                {"model": model_dict(r=0.5, q=1e300, beta=0.3, theta=1.1, phi=0.4, x=0.72,
+                                     alpha=0.7, lam1=0.2, lam2=0.9)},
+                "OverflowError: math range error",
+            ),
         ],
         ids=["optimize_r400", "eval_r400", "eval_r4_x2", "scan_asymmetric_weight",
-             "optimize_indefinite_weight"],
+             "optimize_indefinite_weight", "eval_nan_weight", "eval_nan_threshold",
+             "scan_nan_weight", "optimize_inf_weight", "eval_information_overflow"],
     )
     def test_error_line_and_exit_one(self, tmp_path, command, config, reason):
         cfg = write_config(tmp_path, config)

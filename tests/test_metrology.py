@@ -247,6 +247,9 @@ class TestSloppiness:
             sloppiness_report(np.eye(2), threshold=0.0)
         with pytest.raises(ValueError):
             sloppiness_report(np.eye(2), threshold=-1.0)
+        for threshold in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite positive"):
+                sloppiness_report(np.eye(2), threshold=threshold)
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):

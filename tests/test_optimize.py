@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from mzsloppy.exceptions import SloppyModelError
@@ -12,6 +13,7 @@ from mzsloppy.optimize import (
     Axis,
     Objective,
     SearchSpec,
+    error_message,
     find_known_configurations,
     fold_angles,
     grid_scan,
@@ -57,6 +59,8 @@ class TestObjective:
             Objective(kind="weighted_CQ_inverse", weight=((1.0, 0.2), (0.0, 1.0)))
         with pytest.raises(ValueError, match="positive semidefinite"):
             Objective(kind="weighted_CQ_inverse", weight=((1.0, 0.0), (0.0, -0.5)))
+        with pytest.raises(ValueError, match="finite entries"):
+            Objective(kind="weighted_CQ_inverse", weight=((math.nan, 0.0), (0.0, 1.0)))
 
     def test_layers_agree_where_no_known_tension(self):
         # Q22 at the landmark maximum: both layers give 2 cosh^2(2(r+x))
@@ -371,29 +375,114 @@ def test_overflow_row_names_its_error():
         spec = SearchSpec(base=mixed_spec().base, axes=(Axis(field, (180.0,)),))
         row = grid_scan(spec, Objective(kind="Q22")).rows[0]
         assert row.error == "OverflowError: math range error"
+    # at q = 1e154 q**2 is finite and 2 q**2 is inf, which math does not
+    # raise for: the non-finite entry reads as the same overflow
+    spec = SearchSpec(base=mixed_spec().base, axes=(Axis("q", (1e154,)),))
+    assert grid_scan(spec, Objective(kind="Q11")).rows[0].error == (
+        "OverflowError: math range error"
+    )
+    with pytest.raises(OverflowError):
+        objective_value(dataclasses.replace(spec.base, q=1e154), Objective(kind="Q11"))
 
 
-@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-def test_numeric_scan_independent_of_chunking(kind):
+# the numeric cases keep the ids they had before the closed-form layer joined
+CHUNKING_CASES = [pytest.param("numeric", kind, id=kind) for kind in OBJECTIVE_KINDS] + [
+    pytest.param("closed_form", kind, id=f"closed_form-{kind}") for kind in OBJECTIVE_KINDS
+]
+
+
+@pytest.mark.parametrize("layer, kind", CHUNKING_CASES)
+def test_numeric_scan_independent_of_chunking(layer, kind):
+    # 40 points: three workers get ragged chunks of 14, 13 and 13
     spec = SearchSpec(
         base=ModelConfig(r=0.6, q=0.4, beta=0.3, lam1=0.2, lam2=0.5),
-        axes=(Axis("x", (0.0, 0.4, 0.9)), Axis("theta", HALF_GRID[:5]),
+        axes=(Axis("x", (0.0, 0.4, 0.9, 1.3)), Axis("theta", HALF_GRID[:5]),
               Axis("alpha", (0.0, 1.0))),
     )
     if kind == "weighted_CQ_inverse":
-        obj = Objective(kind=kind, layer="numeric", weight=((1.0, 0.3), (0.3, 2.0)),
+        obj = Objective(kind=kind, layer=layer, weight=((1.0, 0.3), (0.3, 2.0)),
                         repetitions=7)
     else:
-        obj = Objective(kind=kind, layer="numeric")
+        obj = Objective(kind=kind, layer=layer)
     results = [grid_scan(spec, obj, workers=w) for w in (1, 2, 3)]
     assert repr(results[0]) == repr(results[1]) == repr(results[2])
     for row in results[0].rows:
         config = dataclasses.replace(spec.base, **row.point)
-        if row.error is None:
-            assert row.value == objective_value(config, obj)
-        else:
+        if row.error is not None:
             with pytest.raises(SloppyModelError, match="singular"):
                 objective_value(config, obj)
+        elif layer == "numeric":
+            assert row.value == objective_value(config, obj)
+        else:  # columns with numpy, one point with math
+            assert row.value == pytest.approx(objective_value(config, obj), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_closed_form_columns_match_single_points(kind):
+    # a scan evaluates its grid as numpy columns, objective_value one
+    # config with math: the two routes agree to round-off
+    rng = np.random.default_rng(20261018)
+
+    def draw(lo, hi, n):
+        return tuple(rng.uniform(lo, hi, n).tolist())
+
+    base = ModelConfig(r=0.7, q=0.8, beta=draw(0, 2 * PI, 1)[0], x=0.6,
+                       lam1=draw(0.1, 3.0, 1)[0], lam2=draw(0.1, 3.0, 1)[0])
+    spec = SearchSpec(base=base, axes=(
+        Axis("r", draw(0.05, 1.5, 3)), Axis("x", draw(0.05, 1.5, 3)),
+        Axis("q", draw(0.1, 2.0, 2)), Axis("theta", draw(0, PI, 3)),
+        Axis("phi", draw(0, PI / 2, 3)), Axis("alpha", draw(0, 2 * PI, 3)),
+    ))
+    weight = ((1.0, 0.3), (0.3, 2.0)) if kind == "weighted_CQ_inverse" else None
+    obj = Objective(kind=kind, weight=weight)
+    result = grid_scan(spec, obj, workers=2)
+    assert len(result.rows) == 486
+    for row in result.rows:
+        assert row.error is None
+        expected = objective_value(dataclasses.replace(base, **row.point), obj)
+        assert row.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+def test_first_negative_field_names_the_row(layer):
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.5),
+                      axes=(Axis("q", (-1.0, 0.5)), Axis("x", (-1.0, 0.5)),
+                            Axis("r", (-1.0, 0.5))))
+    rows = grid_scan(spec, Objective(kind="Q22", layer=layer), workers=2).rows
+    points = [(row.point["q"], row.point["x"], row.point["r"]) for row in rows]
+    for point, row in zip(points, rows):
+        try:
+            dataclasses.replace(spec.base, q=point[0], x=point[1], r=point[2])
+        except ValueError as exc:
+            assert row.error == str(exc)
+        else:
+            assert row.error is None
+    assert rows[points.index((0.5, -1.0, -1.0))].error == "model field r must be non-negative"
+    assert rows[points.index((-1.0, -1.0, 0.5))].error == "model field x must be non-negative"
+
+
+def test_non_finite_gamma_is_the_closed_form_row_error():
+    # alpha + 2 lam1 is 0 at alpha = -1e308 and overflows at 1e308; at
+    # r = 400 the matrices overflow too, and the gamma error, which one
+    # config reads first, wins
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, lam1=5e307),
+                      axes=(Axis("r", (0.5, 400.0)), Axis("alpha", (-1e308, 1e308))))
+    rows = grid_scan(spec, Objective(kind="Q22"), workers=2).rows
+    assert [row.error for row in rows] == [
+        None,
+        "closed-form input gamma must be finite",
+        "OverflowError: math range error",
+        "closed-form input gamma must be finite",
+    ]
+    for row in rows:
+        config = dataclasses.replace(spec.base, **row.point)
+        if row.error is None:
+            assert row.value == pytest.approx(objective_value(config, Objective("Q22")),
+                                              rel=1e-12)
+        else:
+            with pytest.raises((ValueError, OverflowError)) as raised:
+                objective_value(config, Objective(kind="Q22"))
+            assert error_message(raised.value) == row.error
 
 
 def test_more_workers_than_points():
@@ -453,12 +542,13 @@ def test_refine_rejects_steps_to_non_finite_values(recwarn):
 
 
 def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
+    from mzsloppy.model import parameters
     from mzsloppy.optimize import GAMMA_GRID, _objective_values, _WorstOverPhase
 
     minus_r = Objective(kind="minus_R")
     configs = [ModelConfig(r=0.5, x=0.5, q=0.3, theta=t, phi=p)
                for t, p in ((0.3, 0.2), (PI / 2, PI / 4), (1.1, 0.0))]
-    values, errors = _objective_values(configs, _WorstOverPhase(kind="minus_R"))
+    values, errors = _objective_values(parameters(configs), _WorstOverPhase(kind="minus_R"))
     assert errors == (None,) * 3
     for config, value in zip(configs, values.tolist()):
         r = [-objective_value(dataclasses.replace(config, alpha=g, lam1=0.0), minus_r)
@@ -466,7 +556,7 @@ def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
         assert value == -max([0.0] + r)
     # a failed phase fails the config, with the first phase's error
     values, errors = _objective_values(
-        [configs[0], ModelConfig(r=0.5, x=0.0)], _WorstOverPhase(kind="minus_R")
+        parameters([configs[0], ModelConfig(r=0.5, x=0.0)]), _WorstOverPhase(kind="minus_R")
     )
     assert errors[0] is None and isinstance(errors[1], SloppyModelError)
     assert math.isnan(values[1])
