@@ -264,14 +264,7 @@ def _parse_search(
 def run_scan(config_obj: dict) -> tuple[dict, int]:
     spec, objective, workers = _parse_search(config_obj, "scan")
     result = optimize.grid_scan(spec, objective, workers=workers)
-
-    def row_dict(row: optimize.ScanRow) -> dict:
-        return {
-            "point": {k: float(v) for k, v in row.point.items()},
-            "value": None if row.value is None else float(row.value),
-            "error": row.error,
-        }
-
+    # a row's fields are its output keys, already floats, strings or None
     payload = {
         "schema": _SCHEMAS["scan"],
         "model": _model_dict(spec.base),
@@ -285,8 +278,8 @@ def run_scan(config_obj: dict) -> tuple[dict, int]:
         },
         "axes": [{"name": a.name, "values": list(a.values)} for a in spec.axes],
         "workers": workers,
-        "rows": [row_dict(r) for r in result.rows],
-        "best": None if result.best is None else row_dict(result.best),
+        "rows": [vars(r) for r in result.rows],
+        "best": None if result.best is None else vars(result.best),
     }
     return payload, 0
 

@@ -20,9 +20,9 @@ All values are immutable; all operations are pure functions.
 Stacks: gates whose parameters are arrays of N values, states whose moments
 carry a leading axis of N points, and the numeric functions built on them
 evaluate N configurations at once. A per-point failure never fails the
-stack: each such function records, per point, the exception that the
-single-point call raises (None where the point is fine), and a single point
-raises it as before.
+stack: each such function records its errors as a dict that maps the index
+of each failed point to the exception the single-point call raises there (a
+good point has no entry), and a single point raises it as before.
 """
 
 from __future__ import annotations
@@ -58,79 +58,71 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def first_errors(*per_point: Sequence) -> tuple:
-    """Per point, the first non-None entry of several per-point error lists."""
-    return tuple(
-        next((e for e in point if e is not None), None) for point in zip(*per_point)
-    )
-
-
-def guarded_call(fn, errors: Sequence, *stacks: np.ndarray):
+def guarded_call(fn, errors: dict, *stacks: np.ndarray):
     """Apply a stacked numpy function to the points without an error yet.
 
-    `errors` marks each point that already failed with anything but None.
-    numpy raises LinAlgError for a whole stack when one matrix fails; such
-    a point is retried alone and, if it fails again, takes the error.
+    `errors` has an entry for each point that already failed. numpy raises
+    LinAlgError for a whole stack when one matrix fails; such a point is
+    retried alone and, if it fails again, takes the error.
     Returns (out, errors): out has NaN at every point with an error.
     """
-    errors = list(errors)
-    if all(e is None for e in errors):
+    if not errors:
         try:
-            return fn(*stacks), tuple(errors)
+            return fn(*stacks), {}
         except np.linalg.LinAlgError:
             pass
-    ok = np.array([e is None for e in errors], dtype=bool)
+    errors = dict(errors)
+    ok = np.ones(len(stacks[0]), dtype=bool)
+    ok[list(errors)] = False
     try:
         sub = fn(*(s[ok] for s in stacks))
     except np.linalg.LinAlgError:
-        for i in np.flatnonzero(ok):
+        for i in np.flatnonzero(ok).tolist():
             try:
                 fn(*(s[i : i + 1] for s in stacks))
             except np.linalg.LinAlgError as exc:
                 errors[i], ok[i] = exc, False
         sub = fn(*(s[ok] for s in stacks))
-    out = np.full((len(errors),) + sub.shape[1:], np.nan, dtype=sub.dtype)
+    out = np.full(ok.shape + sub.shape[1:], np.nan, dtype=sub.dtype)
     out[ok] = sub
-    return out, tuple(errors)
+    return out, errors
 
 
-def unstack(values, errors: Sequence, stacked: bool):
+def unstack(values, errors: dict, stacked: bool):
     """(values, errors) for a stack; for one point its value, or its error raised."""
     if stacked:
-        return values, tuple(errors)
-    if errors[0] is not None:
+        return values, errors
+    if 0 in errors:
         raise errors[0]
     return values[0]
 
 
-def _moment_errors(mean: np.ndarray, cov: np.ndarray) -> tuple:
+def _moment_errors(mean: np.ndarray, cov: np.ndarray) -> dict:
     finite = np.isfinite(mean).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
     if not finite.all():
         cov = np.where(finite[:, None, None], cov, 0.0)
     skew = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2), initial=0.0))
     symmetric = skew <= COV_SYMMETRY_RTOL * scale
-    return tuple(
-        None
-        if f and sym
-        else ValueError("cov must be symmetric" if f else "state moments must be finite")
-        for f, sym in zip(finite.tolist(), symmetric.tolist())
-    )
+    return {
+        i: ValueError("cov must be symmetric" if finite[i] else "state moments must be finite")
+        for i in (~(finite & symmetric)).nonzero()[0].tolist()
+    }
 
 
 @dataclasses.dataclass(frozen=True)
 class GaussianState:
     """Mean vector and covariance matrix of M bosonic modes.
 
-    A stack of N states has mean (N, 2M) and cov (N, 2M, 2M). `errors` holds
-    per state the ValueError its moments fail validation with (non-finite or
-    asymmetric), or None; a single state raises that error instead.
+    A stack of N states has mean (N, 2M) and cov (N, 2M, 2M). `errors` maps
+    each state whose moments fail validation (non-finite or asymmetric) to
+    that ValueError; a single state raises it instead.
     """
 
     modes: int
     mean: np.ndarray
     cov: np.ndarray
-    errors: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    errors: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modes < 1:
@@ -144,7 +136,7 @@ class GaussianState:
         if cov.shape != lead + (n, n):
             raise ValueError(f"cov must have shape ({n}, {n}), got {cov.shape}")
         errors = _moment_errors(mean, cov) if lead else _moment_errors(mean[None], cov[None])
-        if not lead and errors[0] is not None:
+        if not lead and errors:
             raise errors[0]
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(cov))
@@ -328,8 +320,8 @@ def physicality_check(state: GaussianState) -> Physicality:
     """
     stacked = state.cov.ndim == 3
     cov = state.cov if stacked else state.cov[None]
-    finite = np.isfinite(cov).all(axis=(1, 2)).tolist()
-    nus, _ = guarded_call(symplectic_eigenvalues, [None if f else "" for f in finite], cov)
+    nonfinite = (~np.isfinite(cov).all(axis=(1, 2))).nonzero()[0].tolist()
+    nus, _ = guarded_call(symplectic_eigenvalues, dict.fromkeys(nonfinite), cov)
     labels = tuple(
         map(_label, np.min(nus, axis=1).tolist(), np.max(np.abs(nus - 0.5), axis=1).tolist())
     )

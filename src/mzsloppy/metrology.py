@@ -13,8 +13,8 @@ systems are solved directly rather than through explicit inverses.
 
 qfi_matrix, uhlmann_matrix, quantumness_general and scalar_crb also take a
 stack: a stacked jet, or (N, n, n) matrices. They then return (values,
-errors), with NaN values at the points whose errors entry holds the
-exception a single call raises there, and never raise for one point.
+errors), where errors maps each failed point to the exception a single call
+raises there and its values are NaN, and never raise for one point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 
 from .exceptions import SloppyModelError
-from .gaussian import first_errors, guarded_call, symplectic_form, unstack
+from .gaussian import guarded_call, symplectic_form, unstack
 from .model import ModelJet
 
 # Q is singular for R / bounds when its smallest eigenvalue is at most this
@@ -49,22 +49,24 @@ _SINGULAR_MESSAGE = (
 
 def _pure_stack(jet: ModelJet, op: str):
     """(stacked, cov, dcov, dmean, errors) of a jet, points first: dcov is
-    (N, n, 2M, 2M) and dmean (N, n, 2M) for n parameters. The per-point
-    errors are the state's own, then the pure-state gate of `op`."""
+    (N, n, 2M, 2M) and dmean (N, n, 2M) for n parameters. A point's error
+    is the state's own, else the pure-state gate of `op`."""
     state = jet.state
     stacked = state.cov.ndim == 3
     labels = state.physicality.classification
     if isinstance(labels, str):
         labels = (labels,)
-    gate = [
-        None if label == "pure" else ValueError(f"{op} requires a pure model state, got {label}")
-        for label in labels
-    ]
+    gate = {
+        i: ValueError(f"{op} requires a pure model state, got {label}")
+        for i, label in enumerate(labels)
+        if label != "pure"
+    }
+    errors = {**gate, **state.errors}
     axis = 1 if stacked else 0
     dcov, dmean = np.stack(jet.dcov, axis=axis), np.stack(jet.dmean, axis=axis)
     if not stacked:
-        return False, state.cov[None], dcov[None], dmean[None], first_errors(state.errors, gate)
-    return True, state.cov, dcov, dmean, first_errors(state.errors, gate)
+        return False, state.cov[None], dcov[None], dmean[None], errors
+    return True, state.cov, dcov, dmean, errors
 
 
 def qfi_matrix(jet: ModelJet):
@@ -97,23 +99,23 @@ def uhlmann_matrix(jet: ModelJet):
     )[:, 0, 0]
     U = np.zeros((len(cov), 2, 2))
     U[:, 0, 1], U[:, 1, 0] = u, -u
-    U[[e is not None for e in errors]] = np.nan
+    U[list(errors)] = np.nan
     return unstack(U, errors, stacked)
 
 
-def _singular_errors(Q: np.ndarray) -> tuple:
-    """Per point of a stack of Q: SloppyModelError where Q is singular
-    relative to its scale (or not finite), else None."""
-    finite = np.isfinite(Q).all(axis=(1, 2)).tolist()
-    w, _ = guarded_call(np.linalg.eigvalsh, [None if f else "" for f in finite], Q)
+def _singular_errors(Q: np.ndarray) -> dict:
+    """The points of a stack of Q where Q is singular relative to its scale
+    (or not finite), each with a SloppyModelError."""
+    nonfinite = (~np.isfinite(Q).all(axis=(1, 2))).nonzero()[0].tolist()
+    w, _ = guarded_call(np.linalg.eigvalsh, dict.fromkeys(nonfinite), Q)
     regular = w[:, 0] > SINGULAR_Q_TOL * np.maximum(1.0, w[:, -1])  # False where NaN
-    return tuple(None if ok else SloppyModelError(_SINGULAR_MESSAGE) for ok in regular.tolist())
+    return {i: SloppyModelError(_SINGULAR_MESSAGE) for i in (~regular).nonzero()[0].tolist()}
 
 
 def _require_invertible(Q: np.ndarray) -> None:
-    error = _singular_errors(np.asarray(Q, dtype=float)[None])[0]
-    if error is not None:
-        raise error
+    errors = _singular_errors(np.asarray(Q, dtype=float)[None])
+    if errors:
+        raise errors[0]
 
 
 def quantumness_general(Q: np.ndarray, U: np.ndarray):

@@ -87,14 +87,15 @@ def parameters(configs: Sequence[ModelConfig]) -> np.ndarray:
     return np.array([_fields(c) for c in configs], dtype=float).reshape(-1, len(MODEL_FIELDS))
 
 
-def row_errors(params: np.ndarray) -> list:
-    """Per row of a finite (N, 9) parameter array, the ValueError message
-    ModelConfig gives for it, or None."""
+def row_errors(params: np.ndarray) -> dict:
+    """The rows of a finite (N, 9) parameter array that ModelConfig rejects,
+    each with the ValueError message it gives."""
     negative = params[:, [MODEL_FIELDS.index(n) for n in NON_NEGATIVE_FIELDS]] < 0
-    return [
-        _NEGATIVE_MESSAGE.format(NON_NEGATIVE_FIELDS[first]) if bad else None
-        for first, bad in zip(negative.argmax(axis=1).tolist(), negative.any(axis=1).tolist())
-    ]
+    first = negative.argmax(axis=1)
+    return {
+        i: _NEGATIVE_MESSAGE.format(NON_NEGATIVE_FIELDS[first[i]])
+        for i in negative.any(axis=1).nonzero()[0].tolist()
+    }
 
 
 class ModelColumns:
@@ -117,7 +118,7 @@ class ModelJet:
     """Output state with its derivatives along (lam1, lam2).
 
     For a stack of N configurations every array has a leading point axis
-    and state.errors holds the per-point failures.
+    and state.errors maps each failed point to its error.
     """
 
     state: GaussianState

@@ -26,7 +26,7 @@ import scipy.optimize
 
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
-from .gaussian import first_errors, guarded_call, unstack
+from .gaussian import guarded_call, unstack
 from .model import (
     GAMMA_MESSAGE,
     MODEL_FIELDS,
@@ -92,33 +92,33 @@ def _matrices(points, objective: Objective):
     (N, 9) parameter array of rows ModelConfig accepts.
 
     The numeric layer propagates all points in one pass. The closed-form
-    layer evaluates one ModelConfig with math, and an array as columns with
-    numpy in one pass; a point whose gamma is not finite fails with the
-    ModelConfig.gamma error, one whose matrices are not finite with the
-    overflow math raises.
+    layer evaluates one ModelConfig with math, where an error of math is a
+    NaN, and an array as columns with numpy in one pass; a point whose
+    gamma is not finite fails with the ModelConfig.gamma error, one whose
+    matrices are not finite with the overflow math raises.
     """
     if objective.layer == "numeric":
         jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
         q, q_errors = metrology.qfi_matrix(jet)
         u, u_errors = metrology.uhlmann_matrix(jet)
-        return q, u, first_errors(q_errors, u_errors)
+        return q, u, {**u_errors, **q_errors}
     if isinstance(points, ModelConfig):
+        gamma = np.array([points.alpha + 2.0 * points.lam1])
         try:
-            points.gamma  # an overflowing alpha + 2 lam1 is the point's first error
             q = closed_forms.closed_q_matrix(points)[None]
             u12 = np.array([closed_forms.u12_closed(points)])
-        except POINT_ERRORS as exc:
-            return np.full((1, 2, 2), np.nan), np.full((1, 2, 2), np.nan), (exc,)
-        gamma_ok = [True]
+        except (ValueError, ArithmeticError):  # math overflows or leaves its domain
+            q, u12 = np.full((1, 2, 2), np.nan), np.full(1, np.nan)
     else:
         columns = ModelColumns(points)
         q, u12 = closed_forms.closed_q_matrix(columns), closed_forms.u12_closed(columns)
-        gamma_ok = np.isfinite(columns.gamma).tolist()
-    finite = (np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u12)).tolist()
-    errors = tuple(
-        None if ok else OverflowError("math range error") if g_ok else ValueError(GAMMA_MESSAGE)
-        for ok, g_ok in zip(finite, gamma_ok)
-    )
+        gamma = columns.gamma
+    failed = (~(np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u12))).nonzero()[0].tolist()
+    gamma_ok = np.isfinite(gamma)
+    errors = {
+        i: OverflowError("math range error") if gamma_ok[i] else ValueError(GAMMA_MESSAGE)
+        for i in failed
+    }
     u = np.zeros_like(q)
     u[:, 0, 1], u[:, 1, 0] = u12, -u12
     return q, u, errors
@@ -146,15 +146,13 @@ def _kind_values(points, objective: Objective):
         return guarded_call(np.linalg.det, errors, q)
     if objective.kind == "minus_R":
         r, r_errors = metrology.quantumness_general(q, u)
-        return -r, first_errors(errors, r_errors)
+        return -r, {**r_errors, **errors}
     bounds, crb_errors = metrology.scalar_crb(q, u, objective.weight, objective.repetitions)
-    errors = tuple(
-        SloppyModelError("weighted scalar bound is zero, its reciprocal objective is undefined")
-        if e is None and c_q <= 0
-        else e
-        for e, c_q in zip(first_errors(errors, crb_errors), bounds.c_q.tolist())
-    )
-    return 1.0 / bounds.c_q, errors
+    zero = {
+        i: SloppyModelError("weighted scalar bound is zero, its reciprocal objective is undefined")
+        for i in (bounds.c_q <= 0).nonzero()[0].tolist()
+    }
+    return 1.0 / bounds.c_q, {**zero, **crb_errors, **errors}
 
 
 def _worst_over_phase(points):
@@ -168,7 +166,8 @@ def _worst_over_phase(points):
     values, errors = _objective_values(phased, Objective(kind="minus_R"))
     r_max = (-values).reshape(-1, n).max(axis=1)
     worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
-    return -worst, first_errors(*(errors[j::n] for j in range(n)))
+    # the lowest phase of a point is written last, so its error stays
+    return -worst, {k // n: errors[k] for k in sorted(errors, reverse=True)}
 
 
 def _objective_values(points, objective: Objective):
@@ -181,13 +180,15 @@ def _objective_values(points, objective: Objective):
             values, errors = _worst_over_phase(points)
         else:
             values, errors = _kind_values(points, objective)
-    errors = tuple(
-        ValueError(f"objective {objective.kind} is {v}, not a finite number")
-        if e is None and not math.isfinite(v)
-        else e
-        for v, e in zip(values.tolist(), errors)
-    )
-    return np.where([e is None for e in errors], values, np.nan), errors
+    nonfinite = {
+        i: ValueError(f"objective {objective.kind} is {float(values[i])}, not a finite number")
+        for i in (~np.isfinite(values)).nonzero()[0].tolist()
+        if i not in errors
+    }
+    errors = {**errors, **nonfinite}
+    ok = np.ones(len(values), dtype=bool)
+    ok[list(errors)] = False
+    return np.where(ok, values, np.nan), errors
 
 
 def objective_value(config: ModelConfig, objective: Objective) -> float:
@@ -262,6 +263,7 @@ def error_message(exc: Exception) -> str:
 def _chunks(n: int, count: int) -> list[slice]:
     """Split range(n) into at most `count` contiguous, non-empty slices of
     near-equal size."""
+    count = max(1, min(count, n))
     size, extra = divmod(n, count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
@@ -274,9 +276,9 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     row ModelConfig would reject carries ModelConfig's message. Pointwise
     failures are captured in the row's error field instead of aborting the
     scan. The best row maximizes the value; exact ties go to the
-    numerically smallest value tuple. The rows are split into `workers`
-    contiguous chunks, each evaluated as one batch (on a thread pool when
-    workers > 1); the rows do not depend on the split.
+    numerically smallest value tuple. The rows are split into at most
+    `workers` contiguous chunks, each evaluated as one batch (on a thread
+    pool when workers > 1); the rows do not depend on the split.
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
@@ -285,40 +287,36 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     params = np.repeat(parameters([spec.base]), len(points), axis=0)
     if spec.axes:
         params[:, [MODEL_FIELDS.index(axis.name) for axis in spec.axes]] = points
-    invalid = row_errors(params)
+    messages = row_errors(params)
+    valid = np.ones(len(points), dtype=bool)
+    valid[list(messages)] = False
 
-    def _eval(rows: slice) -> list[tuple[float | None, str | None]]:
-        outcomes = [(None, message) for message in invalid[rows]]
-        where = [i for i, (_, message) in enumerate(outcomes) if message is None]
-        values, errors = _objective_values(params[rows][where], objective)
-        for i, value, error in zip(where, values.tolist(), errors):
-            outcomes[i] = (None, error_message(error)) if error is not None else (value, None)
-        return outcomes
+    def _eval(rows: slice) -> tuple[np.ndarray, np.ndarray, dict]:
+        where = rows.start + valid[rows].nonzero()[0]
+        values, errors = _objective_values(params[where], objective)
+        return where, values, errors
 
     chunks = _chunks(len(points), workers)
     if workers == 1:
-        outcomes = [o for chunk in chunks for o in _eval(chunk)]
+        parts = [_eval(chunk) for chunk in chunks]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for part in pool.map(_eval, chunks) for o in part]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_eval, chunks))
+    values = np.full(len(points), np.nan)
+    for where, part, errors in parts:
+        values[where] = part
+        messages.update((int(where[k]), error_message(e)) for k, e in errors.items())
 
+    names = [axis.name for axis in spec.axes]
     rows = tuple(
-        ScanRow(
-            point={axis.name: v for axis, v in zip(spec.axes, values)},
-            value=value,
-            error=error,
-        )
-        for values, (value, error) in zip(points, outcomes)
+        ScanRow(dict(zip(names, point)), None if i in messages else value, messages.get(i))
+        for i, (point, value) in enumerate(zip(points, values.tolist()))
     )
-    best = None
-    best_key: tuple | None = None
-    for values, row in zip(points, rows):
-        if row.value is None:
-            continue
-        key = (-row.value, values)
-        if best_key is None or key < best_key:
-            best, best_key = row, key
-    return ScanResult(rows=rows, best=best)
+    scored = ~np.isnan(values)  # NaN exactly at the rows with an error
+    if not scored.any():
+        return ScanResult(rows=rows, best=None)
+    ties = (values == values[scored].max()).nonzero()[0].tolist()
+    return ScanResult(rows=rows, best=rows[min(ties, key=points.__getitem__)])
 
 
 @dataclasses.dataclass(frozen=True)

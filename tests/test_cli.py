@@ -1,14 +1,19 @@
 """Command-line driver: config handling, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mzsloppy
 from mzsloppy.cli import THREADS_ENV_VAR, main
@@ -194,6 +199,31 @@ class TestScan:
         assert a["rows"] == b["rows"]
         assert a["best"] == b["best"]
         assert b["workers"] == 3
+
+    def test_huge_worker_count_starts_no_more_threads_than_points(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        four = dict(SCAN_CFG, axes=[{"name": "theta", "values": [0.0, 0.5, 1.0, 1.5]}])
+        payloads = []
+        for workers in (1, 10**9):
+            cfg = write_config(tmp_path, dict(four, workers=workers), f"w{workers}.json")
+            code, out, _ = run_cli(capsys, ["scan", "--config", cfg])
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert 1 <= len(started) <= 4
+        serial, huge = payloads
+        assert len(huge["rows"]) == 4
+        assert huge["rows"] == serial["rows"] and huge["best"] == serial["best"]
+        assert huge["workers"] == 1000000000
 
     def test_threads_env_var_wins(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "2")
@@ -539,3 +569,58 @@ class TestEngineErrors:
         assert proc.stderr.startswith("mzsloppy: error: ")
         assert reason in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+
+# -- property: every finite config ends in a documented exit code -------------
+
+# moderate values, magnitudes up to 1e300, and values at which the moments
+# or the information overflow
+EDGES = st.sampled_from((0.0, 20.0, 400.0, 1e160, 1e300))
+FINITE = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300), EDGES, EDGES.map(lambda v: -v))
+# r, x and q are mostly non-negative, so that most configs get past ModelConfig
+NON_NEGATIVE = st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e300), EDGES, FINITE)
+MODELS = st.fixed_dictionaries({
+    name: NON_NEGATIVE if name in ("r", "x", "q") else FINITE for name in model_dict()
+})
+WEIGHTS = st.sampled_from([
+    [[1.0, 0.3], [0.3, 2.0]], [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]],
+])
+EVALS = st.fixed_dictionaries({"model": MODELS}, optional={
+    "weight": WEIGHTS, "threshold": FINITE, "repetitions": st.integers(-1, 3),
+})
+SCANS = st.fixed_dictionaries({
+    "model": MODELS,
+    "objective": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["Q11", "Q22", "detQ", "minus_R"]),
+         "layer": st.sampled_from(["closed_form", "numeric"])},
+    ) | st.fixed_dictionaries(
+        {"kind": st.just("weighted_CQ_inverse"), "weight": WEIGHTS,
+         "layer": st.sampled_from(["closed_form", "numeric"])},
+        optional={"repetitions": st.integers(1, 3)},
+    ),
+    "axes": st.lists(
+        st.fixed_dictionaries({"name": st.sampled_from(list(model_dict())),
+                               "values": st.lists(FINITE, min_size=1, max_size=3)}),
+        min_size=1, max_size=3, unique_by=lambda axis: axis["name"],
+    ),
+}, optional={"workers": st.integers(1, 3)})
+
+
+@settings(deadline=None, max_examples=100)
+@given(command_config=st.tuples(st.just("eval"), EVALS) | st.tuples(st.just("scan"), SCANS),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_every_finite_config_exits_zero_one_or_two(command_config, fmt):
+    command, config = command_config
+    if command == "eval":
+        fmt = "json"
+    with tempfile.TemporaryDirectory() as work:
+        cfg = os.path.join(work, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--format", fmt])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (out.getvalue() == "") == (code == 1)

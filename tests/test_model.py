@@ -335,7 +335,7 @@ CONFIGS = st.builds(
 def test_stacked_jet_is_bitwise_its_single_jets(configs):
     jet = jacobian_analytic(configs)
     assert jet.state.cov.shape == (len(configs), 4, 4)
-    assert jet.state.errors == (None,) * len(configs)
+    assert jet.state.errors == {}
     for i, cfg in enumerate(configs):
         single = jacobian_analytic(cfg)
         assert np.array_equal(jet.state.cov[i], single.state.cov)
@@ -349,9 +349,9 @@ def test_stacked_jet_is_bitwise_its_single_jets(configs):
 def test_overflowing_point_is_an_error_of_its_own(recwarn):
     good = ModelConfig(r=0.5, x=0.5)
     jet = jacobian_analytic([good, ModelConfig(r=400.0), good])
-    assert [str(e) if e else None for e in jet.state.errors] == [
-        None, "state moments must be finite", None,
-    ]
+    assert {i: str(e) for i, e in jet.state.errors.items()} == {
+        1: "state moments must be finite",
+    }
     np.testing.assert_array_equal(jet.state.cov[0], jacobian_analytic(good).state.cov)
     with pytest.raises(ValueError, match="state moments must be finite"):
         jacobian_analytic(ModelConfig(r=400.0))
@@ -362,4 +362,4 @@ def test_empty_stack():
     jet = jacobian_analytic([])
     assert jet.state.cov.shape == (0, 4, 4)
     assert jet.dmean[1].shape == (0, 4)
-    assert jet.state.errors == ()
+    assert jet.state.errors == {}

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzsloppy.exceptions import SloppyModelError
-from mzsloppy.model import ModelConfig
+from mzsloppy.model import MODEL_FIELDS, ModelConfig
 from mzsloppy.optimize import (
     OBJECTIVE_KINDS,
+    OBJECTIVE_LAYERS,
     Axis,
     Objective,
     SearchSpec,
@@ -383,6 +385,16 @@ def test_overflow_row_names_its_error():
     )
     with pytest.raises(OverflowError):
         objective_value(dataclasses.replace(spec.base, q=1e154), Objective(kind="Q11"))
+    # at theta = alpha = 1e308 the angle sum gamma + theta overflows:
+    # math.cos(inf) leaves its domain where numpy's cos(inf) is NaN, and
+    # both read as the overflow
+    config = ModelConfig(r=0.5, x=0.5, alpha=1e308, theta=1e308)
+    for kind in ("Q22", "minus_R"):
+        spec = SearchSpec(base=config, axes=(Axis("x", (0.5,)),))
+        row = grid_scan(spec, Objective(kind=kind)).rows[0]
+        with pytest.raises(OverflowError) as raised:
+            objective_value(config, Objective(kind=kind))
+        assert error_message(raised.value) == row.error == "OverflowError: math range error"
 
 
 # the numeric cases keep the ids they had before the closed-form layer joined
@@ -549,7 +561,7 @@ def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
     configs = [ModelConfig(r=0.5, x=0.5, q=0.3, theta=t, phi=p)
                for t, p in ((0.3, 0.2), (PI / 2, PI / 4), (1.1, 0.0))]
     values, errors = _objective_values(parameters(configs), _WorstOverPhase(kind="minus_R"))
-    assert errors == (None,) * 3
+    assert errors == {}
     for config, value in zip(configs, values.tolist()):
         r = [-objective_value(dataclasses.replace(config, alpha=g, lam1=0.0), minus_r)
              for g in GAMMA_GRID]
@@ -558,5 +570,47 @@ def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
     values, errors = _objective_values(
         parameters([configs[0], ModelConfig(r=0.5, x=0.0)]), _WorstOverPhase(kind="minus_R")
     )
-    assert errors[0] is None and isinstance(errors[1], SloppyModelError)
+    assert list(errors) == [1] and isinstance(errors[1], SloppyModelError)
     assert math.isnan(values[1])
+
+
+# -- properties: a scan over finite inputs never raises -----------------------
+
+# moderate values, so that most rows evaluate, magnitudes up to 1e300, and
+# values at which the moments or the information overflow
+EDGES = st.sampled_from((0.0, 20.0, 400.0, 1e160, 1e300))
+FINITE = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300), EDGES, EDGES.map(lambda v: -v))
+NON_NEGATIVE = st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e300), EDGES)
+WEIGHTS = (((1.0, 0.3), (0.3, 2.0)), ((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))
+
+
+@st.composite
+def scans(draw):
+    base = ModelConfig(**{
+        name: draw(NON_NEGATIVE if name in ("r", "x", "q") else FINITE)
+        for name in MODEL_FIELDS
+    })
+    names = draw(st.lists(st.sampled_from(MODEL_FIELDS), max_size=3, unique=True))
+    axes = tuple(Axis(n, tuple(draw(st.lists(FINITE, min_size=1, max_size=3))))
+                 for n in names)
+    kind = draw(st.sampled_from(OBJECTIVE_KINDS))
+    weight = draw(st.sampled_from(WEIGHTS)) if kind == "weighted_CQ_inverse" else None
+    objective = Objective(kind=kind, layer=draw(st.sampled_from(OBJECTIVE_LAYERS)),
+                          weight=weight, repetitions=draw(st.integers(1, 3)))
+    return SearchSpec(base=base, axes=axes), objective, draw(st.integers(1, 3))
+
+
+@settings(deadline=None, max_examples=120)
+@given(scan=scans())
+def test_scan_over_finite_inputs_never_raises(scan):
+    spec, objective, workers = scan
+    result = grid_scan(spec, objective, workers=workers)
+    assert len(result.rows) == math.prod(len(axis.values) for axis in spec.axes)
+    for row in result.rows:
+        assert (row.value is None) != (row.error is None)
+        assert row.value is None or math.isfinite(row.value)
+    values = [row.value for row in result.rows if row.value is not None]
+    if values:
+        assert result.best.value == max(values)
+    else:
+        assert result.best is None
