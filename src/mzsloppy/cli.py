@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -367,26 +369,28 @@ def run_compare(
     the phi = 0 slice, where the two layers genuinely agree) and the
     standing discrepancy notes.
     """
+    configs = []
+    try:
+        for q, phi, x in itertools.product(q_values, phi_values, x_values):
+            configs.append(ModelConfig(r=r, q=q, phi=phi, x=x))
+    finally:  # the configs before one that ModelConfig rejects fail first
+        reports = closed_forms.compare(configs)
     records = []
     offsets_q0 = {}
-    for q in q_values:
-        for phi in phi_values:
-            for x in x_values:
-                config = ModelConfig(r=r, q=q, phi=phi, x=x)
-                report = closed_forms.compare(config)
-                for rec in report.records:
-                    records.append(
-                        {
-                            "model": _model_dict(config),
-                            "entry": rec.entry,
-                            "closed_form": rec.closed_form,
-                            "numeric": rec.numeric,
-                            "abs_difference": rec.abs_difference,
-                            "rel_difference": rec.rel_difference,
-                        }
-                    )
-                    if rec.entry == "Q11" and q == 0.0:
-                        offsets_q0[(phi, x)] = rec.closed_form - rec.numeric
+    for config, report in zip(configs, reports):
+        for rec in report.records:
+            records.append(
+                {
+                    "model": _model_dict(config),
+                    "entry": rec.entry,
+                    "closed_form": rec.closed_form,
+                    "numeric": rec.numeric,
+                    "abs_difference": rec.abs_difference,
+                    "rel_difference": rec.rel_difference,
+                }
+            )
+            if rec.entry == "Q11" and config.q == 0.0:
+                offsets_q0[(config.phi, config.x)] = rec.closed_form - rec.numeric
 
     calibration = []
     for record in records:
@@ -456,6 +460,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one parser per process; argparse keeps no state between parses
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mzsloppy", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

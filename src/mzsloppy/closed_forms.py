@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -226,30 +226,41 @@ def _record(entry: str, cf: float, num: float) -> DiscrepancyRecord:
     )
 
 
-def compare(config: ModelConfig) -> DiscrepancyReport:
-    """Entrywise closed-form vs first-principles values for one config.
-
-    Reports, never asserts: the two layers are known to disagree on the
-    displacement-free parts of the Q entries (constant offset) and on the
-    normalization and displacement term of U12.
+@np.errstate(all="ignore")  # an overflow is the error raised below, not a warning
+def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
+    """Entrywise closed-form vs first-principles values: the DiscrepancyReport
+    of one config, or a tuple of them for a sequence, from one stacked engine
+    pass (the closed forms stay on math). The first failing config in order
+    raises its engine error, else its closed-form error. Reports, never
+    asserts: the two layers are known to disagree on the displacement-free
+    parts of the Q entries (constant offset) and on the normalization and
+    displacement term of U12.
     """
-    jet = jacobian_analytic(config)
-    Q = metrology.qfi_matrix(jet)
-    U = metrology.uhlmann_matrix(jet)
-    records = (
-        _record("Q11", q11_closed(config), Q[0, 0]),
-        _record("Q22", q22_closed(config), Q[1, 1]),
-        _record("Q12", q12_closed(config), Q[0, 1]),
-        _record("U12", u12_closed(config), U[0, 1]),
-    )
-    diffs = [rec.closed_form - rec.numeric for rec in records[:3]]
-    spread = max(diffs) - min(diffs)
-    scale = max(1.0, max(abs(d) for d in diffs))
-    flags = {
-        "max_abs_difference": max(rec.abs_difference for rec in records),
-        "max_rel_difference": max(rec.rel_difference for rec in records),
-        "q_offset_shared": bool(spread <= 1e-9 * scale),
-        "q_offset_value": float(np.mean(diffs)),
-        "u12_abs_difference": records[3].abs_difference,
-    }
-    return DiscrepancyReport(records=records, flags=flags)
+    single = isinstance(config, ModelConfig)
+    configs = [config] if single else config
+    jet = jacobian_analytic(configs)
+    Q, q_errors = metrology.qfi_matrix(jet)
+    U, u_errors = metrology.uhlmann_matrix(jet)
+    errors = {**u_errors, **q_errors}
+    reports = []
+    for i, cfg in enumerate(configs):
+        if i in errors:
+            raise errors[i]
+        records = (
+            _record("Q11", q11_closed(cfg), Q[i, 0, 0]),
+            _record("Q22", q22_closed(cfg), Q[i, 1, 1]),
+            _record("Q12", q12_closed(cfg), Q[i, 0, 1]),
+            _record("U12", u12_closed(cfg), U[i, 0, 1]),
+        )
+        diffs = [rec.closed_form - rec.numeric for rec in records[:3]]
+        spread = max(diffs) - min(diffs)
+        scale = max(1.0, max(abs(d) for d in diffs))
+        flags = {
+            "max_abs_difference": max(rec.abs_difference for rec in records),
+            "max_rel_difference": max(rec.rel_difference for rec in records),
+            "q_offset_shared": bool(spread <= 1e-9 * scale),
+            "q_offset_value": float(np.mean(diffs)),
+            "u12_abs_difference": records[3].abs_difference,
+        }
+        reports.append(DiscrepancyReport(records=records, flags=flags))
+    return reports[0] if single else tuple(reports)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzsloppy
+from mzsloppy import cli
 from mzsloppy.cli import THREADS_ENV_VAR, main
 from mzsloppy.model import ModelConfig
 from mzsloppy.optimize import Objective, objective_value
@@ -409,6 +410,31 @@ class TestDriver:
         code, _, err = run_cli(capsys, ["transmogrify"])
         assert code == 1
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once per process, so no call may leave
+        # anything behind for the next: each gets its own exit code and message
+        assert cli._build_parser() is cli._build_parser()
+        cmp_cfg = write_config(tmp_path, {"x_values": [0.5]}, name="cmp.json")
+        eval_cfg = write_config(tmp_path, {"model": model_dict(r=0.5)}, name="eval.json")
+        calls = [
+            (["compare", "--config", cmp_cfg], 0, "", "mzsloppy.compare/1"),
+            (["eval", "--config", eval_cfg, "--format", "xml"], 1,
+             "mzsloppy: error: argument --format: invalid choice: 'xml'", ""),
+            (["scan"], 1,
+             "mzsloppy: error: the following arguments are required: --config", ""),
+            (["eval", "--config", eval_cfg], 2, "", "mzsloppy.eval/1"),
+            (["compare", "--config", cmp_cfg, "--format", "csv"], 1,
+             "mzsloppy: error: format 'csv' is only available for scan, not 'compare'", ""),
+            (["compare", "--config", cmp_cfg, "--bogus"], 1,
+             "mzsloppy: error: unrecognized arguments: --bogus", ""),
+            (["compare", "--config", cmp_cfg], 0, "", "mzsloppy.compare/1"),
+        ]
+        for argv, want_code, want_err, want_schema in calls:
+            code, out, err = run_cli(capsys, argv)
+            assert code == want_code, argv
+            assert err.startswith(want_err) and err.count("\n") == int(bool(want_err)), argv
+            assert (json.loads(out)["schema"] if out else "") == want_schema, argv
+
     def test_out_file_keeps_stdout_quiet(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": model_dict(r=0.5)})
         out_path = tmp_path / "result.json"
@@ -555,10 +581,17 @@ class TestEngineErrors:
                                      alpha=0.7, lam1=0.2, lam2=0.9)},
                 "OverflowError: math range error",
             ),
+            ("compare", {"r": 0.5, "q_values": [1e200]}, "OverflowError: math range error"),
+            # the first config is fine, the second one's moments overflow
+            ("compare", {"r": 0.5, "x_values": [0.0, 400.0]}, "state moments must be finite"),
+            # a config that fails comes before a later one that ModelConfig rejects
+            ("compare", {"r": 0.5, "q_values": [1e200], "x_values": [0.0, -1.0]},
+             "OverflowError: math range error"),
         ],
         ids=["optimize_r400", "eval_r400", "eval_r4_x2", "scan_asymmetric_weight",
              "optimize_indefinite_weight", "eval_nan_weight", "eval_nan_threshold",
-             "scan_nan_weight", "optimize_inf_weight", "eval_information_overflow"],
+             "scan_nan_weight", "optimize_inf_weight", "eval_information_overflow",
+             "compare_information_overflow", "compare_x400", "compare_overflow_before_negative_x"],
     )
     def test_error_line_and_exit_one(self, tmp_path, command, config, reason):
         cfg = write_config(tmp_path, config)
@@ -605,14 +638,20 @@ SCANS = st.fixed_dictionaries({
         min_size=1, max_size=3, unique_by=lambda axis: axis["name"],
     ),
 }, optional={"workers": st.integers(1, 3)})
+COMPARES = st.fixed_dictionaries({
+    "r": NON_NEGATIVE,
+    **{name: st.lists(FINITE, min_size=1, max_size=3)
+       for name in ("q_values", "phi_values", "x_values")},
+})
 
 
 @settings(deadline=None, max_examples=100)
-@given(command_config=st.tuples(st.just("eval"), EVALS) | st.tuples(st.just("scan"), SCANS),
+@given(command_config=st.tuples(st.just("eval"), EVALS) | st.tuples(st.just("scan"), SCANS)
+       | st.tuples(st.just("compare"), COMPARES),
        fmt=st.sampled_from(["json", "csv"]))
 def test_every_finite_config_exits_zero_one_or_two(command_config, fmt):
     command, config = command_config
-    if command == "eval":
+    if command != "scan":
         fmt = "json"
     with tempfile.TemporaryDirectory() as work:
         cfg = os.path.join(work, "cfg.json")

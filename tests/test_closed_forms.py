@@ -322,3 +322,32 @@ class TestCompare:
             4 * q * q * math.sinh(2 * x) * math.sin(gamma), rel=1e-9
         )
         assert report.flags["u12_abs_difference"] > 1.0
+
+    def test_sequence_is_its_single_reports(self):
+        # one stacked engine pass gives every config exactly its own report
+        rng = np.random.default_rng(2026)
+        pi = math.pi
+        configs = [
+            ModelConfig(
+                r=rng.uniform(0.0, 1.2), q=rng.uniform(0.05, 2.0), beta=rng.uniform(-pi, pi),
+                theta=rng.uniform(-pi, pi), phi=rng.uniform(0.0, pi / 2),
+                x=rng.uniform(0.0, 1.2), alpha=rng.uniform(-pi, pi),
+                lam1=rng.uniform(-pi, pi), lam2=rng.uniform(-pi, pi),
+            )
+            for _ in range(40)
+        ]
+        reports = compare(configs)
+        assert isinstance(reports, tuple) and len(reports) == len(configs)
+        for config, report in zip(configs, reports):
+            single = compare(config)
+            assert report.records == single.records
+            assert report.flags == single.flags
+
+    def test_sequence_raises_the_first_failing_config(self):
+        # the first config's closed forms overflow; the second one's engine
+        # moments do too, but it comes later in the sequence
+        configs = [ModelConfig(r=0.5, q=1e160, x=x) for x in (0.0, 400.0)]
+        with pytest.raises(ValueError, match="state moments must be finite"):
+            compare(configs[1])
+        with pytest.raises(OverflowError):
+            compare(configs)
