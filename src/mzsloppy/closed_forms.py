@@ -27,7 +27,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import metrology
-from .model import ModelColumns, ModelConfig, jacobian_analytic
+from .model import GAMMA_MESSAGE, ModelColumns, ModelConfig, jacobian_analytic
 
 # one configuration, evaluated with math, or N of them as columns, with numpy
 Inputs = Union[ModelConfig, ModelColumns]
@@ -246,12 +246,17 @@ def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
     for i, cfg in enumerate(configs):
         if i in errors:
             raise errors[i]
-        records = (
-            _record("Q11", q11_closed(cfg), Q[i, 0, 0]),
-            _record("Q22", q22_closed(cfg), Q[i, 1, 1]),
-            _record("Q12", q12_closed(cfg), Q[i, 0, 1]),
-            _record("U12", u12_closed(cfg), U[i, 0, 1]),
-        )
+        try:
+            records = (
+                _record("Q11", q11_closed(cfg), Q[i, 0, 0]),
+                _record("Q22", q22_closed(cfg), Q[i, 1, 1]),
+                _record("Q12", q12_closed(cfg), Q[i, 0, 1]),
+                _record("U12", u12_closed(cfg), U[i, 0, 1]),
+            )
+        except (ValueError, ArithmeticError) as exc:  # math overflows or leaves its domain
+            if str(exc) == GAMMA_MESSAGE:
+                raise
+            raise OverflowError("math range error") from None
         diffs = [rec.closed_form - rec.numeric for rec in records[:3]]
         spread = max(diffs) - min(diffs)
         scale = max(1.0, max(abs(d) for d in diffs))

@@ -341,7 +341,9 @@ def refine_local(
     candidate must beat the start by more than numerical noise to replace
     it (otherwise a flat optimum manifold would let round-off walk the
     point arbitrarily far from the scanned maximum). capped reports
-    whether the iteration budget cut the polish short.
+    whether the iteration budget cut the polish short. A minus_R start at
+    its bound R = 0 (to within that noise) cannot be beaten and runs no
+    simplex: 0 iterations.
 
     Accepted candidates are canonicalized along flat directions: when
     resetting one coordinate to its value in the base configuration leaves
@@ -356,6 +358,10 @@ def refine_local(
         raise ValueError(f"start point is missing axes {missing}")
     x0 = np.array([float(start_point[n]) for n in names])
     start_value = objective_value(_point_config(spec, tuple(x0)), objective)
+    margin = 1e-12 * max(1.0, abs(start_value))
+    if objective.kind == "minus_R" and start_value + margin >= 0.0:
+        # R >= 0, so no candidate can beat a start at the bound R = 0
+        return RefineResult(dict(start_point), start_value, start_value, 0, False, False)
 
     def negated(vec: np.ndarray) -> float:
         try:
@@ -371,7 +377,6 @@ def refine_local(
     )
     candidate = -float(res.fun)
     capped = not bool(res.success)
-    margin = 1e-12 * max(1.0, abs(start_value))
     if candidate > start_value + margin:
         coords = [float(v) for v in res.x]
         noise = 1e-12 * max(1.0, abs(candidate))
@@ -418,22 +423,19 @@ def _axis_flat(
     spec: SearchSpec, objective: Objective, axis: Axis, anchor: dict, offset: float
 ) -> bool:
     """True when the objective is constant along this axis at the anchor
-    slice shifted by `offset` on every other axis."""
-    probe = dict(anchor)
+    slice shifted by `offset` on every other axis, all probes one batch."""
+    probes = np.repeat(parameters([spec.base]), len(axis.values), axis=0)
     for other in spec.axes:
         if other.name != axis.name:
-            probe[other.name] = float(probe[other.name]) + offset
-    vals = []
-    for v in axis.values:
-        probe_point = dict(probe)
-        probe_point[axis.name] = v
-        cfg = dataclasses.replace(spec.base, **probe_point)
-        try:
-            vals.append(objective_value(cfg, objective))
-        except POINT_ERRORS:
-            return False
-    spread = max(vals) - min(vals)
-    return spread <= 1e-9 * max(1.0, max(abs(v) for v in vals))
+            probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
+    probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
+    if row_errors(probes):
+        return False
+    values, errors = _objective_values(probes, objective)
+    if errors:
+        return False
+    spread = values.max() - values.min()
+    return bool(spread <= 1e-9 * max(1.0, np.abs(values).max()))
 
 
 def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> list[str]:

@@ -587,11 +587,14 @@ class TestEngineErrors:
             # a config that fails comes before a later one that ModelConfig rejects
             ("compare", {"r": 0.5, "q_values": [1e200], "x_values": [0.0, -1.0]},
              "OverflowError: math range error"),
+            # an angle whose closed forms leave math's domain is worded as in a scan row
+            ("compare", {"phi_values": [1e308]}, "OverflowError: math range error"),
         ],
         ids=["optimize_r400", "eval_r400", "eval_r4_x2", "scan_asymmetric_weight",
              "optimize_indefinite_weight", "eval_nan_weight", "eval_nan_threshold",
              "scan_nan_weight", "optimize_inf_weight", "eval_information_overflow",
-             "compare_information_overflow", "compare_x400", "compare_overflow_before_negative_x"],
+             "compare_information_overflow", "compare_x400", "compare_overflow_before_negative_x",
+             "compare_phi_overflow"],
     )
     def test_error_line_and_exit_one(self, tmp_path, command, config, reason):
         cfg = write_config(tmp_path, config)

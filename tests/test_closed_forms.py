@@ -351,3 +351,13 @@ class TestCompare:
             compare(configs[1])
         with pytest.raises(OverflowError):
             compare(configs)
+
+    def test_closed_form_errors_read_as_the_objectives_do(self):
+        # math.cos(inf) leaves math's domain: the overflow of a scan row;
+        # a non-finite gamma keeps its own error
+        for config, error, message in (
+            (ModelConfig(r=0.5, x=0.5, phi=1e308), OverflowError, "math range error"),
+            (ModelConfig(r=0.5, x=0.5, alpha=1e308, lam1=1e308), ValueError, "gamma"),
+        ):
+            with pytest.raises(error, match=message):
+                compare(config)

@@ -12,9 +12,12 @@ from mzsloppy.model import MODEL_FIELDS, ModelConfig
 from mzsloppy.optimize import (
     OBJECTIVE_KINDS,
     OBJECTIVE_LAYERS,
+    POINT_ERRORS,
     Axis,
     Objective,
     SearchSpec,
+    _WorstOverPhase,
+    degenerate_axes,
     error_message,
     find_known_configurations,
     fold_angles,
@@ -234,6 +237,25 @@ class TestRefine:
         assert refined.capped
         assert refined.iterations <= 2
 
+    def test_start_at_zero_quantumness_runs_no_simplex(self):
+        # R >= 0, so a minus_R start at the balanced setting, where R = 0,
+        # is already at the objective's bound
+        spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.3, alpha=0.4),
+                          axes=(Axis("theta", HALF_GRID), Axis("phi", HALF_GRID)))
+        start = {"theta": PI / 2, "phi": PI / 4}
+        refined = refine_local(spec, Objective(kind="minus_R"), start)
+        assert refined.iterations == 0
+        assert not refined.capped and not refined.improved
+        assert refined.point == start
+        assert refined.value == refined.start_value
+
+    def test_start_above_zero_quantumness_runs_the_simplex(self):
+        spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.3, alpha=0.4),
+                          axes=(Axis("theta", HALF_GRID), Axis("phi", HALF_GRID)))
+        refined = refine_local(spec, Objective(kind="minus_R"), {"theta": 0.3, "phi": 0.2})
+        assert refined.start_value < -0.01
+        assert refined.iterations > 0
+
 
 class TestFoldAngles:
     def test_theta_mod_pi(self):
@@ -303,7 +325,7 @@ class TestFindKnownConfigurations:
     def test_large_squeezing_optimal_despite_failed_grid_rows(self):
         # r = 8: the theta = 0 rows of the worst-case scan fail the
         # singular-Q gate, yet the balanced setting is evaluable and found
-        from mzsloppy.optimize import PHI_GRID, _WorstOverPhase
+        from mzsloppy.optimize import PHI_GRID
 
         base = ModelConfig(r=8.0, x=0.5, q=0.5)
         rows = grid_scan(
@@ -555,7 +577,7 @@ def test_refine_rejects_steps_to_non_finite_values(recwarn):
 
 def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
     from mzsloppy.model import parameters
-    from mzsloppy.optimize import GAMMA_GRID, _objective_values, _WorstOverPhase
+    from mzsloppy.optimize import GAMMA_GRID, _objective_values
 
     minus_r = Objective(kind="minus_R")
     configs = [ModelConfig(r=0.5, x=0.5, q=0.3, theta=t, phi=p)
@@ -614,3 +636,59 @@ def test_scan_over_finite_inputs_never_raises(scan):
         assert result.best.value == max(values)
     else:
         assert result.best is None
+
+
+# -- property: a batched flatness probe is its per-probe loop -----------------
+
+
+def flat_axes_per_probe(spec, objective, anchor):
+    """degenerate_axes one probe at a time through objective_value, a probe
+    that ModelConfig rejects or that fails ending its slice as not flat."""
+    flat = []
+    for axis in spec.axes:
+        verdicts = []
+        for offset in (0.0, 0.4):
+            probe = {other.name: float(anchor[other.name]) + offset
+                     for other in spec.axes if other.name != axis.name}
+            try:
+                vals = [objective_value(dataclasses.replace(spec.base, **probe, **{axis.name: v}),
+                                        objective)
+                        for v in axis.values]
+            except POINT_ERRORS:
+                verdicts.append(False)
+                continue
+            spread = max(vals) - min(vals)
+            verdicts.append(spread <= 1e-9 * max(1.0, max(abs(v) for v in vals)))
+        if all(verdicts):
+            flat.append(axis.name)
+    return flat
+
+
+# r = 0 makes the angle axes flat for Q22, and the worst case over the
+# squeezer phase is flat along alpha and lam1; negative values put rows with
+# a negative r, x or q on the slices
+PROBE_VALUES = st.one_of(st.floats(-1.0, 3.0), st.sampled_from((0.0, -0.2, PI / 4, PI / 2)))
+
+
+@st.composite
+def flatness_probes(draw):
+    base = ModelConfig(**{
+        name: draw(st.sampled_from((0.0, 0.5)) | st.floats(0.0, 1.5))
+        if name in ("r", "x", "q") else draw(st.floats(-3.0, 3.0))
+        for name in MODEL_FIELDS
+    })
+    names = draw(st.lists(st.sampled_from(MODEL_FIELDS), min_size=1, max_size=3, unique=True))
+    axes = tuple(Axis(n, tuple(draw(st.lists(PROBE_VALUES, min_size=1, max_size=4))))
+                 for n in names)
+    layer = draw(st.sampled_from(OBJECTIVE_LAYERS))
+    objective = draw(st.sampled_from((Objective(kind="Q22", layer=layer),
+                                      _WorstOverPhase(kind="minus_R", layer=layer))))
+    anchor = {n: draw(PROBE_VALUES) for n in names}
+    return SearchSpec(base=base, axes=axes), objective, anchor
+
+
+@settings(deadline=None, max_examples=80)
+@given(probe=flatness_probes())
+def test_batched_flatness_is_the_per_probe_loop(probe):
+    spec, objective, anchor = probe
+    assert degenerate_axes(spec, objective, anchor) == flat_axes_per_probe(spec, objective, anchor)
