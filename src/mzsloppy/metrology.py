@@ -31,8 +31,9 @@ from .model import ModelJet
 # fraction of max(1, largest eigenvalue)
 SINGULAR_Q_TOL = 1e-12
 
-# default sloppiness threshold is relative to trace(Q); absolute floor for
-# the degenerate zero-trace matrix (vacuum-like configs are legal downstream)
+# default sloppiness threshold: this fraction of max(1, trace(Q)), the scale
+# rule of SINGULAR_Q_TOL, so a Q that is round-off near zero (a vacuum-like
+# config, legal downstream) is sloppy
 THRESHOLD_SCALE = 1e-8
 
 _SINGULAR_MESSAGE = (
@@ -191,8 +192,7 @@ class SloppinessReport:
 
 
 def default_threshold(Q: np.ndarray) -> float:
-    tr = float(np.trace(Q))
-    return THRESHOLD_SCALE * tr if tr > 0 else THRESHOLD_SCALE
+    return THRESHOLD_SCALE * max(1.0, float(np.trace(Q)))
 
 
 def sloppiness_report(Q: np.ndarray, threshold: float | None = None) -> SloppinessReport:

@@ -31,8 +31,6 @@ FD_STEP_MAX = 1e-3
 
 PARAMETER_NAMES = ("lam1", "lam2")
 
-MODEL_FIELDS = ("r", "q", "beta", "theta", "phi", "x", "alpha", "lam1", "lam2")
-
 # checked in this order, so the first negative one names a config's error
 NON_NEGATIVE_FIELDS = ("r", "x", "q")
 _NEGATIVE_MESSAGE = "model field {} must be non-negative"
@@ -78,6 +76,8 @@ class ModelConfig:
         return gamma
 
 
+MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+
 _fields = operator.attrgetter(*MODEL_FIELDS)
 
 
@@ -101,8 +101,8 @@ def row_errors(params: np.ndarray) -> dict:
 class ModelColumns:
     """N configurations as read-only columns: one (N,) array per model
     field, plus gamma, which is not checked here (a row whose gamma is not
-    finite is the caller's error). The closed forms read it in place of a
-    ModelConfig and evaluate all rows at once."""
+    finite is the caller's error). The closed forms and build_mz_model read
+    it in place of a ModelConfig and evaluate all rows at once."""
 
     def __init__(self, params: np.ndarray):
         columns = np.asarray(params, dtype=float).T.view()
@@ -126,61 +126,46 @@ class ModelJet:
     dmean: tuple[np.ndarray, np.ndarray]
 
 
-def _circuit(r, q, beta, theta, phi, x, alpha, lam1, lam2) -> list[Gate]:
+def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
+    """Gate sequence on two modes; inputs are vacuum + vacuum. Reads the
+    fields of one ModelConfig, or of N configurations as ModelColumns, which
+    gives gates whose parameters are (N,) arrays."""
     return [
-        Squeezer(mode=0, magnitude=r, angle=0.0),
-        Squeezer(mode=1, magnitude=r, angle=0.0),
-        Displacement(mode=0, amplitude=q, angle=beta),
-        BeamSplitter(modes=(0, 1), mix=phi, phase=theta),
-        PhaseRotation(mode=0, angle=lam1),
-        Squeezer(mode=0, magnitude=x, angle=alpha),
-        PhaseRotation(mode=0, angle=lam2),
+        Squeezer(mode=0, magnitude=inp.r, angle=0.0),
+        Squeezer(mode=1, magnitude=inp.r, angle=0.0),
+        Displacement(mode=0, amplitude=inp.q, angle=inp.beta),
+        BeamSplitter(modes=(0, 1), mix=inp.phi, phase=inp.theta),
+        PhaseRotation(mode=0, angle=inp.lam1),
+        Squeezer(mode=0, magnitude=inp.x, angle=inp.alpha),
+        PhaseRotation(mode=0, angle=inp.lam2),
     ]
 
 
-def build_mz_model(config: ModelConfig) -> list[Gate]:
-    """Gate sequence on two modes; inputs are vacuum + vacuum."""
-    return _circuit(*(getattr(config, name) for name in MODEL_FIELDS))
-
-
-# positions of the bound phase gates in the list above -> derivative slot
-_BOUND_GATES = {4: 0, 6: 1}
-
-# d/da [[cos a, sin a], [-sin a, cos a]] = R(a) @ [[0, 1], [-1, 0]]
-_ROTATION_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# J0 = Omega P0, the generator of a mode-0 phase rotation: dS/dlam = J0 S
+_J0 = np.zeros((4, 4))
+_J0[0, 1], _J0[1, 0] = 1.0, -1.0
 
 
 def _propagate(params: np.ndarray):
     """(cov, mean, dcov, dmean) of the output for an (N, 9) parameter array.
 
-    At each bound phase gate the derivative S' = S @ J is inserted once
-    (J is the rotation generator on the gate's mode); every later gate
-    conjugates the accumulated derivatives exactly.
+    The only rotations of the circuit are the estimated phases, lam1 then
+    lam2. Right after each, its derivative opens as J0 cov - cov J0 and
+    J0 mean; every later gate conjugates it as it does the state.
     """
-    n = len(params)
-    cov = np.broadcast_to(np.eye(4) / 2, (n, 4, 4))
-    mean = np.zeros((n, 4, 1))  # means are carried as columns
-    # None stands for a derivative that is still exactly zero
-    dcov: list = [None, None]
-    dmean: list = [None, None]
-    for i, gate in enumerate(_circuit(*params.T)):
+    cov = np.broadcast_to(np.eye(4) / 2, (len(params), 4, 4))
+    mean = np.zeros((len(params), 4, 1))  # means are carried as columns
+    dcov, dmean = [], []
+    for gate in build_mz_model(ModelColumns(params)):
         S, shift = gate_symplectic(gate, 2)
         St = S.transpose(0, 2, 1)
-        for p in range(2):
-            if dcov[p] is not None:
-                dcov[p] = S @ dcov[p] @ St
-                dmean[p] = S @ dmean[p]
-        if i in _BOUND_GATES:
-            p = _BOUND_GATES[i]
-            mode = gate.mode
-            J = np.zeros((4, 4))
-            J[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = _ROTATION_GENERATOR
-            Sp = S @ J
-            inserted = Sp @ cov @ St + S @ cov @ Sp.transpose(0, 2, 1)
-            dcov[p] = inserted if dcov[p] is None else dcov[p] + inserted
-            dmean[p] = Sp @ mean if dmean[p] is None else dmean[p] + Sp @ mean
+        dcov = [S @ d @ St for d in dcov]
+        dmean = [S @ d for d in dmean]
         cov = S @ cov @ St
         mean = S @ mean + shift[..., None]
+        if isinstance(gate, PhaseRotation):
+            dcov.append(_J0 @ cov - cov @ _J0)
+            dmean.append(_J0 @ mean)
     return cov, mean[..., 0], dcov, [d[..., 0] for d in dmean]
 
 
@@ -217,8 +202,8 @@ def evaluate_state(config: Union[ModelConfig, Sequence[ModelConfig]]) -> Gaussia
 
 def jacobian_fd(config: ModelConfig, step: float = FD_STEP_DEFAULT) -> ModelJet:
     """Central-difference jet from output states alone; the oracle for the
-    derivative insertion of jacobian_analytic, whose propagation of the
-    states it shares (tests check those against a separate oracle)."""
+    derivatives of jacobian_analytic, whose propagation of the states it
+    shares (tests check those against a separate oracle)."""
     if not (FD_STEP_MIN <= step <= FD_STEP_MAX):
         raise ValueError(
             f"step must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {step:g}"

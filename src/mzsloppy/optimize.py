@@ -125,9 +125,10 @@ def _matrices(points, objective: Objective):
 
 
 class _WorstOverPhase(Objective):
-    """minus_R at its worst over the squeezer phase: -max(0, max R) over
-    GAMMA_GRID (alpha = gamma, lam1 = 0). Used by find_known_configurations
-    only; it is not an OBJECTIVE_KINDS entry, so no config can select it."""
+    """minus_R on its layer at its worst over the squeezer phase:
+    -max(0, max R) over GAMMA_GRID (alpha = gamma, lam1 = 0). Used by
+    find_known_configurations only; it is not an OBJECTIVE_KINDS entry, so
+    no config can select it."""
 
 
 THETA_GRID = tuple(i * math.pi / 8 for i in range(8))
@@ -155,15 +156,15 @@ def _kind_values(points, objective: Objective):
     return 1.0 / bounds.c_q, {**zero, **crb_errors, **errors}
 
 
-def _worst_over_phase(points):
-    """All phases of all points as one minus_R batch; a point fails with
-    its first phase's error."""
+def _worst_over_phase(points, layer: str):
+    """All phases of all points as one minus_R batch on `layer`; a point
+    fails with its first phase's error."""
     params = points if isinstance(points, np.ndarray) else parameters([points])
     n = len(GAMMA_GRID)
     phased = np.repeat(params, n, axis=0)
     phased[:, _ALPHA] = np.tile(GAMMA_GRID, len(params))
     phased[:, _LAM1] = 0.0
-    values, errors = _objective_values(phased, Objective(kind="minus_R"))
+    values, errors = _objective_values(phased, Objective(kind="minus_R", layer=layer))
     r_max = (-values).reshape(-1, n).max(axis=1)
     worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
     # the lowest phase of a point is written last, so its error stays
@@ -177,7 +178,7 @@ def _objective_values(points, objective: Objective):
     overflow; the error says so, no warning is printed."""
     with np.errstate(all="ignore"):
         if isinstance(objective, _WorstOverPhase):
-            values, errors = _worst_over_phase(points)
+            values, errors = _worst_over_phase(points, objective.layer)
         else:
             values, errors = _kind_values(points, objective)
     nonfinite = {

@@ -74,6 +74,18 @@ class TestEval:
         assert dist < 1e-6
         assert "quantumness" in payload and "error" in payload["quantumness"]
 
+    def test_vacuum_model_exits_two(self, tmp_path, capsys):
+        # r = x = q = 0 with non-zero angles: Q is round-off, which the
+        # quantumness block calls singular, and the sloppiness verdict agrees
+        model = model_dict(beta=0.3, theta=0.7, phi=0.4, alpha=1.1, lam1=0.5, lam2=-0.9)
+        cfg = write_config(tmp_path, {"model": model})
+        code, out, _ = run_cli(capsys, ["eval", "--config", cfg])
+        assert code == 2
+        payload = json.loads(out)
+        assert "error" in payload["quantumness"]
+        assert payload["sloppiness"]["sloppy"] is True
+        assert payload["sloppiness"]["threshold"] == 1e-8
+
     def test_balanced_configuration_exits_zero(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

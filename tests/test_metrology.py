@@ -242,6 +242,16 @@ class TestSloppiness:
         assert report.sloppy is True
         assert len(report.null_directions) == 2
 
+    def test_vacuum_information_matrix_is_sloppy(self):
+        # r = x = q = 0: the output is vacuum whatever the angles, so Q is
+        # round-off (about 1e-32); the threshold does not shrink with it
+        q = qfi_matrix(jet_at(beta=0.3, theta=0.7, phi=0.4, alpha=1.1, lam1=0.5, lam2=-0.9))
+        assert np.abs(q).max() < 1e-20
+        report = sloppiness_report(q)
+        assert report.threshold == 1e-8
+        assert report.sloppy is True
+        assert len(report.null_directions) == 2
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             sloppiness_report(np.eye(2), threshold=0.0)

@@ -12,7 +12,9 @@ from mzsloppy.gaussian import (
     Displacement,
     PhaseRotation,
     Squeezer,
+    gate_symplectic,
     physicality_check,
+    symplectic_form,
 )
 from mzsloppy.model import (
     FD_STEP_MAX,
@@ -200,6 +202,26 @@ class TestJacobianAnalytic:
         for _ in range(20):
             cfg = random_config(rng)
             assert jet_distance(jacobian_analytic(cfg), jacobian_fd(cfg)) < 1e-6
+
+    def test_jet_is_the_commutator_with_each_phase_generator(self):
+        # each phase is generated by the mode-0 number operator; in the output
+        # frame its generator is A2 = P0 for lam2 (the last gate) and
+        # A1 = S_t^-T P0 S_t^-1 for lam1, with S_t the squeezer-then-lam2 tail,
+        # so dcov_j = Om A_j cov - cov A_j Om and dmean_j = Om A_j mean
+        om = symplectic_form(2)
+        p0 = np.diag([1.0, 1.0, 0.0, 0.0])
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            cfg = random_config(rng, q_max=2.0)
+            cfg = dataclasses.replace(cfg, r=rng.uniform(0, 2), x=rng.uniform(0, 2))
+            squeezer, rotation = build_mz_model(cfg)[-2:]
+            s_t = gate_symplectic(rotation, 2)[0] @ gate_symplectic(squeezer, 2)[0]
+            s_t_inv = -om @ s_t.T @ om
+            jet = jacobian_analytic(cfg)
+            cov, mean = jet.state.cov, jet.state.mean
+            for a, dcov, dmean in zip((s_t_inv.T @ p0 @ s_t_inv, p0), jet.dcov, jet.dmean):
+                for got, want in ((dcov, om @ a @ cov - cov @ a @ om), (dmean, om @ a @ mean)):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
     def test_dcov_symmetric(self):
         rng = np.random.default_rng(29)

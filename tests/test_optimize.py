@@ -579,21 +579,23 @@ def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
     from mzsloppy.model import parameters
     from mzsloppy.optimize import GAMMA_GRID, _objective_values
 
-    minus_r = Objective(kind="minus_R")
     configs = [ModelConfig(r=0.5, x=0.5, q=0.3, theta=t, phi=p)
                for t, p in ((0.3, 0.2), (PI / 2, PI / 4), (1.1, 0.0))]
-    values, errors = _objective_values(parameters(configs), _WorstOverPhase(kind="minus_R"))
-    assert errors == {}
-    for config, value in zip(configs, values.tolist()):
-        r = [-objective_value(dataclasses.replace(config, alpha=g, lam1=0.0), minus_r)
-             for g in GAMMA_GRID]
-        assert value == -max([0.0] + r)
-    # a failed phase fails the config, with the first phase's error
-    values, errors = _objective_values(
-        parameters([configs[0], ModelConfig(r=0.5, x=0.0)]), _WorstOverPhase(kind="minus_R")
-    )
-    assert list(errors) == [1] and isinstance(errors[1], SloppyModelError)
-    assert math.isnan(values[1])
+    for layer in OBJECTIVE_LAYERS:
+        minus_r = Objective(kind="minus_R", layer=layer)
+        worst = _WorstOverPhase(kind="minus_R", layer=layer)
+        values, errors = _objective_values(parameters(configs), worst)
+        assert errors == {}
+        for config, value in zip(configs, values.tolist()):
+            r = [-objective_value(dataclasses.replace(config, alpha=g, lam1=0.0), minus_r)
+                 for g in GAMMA_GRID]
+            assert value == -max([0.0] + r)
+        # a failed phase fails the config, with the first phase's error
+        values, errors = _objective_values(
+            parameters([configs[0], ModelConfig(r=0.5, x=0.0)]), worst
+        )
+        assert list(errors) == [1] and isinstance(errors[1], SloppyModelError)
+        assert math.isnan(values[1])
 
 
 # -- properties: a scan over finite inputs never raises -----------------------
