@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -286,6 +287,63 @@ def run_scan(config_obj: dict) -> tuple[dict, int]:
     return payload, 0
 
 
+class _FloatTexts(dict):
+    """float -> its text as json.dumps writes it, cached per payload. Zeros
+    are not cached: 0.0 and -0.0 are equal and hash alike, but print
+    differently."""
+
+    def __missing__(self, v: float) -> str:
+        if v != v:
+            return "NaN"
+        if v in (math.inf, -math.inf):
+            return "Infinity" if v > 0 else "-Infinity"
+        text = float.__repr__(v)
+        if v:
+            self[v] = text
+        return text
+
+
+def _scan_rows_text(rows: list) -> str:
+    """The rows of a scan payload as json.dumps(sort_keys=True, indent=2)
+    writes them inside the payload: one string template per row, its point
+    keys sorted. Every row carries the same point names."""
+    names = sorted(rows[0]["point"])
+    points = ",\n".join(f"        {encode_basestring_ascii(n)}: %s" for n in names)
+    template = (
+        '    {\n      "error": %s,\n      "point": {\n'
+        + points
+        + '\n      },\n      "value": %s\n    }'
+    )
+    floats = _FloatTexts()
+    texts = []
+    for row in rows:
+        point, value, error = row["point"], row["value"], row["error"]
+        texts.append(
+            template
+            % (
+                "null" if error is None else encode_basestring_ascii(error),
+                *[floats[point[n]] for n in names],
+                "null" if value is None else floats[value],
+            )
+        )
+    return ",\n".join(texts)
+
+
+def _json_text(payload: dict) -> str:
+    """payload as json.dumps(payload, sort_keys=True, indent=2) + newline,
+    byte for byte. The rows of a scan come from _scan_rows_text, spliced
+    into the dump of the rest: json.dumps writes indented output in pure
+    Python, which costs more than the scan itself."""
+    rows = payload.get("rows")
+    if not rows:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a newline never occurs inside a JSON string, so the slot of the
+    # top-level "rows" key is the only match
+    head = json.dumps({**payload, "rows": [None]}, sort_keys=True, indent=2)
+    body = '\n  "rows": [\n' + _scan_rows_text(rows) + "\n  ]"
+    return head.replace('\n  "rows": [\n    null\n  ]', body, 1) + "\n"
+
+
 def _scan_csv(payload: dict) -> str:
     names = [axis["name"] for axis in payload["axes"]]
     buf = io.StringIO()
@@ -512,7 +570,7 @@ def main(argv=None) -> int:
     if args.format == "csv":
         text = _scan_csv(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

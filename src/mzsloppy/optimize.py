@@ -16,10 +16,11 @@ against the closed-form landmark values.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.optimize
@@ -279,7 +280,8 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     scan. The best row maximizes the value; exact ties go to the
     numerically smallest value tuple. The rows are split into at most
     `workers` contiguous chunks, each evaluated as one batch (on a thread
-    pool when workers > 1); the rows do not depend on the split.
+    pool of at most os.cpu_count() threads when workers > 1); the rows do
+    not depend on the split.
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
@@ -301,7 +303,8 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     if workers == 1:
         parts = [_eval(chunk) for chunk in chunks]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        threads = min(len(chunks), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_eval, chunks))
     values = np.full(len(points), np.nan)
     for where, part, errors in parts:

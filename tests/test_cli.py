@@ -678,3 +678,49 @@ def test_every_finite_config_exits_zero_one_or_two(command_config, fmt):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (out.getvalue() == "") == (code == 1)
+
+
+# Scan-shaped payloads for the row writer: json.dumps is its byte oracle.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16])
+ANY_FLOAT = EDGE_FLOATS | st.floats()
+ROW_ERRORS = st.none() | st.text() | st.sampled_from(
+    ['"quoted"', "back\\slash", "\x00\x1f\n\t\r\x7f", "café ☃ \U0001d11e",
+     "\ud800 lone surrogate", "%s %d %%"]
+)
+
+
+@st.composite
+def scan_payloads(draw):
+    names = draw(st.permutations(list(model_dict())))[: draw(st.integers(1, 9))]
+    # every axis holds both zeros, so a value-keyed cache can mix them up
+    axes = [
+        {"name": n, "values": [0.0, -0.0] + draw(st.lists(ANY_FLOAT, max_size=3))}
+        for n in names
+    ]
+    rows = draw(st.lists(
+        st.fixed_dictionaries({
+            "point": st.fixed_dictionaries(
+                {a["name"]: st.sampled_from(a["values"]) for a in axes}),
+            "value": st.none() | ANY_FLOAT,
+            "error": ROW_ERRORS,
+        }),
+        max_size=8,
+    ))
+    weight = draw(st.none() | st.lists(st.lists(ANY_FLOAT, min_size=2, max_size=2),
+                                       min_size=2, max_size=2))
+    return {
+        "schema": "mzsloppy.scan/1",
+        "model": model_dict(r=draw(ANY_FLOAT)),
+        "objective": {"kind": draw(st.text()), "layer": "numeric",
+                      "repetitions": draw(st.integers(1, 10**6)), "weight": weight},
+        "axes": axes,
+        "workers": draw(st.integers(1, 10**9)),
+        "rows": rows,
+        "best": draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else None,
+    }
+
+
+@settings(deadline=None, max_examples=500)
+@given(payload=scan_payloads())
+def test_scan_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"

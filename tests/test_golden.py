@@ -8,7 +8,9 @@ must be equal, floats equal to a relative 1e-12 (csv cells that read as
 numbers count as floats). A float within 1e-13 of its golden value also
 matches: several outputs are round-off around zero (a worst-case
 quantumness of 3e-17, the determinant of a singular matrix), whose digits
-change with the BLAS build. To refreeze after a deliberate output change, run
+change with the BLAS build. The bytes of each JSON output are also pinned:
+they must be the json.dumps of their own parsed values. To refreeze after a
+deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,12 +35,13 @@ FLOAT_RTOL = 1e-12
 FLOAT_ATOL = 1e-13
 
 
-def run_case(case: dict, work: Path) -> tuple[int, str]:
+def run_case(case: dict, work: Path, *extra: str) -> tuple[int, str]:
     config = work / "config.json"
     config.write_text(json.dumps(case["config"]))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([case["command"], "--config", str(config), "--format", case["format"]])
+        code = main([case["command"], "--config", str(config), "--format", case["format"],
+                     *extra])
     return code, out.getvalue()
 
 
@@ -99,6 +102,28 @@ def test_golden_output(name, tmp_path, monkeypatch):
     assert code == case["exit_code"]
     want = (GOLDEN / f"{name}.{case['format']}").read_text()
     assert mismatches(parse(text, case["format"]), parse(want, case["format"])) == []
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, case in CASES.items() if case["format"] == "json")
+)
+def test_golden_json_bytes_are_the_json_dumps_of_their_values(name, tmp_path, monkeypatch):
+    # the comparison above parses; this pins whitespace and key order too
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    _, text = run_case(CASES[name], tmp_path)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, case in CASES.items() if case["command"] == "scan")
+)
+def test_scan_out_file_bytes_are_its_stdout(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    out_path = tmp_path / "out"
+    _, text = run_case(CASES[name], tmp_path)
+    code, quiet = run_case(CASES[name], tmp_path, "--out", str(out_path))
+    assert (code, quiet) == (CASES[name]["exit_code"], "")
+    assert out_path.read_bytes() == text.encode()
 
 
 def refreeze() -> None:

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzsloppy import optimize
 from mzsloppy.exceptions import SloppyModelError
 from mzsloppy.model import MODEL_FIELDS, ModelConfig
 from mzsloppy.optimize import (
@@ -524,6 +526,34 @@ def test_more_workers_than_points():
     for layer in ("closed_form", "numeric"):
         obj = Objective(kind="Q22", layer=layer)
         assert repr(grid_scan(spec, obj, workers=5)) == repr(grid_scan(spec, obj))
+
+
+def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
+    pools = []
+
+    class SerialPool:  # records the pool size, starts no thread
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(optimize, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = SearchSpec(
+        base=ModelConfig(r=0.5, x=0.5),
+        axes=(Axis("theta", tuple(0.1 * k for k in range(8))),
+              Axis("phi", tuple(0.1 * k for k in range(8)))),
+    )
+    obj = Objective(kind="Q22")
+    assert repr(grid_scan(spec, obj, workers=64)) == repr(grid_scan(spec, obj))
+    assert pools == [2]
 
 
 def test_zero_intermediate_squeezing_rows_are_errors_up_to_large_squeezing():
