@@ -129,7 +129,7 @@ def _parse_repetitions(obj) -> int:
 def run_eval(config_obj: dict) -> tuple[dict, int]:
     _check_keys(config_obj, ("model", "weight", "repetitions", "threshold"), "eval")
     if "model" not in config_obj:
-        raise ConfigError("missing model field 'model'")
+        raise ConfigError("missing eval field 'model'")
     config = _parse_model(config_obj["model"])
 
     jet = jacobian_analytic(config)

@@ -13,6 +13,8 @@ functions: `xp` is math for a ModelConfig, which gives a float and raises
 on overflow, and numpy for columns, which gives an (N,) array with inf or
 NaN where a row overflows (the caller checks). One point stays on math,
 which costs microseconds where a numpy pass costs hundreds.
+`layer_matrices` is the one evaluator of (Q, U, errors) on either layer,
+for the search and for `compare`, which reads each layer as one stack.
 `compare` reports differences between the two layers and never asserts
 agreement; the known tensions are documented in the report notes and in the
 README.
@@ -27,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import metrology
-from .model import GAMMA_MESSAGE, ModelColumns, ModelConfig, jacobian_analytic
+from .model import GAMMA_MESSAGE, ModelColumns, ModelConfig, jacobian_analytic, parameters
 
 # one configuration, evaluated with math, or N of them as columns, with numpy
 Inputs = Union[ModelConfig, ModelColumns]
@@ -182,6 +184,46 @@ def closed_q_matrix(inp: Inputs) -> np.ndarray:
     return np.moveaxis(np.array([[q11, q12], [q12, q22]]), (0, 1), (-2, -1))
 
 
+def layer_matrices(points, layer: str):
+    """Stacked (information, curvature) matrices on a layer, with per-point
+    errors, for one ModelConfig (a stack of one) or an (N, 9) parameter
+    array of rows ModelConfig accepts.
+
+    The numeric layer propagates all points in one pass. The closed-form
+    layer evaluates one ModelConfig with math, where an error of math is a
+    NaN, and an array as columns with numpy in one pass. On either layer a
+    point with no error yet whose matrices are not finite fails with the
+    overflow math raises, or on the closed-form layer, where its gamma is
+    not finite, with the ModelConfig.gamma error.
+    """
+    if layer == "numeric":
+        jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
+        q, q_errors = metrology.qfi_matrix(jet)
+        u, u_errors = metrology.uhlmann_matrix(jet)
+        errors, gamma = {**u_errors, **q_errors}, np.zeros(len(q))  # it never reads gamma
+    else:
+        if isinstance(points, ModelConfig):
+            gamma = np.array([points.alpha + 2.0 * points.lam1])
+            try:
+                q = closed_q_matrix(points)[None]
+                u12 = np.array([u12_closed(points)])
+            except (ValueError, ArithmeticError):  # math overflows or leaves its domain
+                q, u12 = np.full((1, 2, 2), np.nan), np.full(1, np.nan)
+        else:
+            columns = ModelColumns(points)
+            q, u12, gamma = closed_q_matrix(columns), u12_closed(columns), columns.gamma
+        u = np.zeros_like(q)
+        u[:, 0, 1], u[:, 1, 0] = u12, -u12
+        errors = {}
+    finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
+    gamma_ok = np.isfinite(gamma)
+    for i in (~finite).nonzero()[0].tolist():
+        errors.setdefault(
+            i, OverflowError("math range error") if gamma_ok[i] else ValueError(GAMMA_MESSAGE)
+        )
+    return q, u, errors
+
+
 def det_ratio(r: float, x: float) -> float:
     """det Q at the maximum configuration over det Q at the optimal one.
 
@@ -229,34 +271,27 @@ def _record(entry: str, cf: float, num: float) -> DiscrepancyRecord:
 @np.errstate(all="ignore")  # an overflow is the error raised below, not a warning
 def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
     """Entrywise closed-form vs first-principles values: the DiscrepancyReport
-    of one config, or a tuple of them for a sequence, from one stacked engine
-    pass (the closed forms stay on math). The first failing config in order
-    raises its engine error, else its closed-form error. Reports, never
-    asserts: the two layers are known to disagree on the displacement-free
-    parts of the Q entries (constant offset) and on the normalization and
+    of one config, or a tuple of them for a sequence, from one stacked
+    layer_matrices call per layer. The first failing config in order raises
+    its engine error, else its closed-form error. Reports, never asserts:
+    the two layers are known to disagree on the displacement-free parts of
+    the Q entries (constant offset) and on the normalization and
     displacement term of U12.
     """
     single = isinstance(config, ModelConfig)
-    configs = [config] if single else config
-    jet = jacobian_analytic(configs)
-    Q, q_errors = metrology.qfi_matrix(jet)
-    U, u_errors = metrology.uhlmann_matrix(jet)
-    errors = {**u_errors, **q_errors}
+    params = parameters([config] if single else config)
+    Q, U, errors = layer_matrices(params, "numeric")
+    Qc, Uc, closed_errors = layer_matrices(params, "closed_form")
     reports = []
-    for i, cfg in enumerate(configs):
-        if i in errors:
-            raise errors[i]
-        try:
-            records = (
-                _record("Q11", q11_closed(cfg), Q[i, 0, 0]),
-                _record("Q22", q22_closed(cfg), Q[i, 1, 1]),
-                _record("Q12", q12_closed(cfg), Q[i, 0, 1]),
-                _record("U12", u12_closed(cfg), U[i, 0, 1]),
-            )
-        except (ValueError, ArithmeticError) as exc:  # math overflows or leaves its domain
-            if str(exc) == GAMMA_MESSAGE:
-                raise
-            raise OverflowError("math range error") from None
+    for i in range(len(params)):
+        if i in errors or i in closed_errors:
+            raise errors[i] if i in errors else closed_errors[i]
+        records = (
+            _record("Q11", Qc[i, 0, 0], Q[i, 0, 0]),
+            _record("Q22", Qc[i, 1, 1], Q[i, 1, 1]),
+            _record("Q12", Qc[i, 0, 1], Q[i, 0, 1]),
+            _record("U12", Uc[i, 0, 1], U[i, 0, 1]),
+        )
         diffs = [rec.closed_form - rec.numeric for rec in records[:3]]
         spread = max(diffs) - min(diffs)
         scale = max(1.0, max(abs(d) for d in diffs))

@@ -28,15 +28,7 @@ import scipy.optimize
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
 from .gaussian import guarded_call, unstack
-from .model import (
-    GAMMA_MESSAGE,
-    MODEL_FIELDS,
-    ModelColumns,
-    ModelConfig,
-    jacobian_analytic,
-    parameters,
-    row_errors,
-)
+from .model import MODEL_FIELDS, ModelConfig, parameters, row_errors
 
 OBJECTIVE_KINDS = ("Q11", "Q22", "detQ", "minus_R", "weighted_CQ_inverse")
 OBJECTIVE_LAYERS = ("closed_form", "numeric")
@@ -87,44 +79,6 @@ class Objective:
             raise ValueError("repetitions must be a positive integer")
 
 
-def _matrices(points, objective: Objective):
-    """Stacked (information, curvature) matrices on the requested layer,
-    with per-point errors, for one ModelConfig (a stack of one) or an
-    (N, 9) parameter array of rows ModelConfig accepts.
-
-    The numeric layer propagates all points in one pass. The closed-form
-    layer evaluates one ModelConfig with math, where an error of math is a
-    NaN, and an array as columns with numpy in one pass; a point whose
-    gamma is not finite fails with the ModelConfig.gamma error, one whose
-    matrices are not finite with the overflow math raises.
-    """
-    if objective.layer == "numeric":
-        jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
-        q, q_errors = metrology.qfi_matrix(jet)
-        u, u_errors = metrology.uhlmann_matrix(jet)
-        return q, u, {**u_errors, **q_errors}
-    if isinstance(points, ModelConfig):
-        gamma = np.array([points.alpha + 2.0 * points.lam1])
-        try:
-            q = closed_forms.closed_q_matrix(points)[None]
-            u12 = np.array([closed_forms.u12_closed(points)])
-        except (ValueError, ArithmeticError):  # math overflows or leaves its domain
-            q, u12 = np.full((1, 2, 2), np.nan), np.full(1, np.nan)
-    else:
-        columns = ModelColumns(points)
-        q, u12 = closed_forms.closed_q_matrix(columns), closed_forms.u12_closed(columns)
-        gamma = columns.gamma
-    failed = (~(np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u12))).nonzero()[0].tolist()
-    gamma_ok = np.isfinite(gamma)
-    errors = {
-        i: OverflowError("math range error") if gamma_ok[i] else ValueError(GAMMA_MESSAGE)
-        for i in failed
-    }
-    u = np.zeros_like(q)
-    u[:, 0, 1], u[:, 1, 0] = u12, -u12
-    return q, u, errors
-
-
 class _WorstOverPhase(Objective):
     """minus_R on its layer at its worst over the squeezer phase:
     -max(0, max R) over GAMMA_GRID (alpha = gamma, lam1 = 0). Used by
@@ -139,7 +93,7 @@ _ALPHA, _LAM1 = MODEL_FIELDS.index("alpha"), MODEL_FIELDS.index("lam1")
 
 
 def _kind_values(points, objective: Objective):
-    q, u, errors = _matrices(points, objective)
+    q, u, errors = closed_forms.layer_matrices(points, objective.layer)
     if objective.kind == "Q11":
         return q[:, 0, 0], errors
     if objective.kind == "Q22":

@@ -131,6 +131,12 @@ class TestEval:
         assert code == 1
         assert "'phi'" in err
 
+    def test_missing_model_object_is_an_eval_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {})
+        code, out, err = run_cli(capsys, ["eval", "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == "mzsloppy: error: missing eval field 'model'\n"
+
     def test_unknown_model_field_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": model_dict(waist=1.0)})
         code, _, err = run_cli(capsys, ["eval", "--config", cfg])
@@ -594,6 +600,8 @@ class TestEngineErrors:
                 "OverflowError: math range error",
             ),
             ("compare", {"r": 0.5, "q_values": [1e200]}, "OverflowError: math range error"),
+            # the closed forms are finite, the engine's information is not
+            ("compare", {"r": 0.5, "q_values": [1e154]}, "OverflowError: math range error"),
             # the first config is fine, the second one's moments overflow
             ("compare", {"r": 0.5, "x_values": [0.0, 400.0]}, "state moments must be finite"),
             # a config that fails comes before a later one that ModelConfig rejects
@@ -605,7 +613,7 @@ class TestEngineErrors:
         ids=["optimize_r400", "eval_r400", "eval_r4_x2", "scan_asymmetric_weight",
              "optimize_indefinite_weight", "eval_nan_weight", "eval_nan_threshold",
              "scan_nan_weight", "optimize_inf_weight", "eval_information_overflow",
-             "compare_information_overflow", "compare_x400", "compare_overflow_before_negative_x",
+             "compare_information_overflow", "compare_engine_overflow", "compare_x400", "compare_overflow_before_negative_x",
              "compare_phi_overflow"],
     )
     def test_error_line_and_exit_one(self, tmp_path, command, config, reason):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzsloppy.closed_forms import (
     closed_q_matrix,
@@ -19,6 +20,7 @@ from mzsloppy.closed_forms import (
     u12_closed,
 )
 from mzsloppy.model import ModelConfig
+from mzsloppy.optimize import Objective, SearchSpec, error_message, grid_scan
 
 OPT = {"theta": math.pi / 2, "phi": math.pi / 4}
 GRID = [0.25 * k for k in range(9)]  # 0 .. 2
@@ -361,3 +363,32 @@ class TestCompare:
         ):
             with pytest.raises(error, match=message):
                 compare(config)
+
+    def test_engine_overflow_with_finite_closed_forms_raises(self):
+        # the closed forms are finite here, the engine's U12 is -inf
+        config = ModelConfig(r=0.35, q=4.4e153, beta=5.3, theta=0.6, phi=0.13, x=0.6,
+                             alpha=0.67, lam1=1.14, lam2=0.57)
+        with pytest.raises(OverflowError, match="math range error"):
+            compare(config)
+
+
+ANGLES = st.floats(-1e308, 1e308)
+
+
+@settings(deadline=None, max_examples=200)
+@given(config=st.builds(ModelConfig, r=st.floats(0, 400), q=st.floats(0, 1e200),
+                        beta=ANGLES, theta=ANGLES, phi=ANGLES, x=st.floats(0, 400),
+                        alpha=ANGLES, lam1=ANGLES, lam2=ANGLES))
+def test_compare_fails_as_the_scan_row_does(config):
+    # compare raises exactly where the one-point Q11 row fails on the
+    # numeric layer, else on the closed-form layer, with that row's error
+    spec = SearchSpec(base=config, axes=())
+    errors = [grid_scan(spec, Objective(kind="Q11", layer=layer)).rows[0].error
+              for layer in ("numeric", "closed_form")]
+    expected = next((e for e in errors if e is not None), None)
+    try:
+        compare(config)
+    except (ValueError, ArithmeticError) as exc:
+        assert error_message(exc) == expected
+    else:
+        assert expected is None

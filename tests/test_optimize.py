@@ -583,17 +583,30 @@ def test_chunk_with_no_valid_configuration(layer):
 # -- non-finite values and the worst case over the squeezer phase ------------
 
 
-@pytest.mark.parametrize("kind, shown", [("Q11", "inf"), ("detQ", "nan")])
-def test_non_finite_value_is_a_point_error(kind, shown):
-    # at q = 1e160 the numeric information entries overflow
+@pytest.mark.parametrize("kind", ["Q11", "detQ", "minus_R", "weighted_CQ_inverse"])
+def test_non_finite_value_is_a_point_error(kind):
+    # at q = 1e160 the numeric information entries overflow: the overflow
+    # of the closed-form layer, not a singular (sloppy) information matrix
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("q", (0.5, 1e160)),))
-    objective = Objective(kind=kind, layer="numeric")
+    weight = ((1.0, 0.0), (0.0, 1.0)) if kind == "weighted_CQ_inverse" else None
+    objective = Objective(kind=kind, layer="numeric", weight=weight)
     result = grid_scan(spec, objective)
     assert result.rows[1].value is None
-    assert result.rows[1].error == f"objective {kind} is {shown}, not a finite number"
+    assert result.rows[1].error == "OverflowError: math range error"
     assert result.best == result.rows[0]
-    with pytest.raises(ValueError, match="not a finite number"):
+    with pytest.raises(OverflowError, match="math range error"):
         objective_value(ModelConfig(r=0.5, x=0.5, q=1e160), objective)
+
+
+@pytest.mark.parametrize("layer, shown", [("numeric", "-inf"), ("closed_form", "inf")])
+def test_non_finite_objective_of_finite_matrices_is_a_point_error(layer, shown):
+    # Q is finite at q = 1e152, its determinant is not
+    config = ModelConfig(r=0.5, x=0.5, q=1e152, theta=0.3, phi=0.4)
+    objective = Objective(kind="detQ", layer=layer)
+    result = grid_scan(SearchSpec(base=config, axes=()), objective)
+    assert result.rows[0].error == f"objective detQ is {shown}, not a finite number"
+    with pytest.raises(ValueError, match="not a finite number"):
+        objective_value(config, objective)
 
 
 def test_refine_rejects_steps_to_non_finite_values(recwarn):
