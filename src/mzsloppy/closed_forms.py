@@ -184,34 +184,47 @@ def closed_q_matrix(inp: Inputs) -> np.ndarray:
     return np.moveaxis(np.array([[q11, q12], [q12, q22]]), (0, 1), (-2, -1))
 
 
+def _point_matrices(config: ModelConfig):
+    """layer_matrices on the closed-form layer for one ModelConfig, the
+    entries and their checks in math: numpy's per-call cost on a 2x2 stack
+    is larger than the closed forms' own (a simplex polish makes hundreds
+    of these calls)."""
+    try:
+        entries = [f(config) for f in (q11_closed, q12_closed, q22_closed, u12_closed)]
+    except (ValueError, ArithmeticError):  # math overflows or leaves its domain
+        entries = [math.nan] * 4
+    q11, q12, q22, u12 = entries
+    errors = {}
+    if not all(map(math.isfinite, entries)):
+        gamma_ok = math.isfinite(config.alpha + 2.0 * config.lam1)
+        errors[0] = OverflowError("math range error") if gamma_ok else ValueError(GAMMA_MESSAGE)
+    q = np.array([[[q11, q12], [q12, q22]]])
+    u = np.array([[[0.0, u12], [-u12, 0.0]]])
+    return q, u, errors
+
+
 def layer_matrices(points, layer: str):
     """Stacked (information, curvature) matrices on a layer, with per-point
     errors, for one ModelConfig (a stack of one) or an (N, 9) parameter
     array of rows ModelConfig accepts.
 
     The numeric layer propagates all points in one pass. The closed-form
-    layer evaluates one ModelConfig with math, where an error of math is a
-    NaN, and an array as columns with numpy in one pass. On either layer a
-    point with no error yet whose matrices are not finite fails with the
-    overflow math raises, or on the closed-form layer, where its gamma is
-    not finite, with the ModelConfig.gamma error.
+    layer evaluates one ModelConfig with math (_point_matrices), where an
+    error of math is a NaN, and an array as columns with numpy in one pass.
+    On either layer a point with no error yet whose matrices are not finite
+    fails with the overflow math raises, or on the closed-form layer, where
+    its gamma is not finite, with the ModelConfig.gamma error.
     """
     if layer == "numeric":
         jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
         q, q_errors = metrology.qfi_matrix(jet)
         u, u_errors = metrology.uhlmann_matrix(jet)
         errors, gamma = {**u_errors, **q_errors}, np.zeros(len(q))  # it never reads gamma
+    elif isinstance(points, ModelConfig):
+        return _point_matrices(points)
     else:
-        if isinstance(points, ModelConfig):
-            gamma = np.array([points.alpha + 2.0 * points.lam1])
-            try:
-                q = closed_q_matrix(points)[None]
-                u12 = np.array([u12_closed(points)])
-            except (ValueError, ArithmeticError):  # math overflows or leaves its domain
-                q, u12 = np.full((1, 2, 2), np.nan), np.full(1, np.nan)
-        else:
-            columns = ModelColumns(points)
-            q, u12, gamma = closed_q_matrix(columns), u12_closed(columns), columns.gamma
+        columns = ModelColumns(points)
+        q, u12, gamma = closed_q_matrix(columns), u12_closed(columns), columns.gamma
         u = np.zeros_like(q)
         u[:, 0, 1], u[:, 1, 0] = u12, -u12
         errors = {}

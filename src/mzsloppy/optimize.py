@@ -142,9 +142,10 @@ def _objective_values(points, objective: Objective):
         if i not in errors
     }
     errors = {**errors, **nonfinite}
-    ok = np.ones(len(values), dtype=bool)
-    ok[list(errors)] = False
-    return np.where(ok, values, np.nan), errors
+    if errors:
+        values = np.array(values, dtype=float)
+        values[list(errors)] = np.nan
+    return values, errors
 
 
 def objective_value(config: ModelConfig, objective: Objective) -> float:
@@ -201,8 +202,10 @@ class ScanResult:
 
 
 def _point_config(spec: SearchSpec, values: tuple[float, ...]) -> ModelConfig:
-    updates = {axis.name: v for axis, v in zip(spec.axes, values)}
-    return dataclasses.replace(spec.base, **updates)
+    fields = [getattr(spec.base, name) for name in MODEL_FIELDS]
+    for axis, v in zip(spec.axes, values):
+        fields[MODEL_FIELDS.index(axis.name)] = v
+    return ModelConfig(*fields)
 
 
 def error_message(exc: Exception) -> str:
@@ -277,6 +280,25 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     return ScanResult(rows=rows, best=rows[min(ties, key=points.__getitem__)])
 
 
+def _supremum(spec: SearchSpec, objective: Objective) -> float | None:
+    """An a-priori upper bound on the objective over the spec, or None (also
+    where it does not fit in a float): 0 for minus_R, since R >= 0; for
+    closed-form Q22 with q = 0, r and x fixed, landmarks' q22_max, since
+    |_mix_trig| <= 1 (Cauchy-Schwarz) gives q22_closed = 2 base^2 with
+    base <= cosh 2(r + x) at every angle."""
+    if objective.kind == "minus_R":
+        return 0.0
+    if (objective.kind, objective.layer) != ("Q22", "closed_form") or spec.base.q != 0.0:
+        return None  # at q > 0 no bound on the displacement term f22 is known
+    if {"r", "x", "q"} & {axis.name for axis in spec.axes}:
+        return None
+    try:
+        bound = closed_forms.landmarks(spec.base.r, spec.base.x)["q22_max"]
+    except OverflowError:
+        return None
+    return bound if math.isfinite(bound) else None
+
+
 @dataclasses.dataclass(frozen=True)
 class RefineResult:
     point: dict
@@ -299,9 +321,10 @@ def refine_local(
     candidate must beat the start by more than numerical noise to replace
     it (otherwise a flat optimum manifold would let round-off walk the
     point arbitrarily far from the scanned maximum). capped reports
-    whether the iteration budget cut the polish short. A minus_R start at
-    its bound R = 0 (to within that noise) cannot be beaten and runs no
-    simplex: 0 iterations.
+    whether the iteration budget cut the polish short. A start already at
+    the objective's a-priori bound (_supremum: R = 0 for minus_R, the
+    landmark q22_max for closed-form Q22 at q = 0), to within that noise,
+    cannot be beaten and runs no simplex: 0 iterations.
 
     Accepted candidates are canonicalized along flat directions: when
     resetting one coordinate to its value in the base configuration leaves
@@ -317,13 +340,14 @@ def refine_local(
     x0 = np.array([float(start_point[n]) for n in names])
     start_value = objective_value(_point_config(spec, tuple(x0)), objective)
     margin = 1e-12 * max(1.0, abs(start_value))
-    if objective.kind == "minus_R" and start_value + margin >= 0.0:
-        # R >= 0, so no candidate can beat a start at the bound R = 0
+    bound = _supremum(spec, objective)
+    if bound is not None and start_value + margin >= bound:
+        # no candidate can beat a start already at the objective's bound
         return RefineResult(dict(start_point), start_value, start_value, 0, False, False)
 
     def negated(vec: np.ndarray) -> float:
         try:
-            return -objective_value(_point_config(spec, tuple(vec)), objective)
+            return -objective_value(_point_config(spec, vec.tolist()), objective)
         except POINT_ERRORS:
             return math.inf  # out-of-domain probe, reject the step
 
@@ -437,8 +461,11 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     when that worst case is numerically zero at the reference angles, and
     "undefined" when no grid point can be evaluated. Both run the same
     scan, polish, fold and flatness probe, from the best grid point that
-    can be evaluated. Landmark values ride along for context. Degenerate
-    (flat) axes are reported, not hidden.
+    can be evaluated; the polish runs no simplex from a start at the
+    objective's bound (_supremum), as the quantumness-free start at R = 0
+    and, at q = 0, the maximum's start at q22_max usually are. Landmark
+    values ride along for context. Degenerate (flat) axes are reported,
+    not hidden.
     """
     if r < 0 or x < 0 or q < 0:
         raise ValueError("r, x and q must be non-negative")

@@ -14,12 +14,13 @@ from mzsloppy.closed_forms import (
     f22,
     f22_optimal,
     landmarks,
+    layer_matrices,
     q11_closed,
     q12_closed,
     q22_closed,
     u12_closed,
 )
-from mzsloppy.model import ModelConfig
+from mzsloppy.model import ModelColumns, ModelConfig, parameters
 from mzsloppy.optimize import Objective, SearchSpec, error_message, grid_scan
 
 OPT = {"theta": math.pi / 2, "phi": math.pi / 4}
@@ -392,3 +393,44 @@ def test_compare_fails_as_the_scan_row_does(config):
         assert error_message(exc) == expected
     else:
         assert expected is None
+
+
+WIDE_ANGLES = st.floats(-1e6, 1e6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(configs=st.lists(
+    st.builds(ModelConfig, r=st.floats(0, 3), x=st.floats(0, 3), beta=WIDE_ANGLES,
+              theta=WIDE_ANGLES, phi=WIDE_ANGLES, alpha=WIDE_ANGLES, lam1=WIDE_ANGLES,
+              lam2=WIDE_ANGLES),
+    min_size=1, max_size=8))
+def test_q22_without_displacement_never_exceeds_its_landmark_maximum(configs):
+    # q22_closed = 2 base^2 with |_mix_trig| <= 1 (Cauchy-Schwarz), so
+    # base <= cosh 2(r + x) at every angle: the bound the search's Q22
+    # polish stops at, on one config (math) and on columns (numpy) alike
+    bounds = np.array([landmarks(c.r, c.x)["q22_max"] for c in configs])
+    single = np.array([q22_closed(c) for c in configs])
+    columns = q22_closed(ModelColumns(parameters(configs)))
+    for values in (single, columns):
+        assert np.all(values <= bounds * (1 + 1e-12))
+
+
+def test_one_config_reads_the_math_closed_forms():
+    # one ModelConfig takes its entries straight from math, and fails as a
+    # scan row does: math's overflow, or the gamma error
+    config = ModelConfig(r=0.7, q=0.8, beta=0.3, theta=0.4, phi=0.2, x=0.6, alpha=1.1,
+                         lam1=0.2, lam2=0.5)
+    q, u, errors = layer_matrices(config, "closed_form")
+    q12, u12 = q12_closed(config), u12_closed(config)
+    assert errors == {}
+    assert q.tolist() == [[[q11_closed(config), q12], [q12, q22_closed(config)]]]
+    assert u.tolist() == [[[0.0, u12], [-u12, 0.0]]]
+    for config, error, message in (
+        (ModelConfig(r=0.5, x=0.5, phi=1e308), OverflowError, "math range error"),
+        (ModelConfig(r=0.5, x=0.5, alpha=1e308, lam1=1e308), ValueError, "gamma"),
+    ):
+        q, u, errors = layer_matrices(config, "closed_form")
+        assert list(errors) == [0] and isinstance(errors[0], error)
+        assert message in str(errors[0])
+        row = grid_scan(SearchSpec(base=config, axes=()), Objective(kind="Q22")).rows[0]
+        assert row.error == error_message(errors[0])

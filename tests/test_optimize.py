@@ -258,6 +258,58 @@ class TestRefine:
         assert refined.start_value < -0.01
         assert refined.iterations > 0
 
+    def test_start_at_the_q22_landmark_runs_no_simplex(self):
+        # closed-form Q22 at q = 0 never exceeds q22_max = 2 cosh^2(2(r + x)),
+        # which the transmissive setting reaches
+        start = {"theta": 0.0, "phi": 0.0, "alpha": 0.0}
+        refined = refine_local(q22_spec(), Objective(kind="Q22"), start)
+        assert refined.iterations == 0
+        assert not refined.capped and not refined.improved
+        assert refined.point == start
+        assert refined.value == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("variant", ["displaced", "numeric", "r_axis", "x_axis",
+                                         "q_axis", "Q11"])
+    def test_q22_bound_only_where_it_holds(self, variant):
+        # from the landmark angles, where a closed-form Q22 at q = 0 would skip
+        spec, obj = q22_spec(), Objective(kind="Q22")
+        if variant == "displaced":
+            spec = q22_spec(q=0.3)
+        elif variant == "numeric":
+            obj = Objective(kind="Q22", layer="numeric")
+        elif variant == "Q11":
+            obj = Objective(kind="Q11")
+        elif variant.endswith("_axis"):
+            spec = SearchSpec(base=spec.base,
+                              axes=spec.axes + (Axis(variant[0], (0.0, 0.25, 0.5)),))
+        start = {axis.name: 0.0 for axis in spec.axes}
+        start.update({n: getattr(spec.base, n) for n in ("r", "x", "q") if n in start})
+        assert optimize._supremum(spec, obj) is None
+        assert refine_local(spec, obj, start).iterations > 0
+
+    @pytest.mark.parametrize("r, x", [(177.0, 0.5), (176.0, 2.0), (400.0, 0.5),
+                                      (1e300, 0.5), (1e308, 1e308)])
+    def test_q22_bound_near_overflow_never_raises(self, r, x, monkeypatch):
+        # q22_max = 2 cosh^2(2(r + x)) stops fitting in a float at r + x of
+        # about 177.7, where the bound is unknown; a start whose value is
+        # finite polishes as it does with no bound at all
+        spec, obj = q22_spec(r=r, x=x), Objective(kind="Q22")
+        assert (optimize._supremum(spec, obj) is None) == (r + x > 177.7)
+        results = []
+        for bounded in (True, False):
+            if not bounded:
+                monkeypatch.setattr(optimize, "_supremum", lambda *args: None)
+            for alpha in (0.0, PI):  # base = cosh 2(r + x), then cosh 2(r - x)
+                try:
+                    refined = refine_local(spec, obj, {"theta": 0.0, "phi": 0.0,
+                                                       "alpha": alpha})
+                except POINT_ERRORS as exc:
+                    results.append(error_message(exc))
+                else:
+                    results.append((refined.point, refined.value, refined.improved))
+        assert results[:2] == results[2:]
+        assert any(isinstance(result, tuple) for result in results) == (r < 400.0)
+
 
 class TestFoldAngles:
     def test_theta_mod_pi(self):
@@ -344,6 +396,15 @@ class TestFindKnownConfigurations:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             find_known_configurations(-0.5, 0.5)
+
+    def test_maximum_at_q0_is_the_landmark_with_no_polish(self):
+        rng = np.random.default_rng(14)
+        for r, x in rng.uniform(0.1, 2.0, size=(4, 2)).tolist():
+            mx = find_known_configurations(r, x, 0.0)["maximum"]
+            assert mx["refine_iterations"] == 0 and not mx["refine_capped"]
+            assert mx["label"] == "maximum"
+            assert mx["value"] == pytest.approx(mx["landmark_value"],
+                                                rel=optimize.VALUE_MATCH_RTOL)
 
 
 # -- batches and the per-point error boundary --------------------------------
