@@ -60,7 +60,6 @@ from .optimize import (
     Objective,
     RefineResult,
     ScanResult,
-    ScanRow,
     SearchSpec,
     find_known_configurations,
     fold_angles,
@@ -85,7 +84,6 @@ __all__ = [
     "RefineResult",
     "ScalarBounds",
     "ScanResult",
-    "ScanRow",
     "SearchSpec",
     "SloppinessReport",
     "SloppyModelError",

@@ -188,8 +188,23 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
     elif "repetitions" in config_obj:
         raise ConfigError("config field 'repetitions' requires 'weight'")
 
+    if not _all_finite(payload):
+        # a finite Q can still overflow its determinant, eigenvalues or bounds
+        raise OverflowError("math range error")
     exit_code = 2 if payload["sloppiness"]["sloppy"] else 0
     return payload, exit_code
+
+
+def _all_finite(obj) -> bool:
+    """False when a float anywhere in the nested dicts and lists of obj is
+    not finite, which JSON output would write as Infinity or NaN."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_all_finite(v) for v in obj)
+    return True
 
 
 # -- scan ----------------------------------------------------------------
@@ -267,7 +282,7 @@ def _parse_search(
 def run_scan(config_obj: dict) -> tuple[dict, int]:
     spec, objective, workers = _parse_search(config_obj, "scan")
     result = optimize.grid_scan(spec, objective, workers=workers)
-    # a row's fields are its output keys, already floats, strings or None
+    # "rows" stays the ScanResult: _json_text and _scan_csv write its columns
     payload = {
         "schema": _SCHEMAS["scan"],
         "model": _model_dict(spec.base),
@@ -281,79 +296,68 @@ def run_scan(config_obj: dict) -> tuple[dict, int]:
         },
         "axes": [{"name": a.name, "values": list(a.values)} for a in spec.axes],
         "workers": workers,
-        "rows": [vars(r) for r in result.rows],
-        "best": None if result.best is None else vars(result.best),
+        "rows": result,
+        "best": None
+        if result.best is None
+        else {
+            "point": result.point(result.best),
+            "value": result.values[result.best],
+            "error": None,
+        },
     }
     return payload, 0
 
 
-class _FloatTexts(dict):
-    """float -> its text as json.dumps writes it, cached per payload. Zeros
-    are not cached: 0.0 and -0.0 are equal and hash alike, but print
-    differently."""
-
-    def __missing__(self, v: float) -> str:
-        if v != v:
-            return "NaN"
-        if v in (math.inf, -math.inf):
-            return "Infinity" if v > 0 else "-Infinity"
-        text = float.__repr__(v)
-        if v:
-            self[v] = text
-        return text
-
-
-def _scan_rows_text(rows: list) -> str:
-    """The rows of a scan payload as json.dumps(sort_keys=True, indent=2)
-    writes them inside the payload: one string template per row, its point
-    keys sorted. Every row carries the same point names."""
-    names = sorted(rows[0]["point"])
-    points = ",\n".join(f"        {encode_basestring_ascii(n)}: %s" for n in names)
-    template = (
-        '    {\n      "error": %s,\n      "point": {\n'
-        + points
-        + '\n      },\n      "value": %s\n    }'
+def _scan_rows_text(scan: optimize.ScanResult) -> str:
+    """The rows of a scan as json.dumps(sort_keys=True, indent=2) writes
+    them inside the payload: one string template, its point keys sorted.
+    Axis values and row values are finite, so float.__repr__ is the text
+    json.dumps writes; each axis value is formatted once."""
+    names = [axis.name for axis in scan.axes]
+    points = ",\n".join(
+        f"        {encode_basestring_ascii(n)}: {{{2 + names.index(n)}}}" for n in sorted(names)
     )
-    floats = _FloatTexts()
-    texts = []
-    for row in rows:
-        point, value, error = row["point"], row["value"], row["error"]
-        texts.append(
-            template
-            % (
-                "null" if error is None else encode_basestring_ascii(error),
-                *[floats[point[n]] for n in names],
-                "null" if value is None else floats[value],
-            )
+    template = (
+        '    {{\n      "error": {0},\n      "point": {{\n'
+        + points
+        + '\n      }},\n      "value": {1}\n    }}'
+    )
+    axis_texts = [[float.__repr__(v) for v in axis.values] for axis in scan.axes]
+    errors = scan.errors
+    return ",\n".join(
+        template.format(
+            encode_basestring_ascii(errors[i]) if i in errors else "null",
+            "null" if value is None else float.__repr__(value),
+            *point,
         )
-    return ",\n".join(texts)
+        for i, (point, value) in enumerate(zip(itertools.product(*axis_texts), scan.values))
+    )
 
 
 def _json_text(payload: dict) -> str:
-    """payload as json.dumps(payload, sort_keys=True, indent=2) + newline,
-    byte for byte. The rows of a scan come from _scan_rows_text, spliced
-    into the dump of the rest: json.dumps writes indented output in pure
-    Python, which costs more than the scan itself."""
-    rows = payload.get("rows")
-    if not rows:
+    """payload as json.dumps writes it with sort_keys=True, indent=2, plus a
+    newline, a scan's ScanResult under "rows" written as its list of
+    {"error", "point", "value"} rows. Those rows come from _scan_rows_text,
+    spliced into the dump of the rest: json.dumps writes indented output in
+    pure Python, which costs more than the scan itself."""
+    if "rows" not in payload:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     # a newline never occurs inside a JSON string, so the slot of the
     # top-level "rows" key is the only match
     head = json.dumps({**payload, "rows": [None]}, sort_keys=True, indent=2)
-    body = '\n  "rows": [\n' + _scan_rows_text(rows) + "\n  ]"
+    body = '\n  "rows": [\n' + _scan_rows_text(payload["rows"]) + "\n  ]"
     return head.replace('\n  "rows": [\n    null\n  ]', body, 1) + "\n"
 
 
-def _scan_csv(payload: dict) -> str:
-    names = [axis["name"] for axis in payload["axes"]]
+def _scan_csv(scan: optimize.ScanResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names + ["value", "error"])
-    for row in payload["rows"]:
-        cells = [f"{row['point'][n]:.17g}" for n in names]
-        cells.append("" if row["value"] is None else f"{row['value']:.17g}")
-        cells.append(row["error"] or "")
-        writer.writerow(cells)
+    writer.writerow([axis.name for axis in scan.axes] + ["value", "error"])
+    axis_texts = [[f"{v:.17g}" for v in axis.values] for axis in scan.axes]
+    writer.writerows(
+        [*point, "" if value is None else f"{value:.17g}", scan.errors.get(i, "")]
+        for i, (point, value) in enumerate(zip(itertools.product(*axis_texts), scan.values))
+    )
     return buf.getvalue()
 
 
@@ -372,7 +376,7 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
         scan = optimize.grid_scan(spec, objective, workers=workers)
         if scan.best is None:
             raise SloppyModelError("objective failed at every grid point")
-        refined = optimize.refine_local(spec, objective, scan.best.point)
+        refined = optimize.refine_local(spec, objective, scan.point(scan.best))
         payload = {
             "schema": _SCHEMAS["optimize"],
             "mode": "custom",
@@ -386,7 +390,7 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
                 {k: float(v) for k, v in refined.point.items()}
             ),
             "value": float(refined.value),
-            "scan_best_value": float(scan.best.value),
+            "scan_best_value": scan.values[scan.best],
             "refine_iterations": refined.iterations,
             "refine_capped": refined.capped,
         }
@@ -568,7 +572,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.format == "csv":
-        text = _scan_csv(payload)
+        text = _scan_csv(payload["rows"])
     else:
         text = _json_text(payload)
     if args.out:

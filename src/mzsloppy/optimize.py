@@ -17,7 +17,6 @@ against the closed-form landmark values.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -189,16 +188,22 @@ class SearchSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class ScanRow:
-    point: dict
-    value: float | None
-    error: str | None
-
-
-@dataclasses.dataclass(frozen=True)
 class ScanResult:
-    rows: tuple[ScanRow, ...]
-    best: ScanRow | None
+    """A scan as columns over the grid product of `axes`, rows in
+    lexicographic order: values[i] is row i's finite value, or None exactly
+    where errors holds its message (keyed by row index, in row order); best
+    is the index of the best row, or None when every row failed."""
+
+    axes: tuple[Axis, ...]
+    values: tuple[float | None, ...]
+    errors: dict[int, str]
+    best: int | None
+
+    def point(self, i: int) -> dict:
+        """Row i's axis values, {axis name: value}: the i-th element of the
+        grid product."""
+        index = np.unravel_index(i, [len(axis.values) for axis in self.axes])
+        return {axis.name: axis.values[k] for axis, k in zip(self.axes, index)}
 
 
 def _point_config(spec: SearchSpec, values: tuple[float, ...]) -> ModelConfig:
@@ -242,13 +247,14 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    grids = [axis.values for axis in spec.axes]
-    points = list(itertools.product(*grids)) if grids else [()]
-    params = np.repeat(parameters([spec.base]), len(points), axis=0)
-    if spec.axes:
-        params[:, [MODEL_FIELDS.index(axis.name) for axis in spec.axes]] = points
+    size = math.prod(len(axis.values) for axis in spec.axes)
+    params = np.repeat(parameters([spec.base]), size, axis=0)
+    columns = [MODEL_FIELDS.index(axis.name) for axis in spec.axes]
+    grids = np.meshgrid(*[axis.values for axis in spec.axes], indexing="ij")
+    for column, grid in zip(columns, grids):
+        params[:, column] = grid.ravel()
     messages = row_errors(params)
-    valid = np.ones(len(points), dtype=bool)
+    valid = np.ones(size, dtype=bool)
     valid[list(messages)] = False
 
     def _eval(rows: slice) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -256,28 +262,28 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
         values, errors = _objective_values(params[where], objective)
         return where, values, errors
 
-    chunks = _chunks(len(points), workers)
+    chunks = _chunks(size, workers)
     if workers == 1:
         parts = [_eval(chunk) for chunk in chunks]
     else:
         threads = min(len(chunks), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_eval, chunks))
-    values = np.full(len(points), np.nan)
+    values = np.full(size, np.nan)
     for where, part, errors in parts:
         values[where] = part
         messages.update((int(where[k]), error_message(e)) for k, e in errors.items())
 
-    names = [axis.name for axis in spec.axes]
-    rows = tuple(
-        ScanRow(dict(zip(names, point)), None if i in messages else value, messages.get(i))
-        for i, (point, value) in enumerate(zip(points, values.tolist()))
-    )
     scored = ~np.isnan(values)  # NaN exactly at the rows with an error
-    if not scored.any():
-        return ScanResult(rows=rows, best=None)
-    ties = (values == values[scored].max()).nonzero()[0].tolist()
-    return ScanResult(rows=rows, best=rows[min(ties, key=points.__getitem__)])
+    best = None
+    if scored.any():
+        ties = (values == values[scored].max()).nonzero()[0].tolist()
+        best = min(ties, key=lambda i: params[i, columns].tolist())
+    rows = values.tolist()
+    for i in messages:
+        rows[i] = None
+    errors = dict(sorted(messages.items()))  # in row order, whatever the split
+    return ScanResult(axes=spec.axes, values=tuple(rows), errors=errors, best=best)
 
 
 def _supremum(spec: SearchSpec, objective: Objective) -> float | None:
@@ -351,12 +357,15 @@ def refine_local(
         except POINT_ERRORS:
             return math.inf  # out-of-domain probe, reject the step
 
-    res = scipy.optimize.minimize(
-        negated,
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": max_iterations, "xatol": 1e-9, "fatol": 1e-12},
-    )
+    # Nelder-Mead's own simplex arithmetic overflows on huge coordinates;
+    # negated already rejects every probe it cannot evaluate
+    with np.errstate(all="ignore"):
+        res = scipy.optimize.minimize(
+            negated,
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": max_iterations, "xatol": 1e-9, "fatol": 1e-12},
+        )
     candidate = -float(res.fun)
     capped = not bool(res.success)
     if candidate > start_value + margin:
@@ -487,7 +496,7 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     if scan.best is None:
         raise SloppyModelError("no grid point yielded a finite information entry")
     point, refined, maximum = _polish(
-        spec, objective, scan.best.point, closed_forms.MAXIMUM_CONFIGURATION, 400
+        spec, objective, scan.point(scan.best), closed_forms.MAXIMUM_CONFIGURATION, 400
     )
     value_ok = abs(refined.value - lm["q22_max"]) <= VALUE_MATCH_RTOL * abs(lm["q22_max"])
     maximum.update(
@@ -508,10 +517,10 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     if scan.best is None:
         # e.g. x = 0: both layers' information matrices are singular, so
         # the quantumness measure is undefined everywhere
-        optimal = {"label": "undefined", "reason": scan.rows[0].error}
+        optimal = {"label": "undefined", "reason": scan.errors[0]}
     else:
         point, refined, optimal = _polish(
-            spec, objective, scan.best.point, closed_forms.OPTIMAL_CONFIGURATION, 200
+            spec, objective, scan.point(scan.best), closed_forms.OPTIMAL_CONFIGURATION, 200
         )
         worst = -refined.value
         vanishes = worst <= 1e-6

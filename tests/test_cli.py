@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ import mzsloppy
 from mzsloppy import cli
 from mzsloppy.cli import THREADS_ENV_VAR, main
 from mzsloppy.model import ModelConfig
-from mzsloppy.optimize import Objective, objective_value
+from mzsloppy.optimize import Axis, Objective, ScanResult, objective_value
 
 PI = math.pi
 
@@ -148,6 +150,19 @@ class TestEval:
         code, _, err = run_cli(capsys, ["eval", "--config", cfg])
         assert code == 1
         assert "model.r" in err
+
+    @pytest.mark.parametrize("config", [
+        # Q is finite, its determinant and largest eigenvalue are not
+        {"model": model_dict(q=1e154, phi=1e308), "threshold": 1},
+        # Q is finite, the weighted bounds are not
+        {"model": model_dict(r=0.5, x=0.5, theta=PI / 2, phi=PI / 4),
+         "weight": [[1e308, 0], [0, 1e308]]},
+    ], ids=["determinant", "scalar_bounds"])
+    def test_number_that_overflows_is_an_error(self, tmp_path, capsys, config):
+        code, out, err = run_cli(capsys, ["eval", "--config", write_config(tmp_path, config)])
+        assert code == 1
+        assert out == ""
+        assert err == "mzsloppy: error: OverflowError: math range error\n"
 
 
 SCAN_CFG = {
@@ -334,6 +349,19 @@ class TestOptimize:
         assert payload["value"] == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-6)
         for key in ("theta", "phi", "alpha"):
             assert abs(payload["point"][key]) < 1e-3
+
+    @pytest.mark.parametrize("names", [["theta"], ["theta", "phi"]])
+    def test_custom_mode_at_huge_angles_prints_no_warning(self, tmp_path, names):
+        # the simplex around 1e308 overflows in Nelder-Mead's own arithmetic
+        cfg = write_config(tmp_path, {
+            "model": model_dict(r=0.5, x=0.5),
+            "objective": {"kind": "Q22", "layer": "numeric"},
+            "axes": [{"name": name, "values": [1e308]} for name in names],
+        })
+        proc = run_python(["-m", "mzsloppy.cli", "optimize", "--config", cfg])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["mode"] == "custom"
 
     def test_missing_inputs_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"r": 0.5})
@@ -670,7 +698,7 @@ COMPARES = st.fixed_dictionaries({
 
 @settings(deadline=None, max_examples=100)
 @given(command_config=st.tuples(st.just("eval"), EVALS) | st.tuples(st.just("scan"), SCANS)
-       | st.tuples(st.just("compare"), COMPARES),
+       | st.tuples(st.just("optimize"), SCANS) | st.tuples(st.just("compare"), COMPARES),
        fmt=st.sampled_from(["json", "csv"]))
 def test_every_finite_config_exits_zero_one_or_two(command_config, fmt):
     command, config = command_config
@@ -681,39 +709,52 @@ def test_every_finite_config_exits_zero_one_or_two(command_config, fmt):
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([command, "--config", cfg, "--format", fmt])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    assert (out.getvalue() == "") == (code == 1)
+    # exit 2 is eval's sloppy verdict, with its payload, or a degenerate
+    # model without one (optimize: the objective failed at every grid point)
+    assert (out.getvalue() == "") == (code == 1 or (code == 2 and command == "optimize"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # compare can still write a difference that overflows (CHANGES.md)
+    if command != "compare":
+        assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
 
 
-# Scan-shaped payloads for the row writer: json.dumps is its byte oracle.
+# Scan results for the row writers: json.dumps is the byte oracle of the JSON
+# writer, applied to the rows as dicts built from the grid product.
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16])
+FINITE_FLOATS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
 ANY_FLOAT = EDGE_FLOATS | st.floats()
-ROW_ERRORS = st.none() | st.text() | st.sampled_from(
+ROW_ERRORS = st.text() | st.sampled_from(
     ['"quoted"', "back\\slash", "\x00\x1f\n\t\r\x7f", "café ☃ \U0001d11e",
-     "\ud800 lone surrogate", "%s %d %%"]
+     "\ud800 lone surrogate", "%s %d %%", "{} {0} {1} {name} {{", ""]
 )
 
 
 @st.composite
-def scan_payloads(draw):
+def scan_results(draw):
     names = draw(st.permutations(list(model_dict())))[: draw(st.integers(1, 9))]
-    # every axis holds both zeros, so a value-keyed cache can mix them up
-    axes = [
-        {"name": n, "values": [0.0, -0.0] + draw(st.lists(ANY_FLOAT, max_size=3))}
-        for n in names
-    ]
-    rows = draw(st.lists(
-        st.fixed_dictionaries({
-            "point": st.fixed_dictionaries(
-                {a["name"]: st.sampled_from(a["values"]) for a in axes}),
-            "value": st.none() | ANY_FLOAT,
-            "error": ROW_ERRORS,
-        }),
-        max_size=8,
-    ))
+    axes, size = [], 1
+    for k, name in enumerate(names):
+        values = draw(st.lists(FINITE_FLOATS, min_size=1, max_size=3 if size <= 16 else 1))
+        if k == 0:  # both zeros, so that a value-keyed text cache mixes them up
+            values = [0.0, -0.0] + values
+        axes.append(Axis(name, tuple(values)))
+        size *= len(values)
+    values = draw(st.lists(st.none() | FINITE_FLOATS, min_size=size, max_size=size))
+    errors = {i: draw(ROW_ERRORS) for i, value in enumerate(values) if value is None}
+    scored = [i for i, value in enumerate(values) if value is not None]
+    best = draw(st.sampled_from(scored)) if scored and draw(st.booleans()) else None
+    return ScanResult(axes=tuple(axes), values=tuple(values), errors=errors, best=best)
+
+
+@st.composite
+def scan_payloads(draw):
+    scan = draw(scan_results())
     weight = draw(st.none() | st.lists(st.lists(ANY_FLOAT, min_size=2, max_size=2),
                                        min_size=2, max_size=2))
     return {
@@ -721,14 +762,27 @@ def scan_payloads(draw):
         "model": model_dict(r=draw(ANY_FLOAT)),
         "objective": {"kind": draw(st.text()), "layer": "numeric",
                       "repetitions": draw(st.integers(1, 10**6)), "weight": weight},
-        "axes": axes,
+        "axes": [{"name": a.name, "values": list(a.values)} for a in scan.axes],
         "workers": draw(st.integers(1, 10**9)),
-        "rows": rows,
-        "best": draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else None,
+        "rows": scan,
+        "best": None if scan.best is None else {
+            "point": scan.point(scan.best), "value": scan.values[scan.best], "error": None,
+        },
     }
+
+
+def listed_rows(scan):
+    """A ScanResult's rows as the dicts json.dumps would write."""
+    names = [axis.name for axis in scan.axes]
+    grid = itertools.product(*(axis.values for axis in scan.axes))
+    return [
+        {"point": dict(zip(names, point)), "value": value, "error": scan.errors.get(i)}
+        for i, (point, value) in enumerate(zip(grid, scan.values))
+    ]
 
 
 @settings(deadline=None, max_examples=500)
 @given(payload=scan_payloads())
 def test_scan_json_writer_matches_json_dumps(payload):
-    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    listed = {**payload, "rows": listed_rows(payload["rows"])}
+    assert cli._json_text(payload) == json.dumps(listed, sort_keys=True, indent=2) + "\n"

@@ -384,7 +384,7 @@ def test_compare_fails_as_the_scan_row_does(config):
     # compare raises exactly where the one-point Q11 row fails on the
     # numeric layer, else on the closed-form layer, with that row's error
     spec = SearchSpec(base=config, axes=())
-    errors = [grid_scan(spec, Objective(kind="Q11", layer=layer)).rows[0].error
+    errors = [grid_scan(spec, Objective(kind="Q11", layer=layer)).errors.get(0)
               for layer in ("numeric", "closed_form")]
     expected = next((e for e in errors if e is not None), None)
     try:
@@ -432,5 +432,5 @@ def test_one_config_reads_the_math_closed_forms():
         q, u, errors = layer_matrices(config, "closed_form")
         assert list(errors) == [0] and isinstance(errors[0], error)
         assert message in str(errors[0])
-        row = grid_scan(SearchSpec(base=config, axes=()), Objective(kind="Q22")).rows[0]
-        assert row.error == error_message(errors[0])
+        scan = grid_scan(SearchSpec(base=config, axes=()), Objective(kind="Q22"))
+        assert scan.errors[0] == error_message(errors[0])

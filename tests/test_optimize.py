@@ -1,6 +1,7 @@
 """Grid scan, refinement, angle folding, and landmark recovery."""
 
 import dataclasses
+import itertools
 import math
 import os
 
@@ -113,9 +114,9 @@ class TestGridScan:
     def test_finds_information_maximum_at_origin(self):
         result = grid_scan(q22_spec(), Objective(kind="Q22"))
         assert result.best is not None
-        assert result.best.point == {"theta": 0.0, "phi": 0.0, "alpha": 0.0}
-        assert result.best.value == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-12)
-        assert len(result.rows) == 9 * 5 * 9
+        assert result.point(result.best) == {"theta": 0.0, "phi": 0.0, "alpha": 0.0}
+        assert result.values[result.best] == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-12)
+        assert len(result.values) == 9 * 5 * 9
 
     def test_rows_are_lexicographic(self):
         spec = SearchSpec(
@@ -123,15 +124,17 @@ class TestGridScan:
             axes=(Axis("theta", (0.0, 1.0)), Axis("phi", (0.0, 0.5))),
         )
         result = grid_scan(spec, Objective(kind="Q22"))
-        points = [(row.point["theta"], row.point["phi"]) for row in result.rows]
-        assert points == [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)]
+        points = [result.point(i) for i in range(len(result.values))]
+        assert [(p["theta"], p["phi"]) for p in points] == [
+            (0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)
+        ]
 
     def test_no_axes_evaluates_base_only(self):
         spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=())
         result = grid_scan(spec, Objective(kind="Q22"))
-        assert len(result.rows) == 1
-        assert result.rows[0].point == {}
-        assert result.best.value == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-12)
+        assert len(result.values) == 1
+        assert result.point(0) == {}
+        assert result.values[result.best] == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-12)
 
     def test_quantumness_free_point_on_grid(self):
         # the incompatibility reaches zero, and it does so at the
@@ -139,22 +142,21 @@ class TestGridScan:
         # zero rows exist only at special phases, and the tie-break hands
         # the best row to the smallest such tuple
         result = grid_scan(q22_spec(), Objective(kind="minus_R"))
-        assert result.best.value == pytest.approx(0.0, abs=1e-9)
+        assert result.values[result.best] == pytest.approx(0.0, abs=1e-9)
+        points = [result.point(i) for i in range(len(result.values))]
         balanced = [
-            row
-            for row in result.rows
-            if row.point["theta"] == PI / 2 and row.point["phi"] == PI / 4
+            i for i, p in enumerate(points) if p["theta"] == PI / 2 and p["phi"] == PI / 4
         ]
         assert len(balanced) == 9
-        for row in balanced:
-            assert row.error is None
-            assert row.value == pytest.approx(0.0, abs=1e-9)
+        for i in balanced:
+            assert i not in result.errors
+            assert result.values[i] == pytest.approx(0.0, abs=1e-9)
         off_balance = [
-            row
-            for row in result.rows
-            if row.point["phi"] == PI / 8 and row.point["alpha"] == PI / 2
+            result.values[i]
+            for i, p in enumerate(points)
+            if p["phi"] == PI / 8 and p["alpha"] == PI / 2
         ]
-        assert any(row.value is not None and row.value < -1e-3 for row in off_balance)
+        assert any(value is not None and value < -1e-3 for value in off_balance)
 
     def test_error_rows_recorded_not_raised(self):
         # x = 0 makes the information matrix singular: quantumness is
@@ -164,11 +166,11 @@ class TestGridScan:
             axes=(Axis("x", (0.0, 0.5, 1.0)),),
         )
         result = grid_scan(spec, Objective(kind="minus_R"))
-        assert result.rows[0].value is None
-        assert result.rows[0].error is not None
-        assert result.rows[1].error is None
+        assert result.values[0] is None
+        assert result.errors.get(0) is not None
+        assert result.errors.get(1) is None
         assert result.best is not None
-        assert result.best.point["x"] in (0.5, 1.0)
+        assert result.point(result.best)["x"] in (0.5, 1.0)
 
     def test_deterministic_and_worker_independent(self):
         spec = q22_spec()
@@ -186,7 +188,7 @@ class TestGridScan:
             axes=(Axis("beta", (1.0, 0.5, 2.0)), Axis("lam2", (3.0, -1.0))),
         )
         result = grid_scan(spec, Objective(kind="Q11"))
-        assert result.best.point == {"beta": 0.5, "lam2": -1.0}
+        assert result.point(result.best) == {"beta": 0.5, "lam2": -1.0}
 
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
@@ -382,11 +384,11 @@ class TestFindKnownConfigurations:
         from mzsloppy.optimize import PHI_GRID
 
         base = ModelConfig(r=8.0, x=0.5, q=0.5)
-        rows = grid_scan(
+        scan = grid_scan(
             SearchSpec(base=base, axes=(Axis("theta", (0.0,)), Axis("phi", PHI_GRID))),
             _WorstOverPhase(kind="minus_R"),
-        ).rows
-        assert any(row.error is not None for row in rows)
+        )
+        assert scan.errors
         opt = find_known_configurations(8.0, 0.5, 0.5)["optimal"]
         assert opt["label"] == "optimal"
         assert opt["point"]["theta"] == pytest.approx(PI / 2, abs=1e-3)
@@ -424,15 +426,16 @@ def mixed_spec():
 @pytest.mark.parametrize("kind", ["Q22", "minus_R"])
 def test_mixed_grid_never_raises_and_names_every_failure(layer, kind, recwarn):
     result = grid_scan(mixed_spec(), Objective(kind=kind, layer=layer), workers=2)
-    assert len(result.rows) == 9
-    for row in result.rows:
-        assert (row.value is None) == (row.error is not None)
-        assert row.error is None or len(row.error) > 0
-        if row.point["r"] == 400.0:
-            assert row.error is not None
-        if kind == "minus_R" and row.point["x"] == 0.0:
-            assert row.error is not None
-    assert result.best is not None and result.best.point["r"] != 400.0
+    assert len(result.values) == 9
+    for i, value in enumerate(result.values):
+        point, error = result.point(i), result.errors.get(i)
+        assert (value is None) == (error is not None)
+        assert error is None or len(error) > 0
+        if point["r"] == 400.0:
+            assert error is not None
+        if kind == "minus_R" and point["x"] == 0.0:
+            assert error is not None
+    assert result.best is not None and result.point(result.best)["r"] != 400.0
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -445,27 +448,27 @@ def test_huge_displacement_scans_silently(layer, recwarn):
     )
     for kind in ("Q11", "detQ", "minus_R"):
         result = grid_scan(spec, Objective(kind=kind, layer=layer))
-        assert result.rows[0].error is None
+        assert 0 not in result.errors
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_overflow_row_names_its_error():
     result = grid_scan(mixed_spec(), Objective(kind="Q22"))
-    overflow = [row.error for row in result.rows if row.point["r"] == 400.0]
+    overflow = [result.errors.get(i) for i in range(9) if result.point(i)["r"] == 400.0]
     assert overflow == ["OverflowError: math range error"] * 3
     numeric = grid_scan(mixed_spec(), Objective(kind="Q22", layer="numeric"))
-    overflow = [row.error for row in numeric.rows if row.point["r"] == 400.0]
+    overflow = [numeric.errors.get(i) for i in range(9) if numeric.point(i)["r"] == 400.0]
     assert overflow == ["state moments must be finite"] * 3
     # at 180 a finite cosh overflows when squared, at 400 cosh itself does:
     # the closed-form row reads the same either way
     for field in ("r", "x"):
         spec = SearchSpec(base=mixed_spec().base, axes=(Axis(field, (180.0,)),))
-        row = grid_scan(spec, Objective(kind="Q22")).rows[0]
-        assert row.error == "OverflowError: math range error"
+        errors = grid_scan(spec, Objective(kind="Q22")).errors
+        assert errors[0] == "OverflowError: math range error"
     # at q = 1e154 q**2 is finite and 2 q**2 is inf, which math does not
     # raise for: the non-finite entry reads as the same overflow
     spec = SearchSpec(base=mixed_spec().base, axes=(Axis("q", (1e154,)),))
-    assert grid_scan(spec, Objective(kind="Q11")).rows[0].error == (
+    assert grid_scan(spec, Objective(kind="Q11")).errors[0] == (
         "OverflowError: math range error"
     )
     with pytest.raises(OverflowError):
@@ -476,10 +479,10 @@ def test_overflow_row_names_its_error():
     config = ModelConfig(r=0.5, x=0.5, alpha=1e308, theta=1e308)
     for kind in ("Q22", "minus_R"):
         spec = SearchSpec(base=config, axes=(Axis("x", (0.5,)),))
-        row = grid_scan(spec, Objective(kind=kind)).rows[0]
+        errors = grid_scan(spec, Objective(kind=kind)).errors
         with pytest.raises(OverflowError) as raised:
             objective_value(config, Objective(kind=kind))
-        assert error_message(raised.value) == row.error == "OverflowError: math range error"
+        assert error_message(raised.value) == errors[0] == "OverflowError: math range error"
 
 
 # the numeric cases keep the ids they had before the closed-form layer joined
@@ -503,15 +506,15 @@ def test_numeric_scan_independent_of_chunking(layer, kind):
         obj = Objective(kind=kind, layer=layer)
     results = [grid_scan(spec, obj, workers=w) for w in (1, 2, 3)]
     assert repr(results[0]) == repr(results[1]) == repr(results[2])
-    for row in results[0].rows:
-        config = dataclasses.replace(spec.base, **row.point)
-        if row.error is not None:
+    for i, value in enumerate(results[0].values):
+        config = dataclasses.replace(spec.base, **results[0].point(i))
+        if i in results[0].errors:
             with pytest.raises(SloppyModelError, match="singular"):
                 objective_value(config, obj)
         elif layer == "numeric":
-            assert row.value == objective_value(config, obj)
+            assert value == objective_value(config, obj)
         else:  # columns with numpy, one point with math
-            assert row.value == pytest.approx(objective_value(config, obj), rel=1e-12)
+            assert value == pytest.approx(objective_value(config, obj), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
@@ -533,11 +536,11 @@ def test_closed_form_columns_match_single_points(kind):
     weight = ((1.0, 0.3), (0.3, 2.0)) if kind == "weighted_CQ_inverse" else None
     obj = Objective(kind=kind, weight=weight)
     result = grid_scan(spec, obj, workers=2)
-    assert len(result.rows) == 486
-    for row in result.rows:
-        assert row.error is None
-        expected = objective_value(dataclasses.replace(base, **row.point), obj)
-        assert row.value == pytest.approx(expected, rel=1e-12)
+    assert len(result.values) == 486
+    for i, value in enumerate(result.values):
+        assert i not in result.errors
+        expected = objective_value(dataclasses.replace(base, **result.point(i)), obj)
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("layer", ["closed_form", "numeric"])
@@ -545,17 +548,18 @@ def test_first_negative_field_names_the_row(layer):
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.5),
                       axes=(Axis("q", (-1.0, 0.5)), Axis("x", (-1.0, 0.5)),
                             Axis("r", (-1.0, 0.5))))
-    rows = grid_scan(spec, Objective(kind="Q22", layer=layer), workers=2).rows
-    points = [(row.point["q"], row.point["x"], row.point["r"]) for row in rows]
-    for point, row in zip(points, rows):
+    result = grid_scan(spec, Objective(kind="Q22", layer=layer), workers=2)
+    points = [tuple(result.point(i).values()) for i in range(len(result.values))]
+    errors = [result.errors.get(i) for i in range(len(result.values))]
+    for point, error in zip(points, errors):
         try:
             dataclasses.replace(spec.base, q=point[0], x=point[1], r=point[2])
         except ValueError as exc:
-            assert row.error == str(exc)
+            assert error == str(exc)
         else:
-            assert row.error is None
-    assert rows[points.index((0.5, -1.0, -1.0))].error == "model field r must be non-negative"
-    assert rows[points.index((-1.0, -1.0, 0.5))].error == "model field x must be non-negative"
+            assert error is None
+    assert errors[points.index((0.5, -1.0, -1.0))] == "model field r must be non-negative"
+    assert errors[points.index((-1.0, -1.0, 0.5))] == "model field x must be non-negative"
 
 
 def test_non_finite_gamma_is_the_closed_form_row_error():
@@ -564,22 +568,22 @@ def test_non_finite_gamma_is_the_closed_form_row_error():
     # config reads first, wins
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, lam1=5e307),
                       axes=(Axis("r", (0.5, 400.0)), Axis("alpha", (-1e308, 1e308))))
-    rows = grid_scan(spec, Objective(kind="Q22"), workers=2).rows
-    assert [row.error for row in rows] == [
+    result = grid_scan(spec, Objective(kind="Q22"), workers=2)
+    assert [result.errors.get(i) for i in range(4)] == [
         None,
         "closed-form input gamma must be finite",
         "OverflowError: math range error",
         "closed-form input gamma must be finite",
     ]
-    for row in rows:
-        config = dataclasses.replace(spec.base, **row.point)
-        if row.error is None:
-            assert row.value == pytest.approx(objective_value(config, Objective("Q22")),
-                                              rel=1e-12)
+    for i, value in enumerate(result.values):
+        config = dataclasses.replace(spec.base, **result.point(i))
+        if i not in result.errors:
+            assert value == pytest.approx(objective_value(config, Objective("Q22")),
+                                          rel=1e-12)
         else:
             with pytest.raises((ValueError, OverflowError)) as raised:
                 objective_value(config, Objective(kind="Q22"))
-            assert error_message(raised.value) == row.error
+            assert error_message(raised.value) == result.errors[i]
 
 
 def test_more_workers_than_points():
@@ -630,14 +634,17 @@ def test_zero_intermediate_squeezing_rows_are_errors_up_to_large_squeezing():
     for layer in ("closed_form", "numeric"):
         result = grid_scan(spec, Objective(kind="minus_R", layer=layer))
         assert result.best is None
-        assert all(row.value is None and "singular" in row.error for row in result.rows)
+        assert all(
+            value is None and "singular" in result.errors[i]
+            for i, value in enumerate(result.values)
+        )
 
 
 @pytest.mark.parametrize("layer", ["closed_form", "numeric"])
 def test_chunk_with_no_valid_configuration(layer):
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("x", (-1.0, -2.0)),))
     result = grid_scan(spec, Objective(kind="minus_R", layer=layer))
-    assert [row.error for row in result.rows] == ["model field x must be non-negative"] * 2
+    assert [result.errors.get(i) for i in range(2)] == ["model field x must be non-negative"] * 2
     assert result.best is None
 
 
@@ -652,9 +659,9 @@ def test_non_finite_value_is_a_point_error(kind):
     weight = ((1.0, 0.0), (0.0, 1.0)) if kind == "weighted_CQ_inverse" else None
     objective = Objective(kind=kind, layer="numeric", weight=weight)
     result = grid_scan(spec, objective)
-    assert result.rows[1].value is None
-    assert result.rows[1].error == "OverflowError: math range error"
-    assert result.best == result.rows[0]
+    assert result.values[1] is None
+    assert result.errors[1] == "OverflowError: math range error"
+    assert result.best == 0
     with pytest.raises(OverflowError, match="math range error"):
         objective_value(ModelConfig(r=0.5, x=0.5, q=1e160), objective)
 
@@ -665,7 +672,7 @@ def test_non_finite_objective_of_finite_matrices_is_a_point_error(layer, shown):
     config = ModelConfig(r=0.5, x=0.5, q=1e152, theta=0.3, phi=0.4)
     objective = Objective(kind="detQ", layer=layer)
     result = grid_scan(SearchSpec(base=config, axes=()), objective)
-    assert result.rows[0].error == f"objective detQ is {shown}, not a finite number"
+    assert result.errors[0] == f"objective detQ is {shown}, not a finite number"
     with pytest.raises(ValueError, match="not a finite number"):
         objective_value(config, objective)
 
@@ -733,13 +740,16 @@ def scans(draw):
 def test_scan_over_finite_inputs_never_raises(scan):
     spec, objective, workers = scan
     result = grid_scan(spec, objective, workers=workers)
-    assert len(result.rows) == math.prod(len(axis.values) for axis in spec.axes)
-    for row in result.rows:
-        assert (row.value is None) != (row.error is None)
-        assert row.value is None or math.isfinite(row.value)
-    values = [row.value for row in result.rows if row.value is not None]
+    grid = list(itertools.product(*(axis.values for axis in spec.axes)))
+    assert len(result.values) == len(grid)
+    for i, value in enumerate(result.values):
+        # repr, so that the sign of a zero and the key order count too
+        assert repr(result.point(i)) == repr(dict(zip([a.name for a in spec.axes], grid[i])))
+        assert (value is None) != (i not in result.errors)
+        assert value is None or math.isfinite(value)
+    values = [value for value in result.values if value is not None]
     if values:
-        assert result.best.value == max(values)
+        assert result.values[result.best] == max(values)
     else:
         assert result.best is None
 
