@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -55,14 +56,13 @@ COMPARE_NOTES = (
     "by Q11, Q22 and Q12.",
     "On the fully transmissive slice (phi = 0) that shared offset equals "
     "exactly 2.",
-    "The displacement-free part of the curvature entry U12 in the reference "
-    "layer is exactly 4 times the engine value.",
-    "The displacement term of U12: at beta = lam2 = 0 the engine gives "
-    "4 q^2 sinh(2x) sin(gamma) while the reference displacement term "
-    "vanishes there.",
-    "These gaps are reported, not reconciled: the engine is first-principles "
-    "and the reference layer is transcribed verbatim, and no single "
-    "convention choice tried so far removes all of them at once.",
+    "The displacement-free part of the curvature entry U12 agrees.",
+    "The displacement term of U12 is a defect of the reference layer: it "
+    "depends on lam2, the last gate, which the state cannot. At the balanced "
+    "setting the engine follows the Fock-space law "
+    "U12 = -q^2 sinh(2x) sin(gamma - 2 beta).",
+    "The engine is checked against Fock-space and fidelity oracles; the "
+    "reference layer is transcribed verbatim, so these gaps are reported.",
 )
 
 
@@ -134,8 +134,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
 
     jet = jacobian_analytic(config)
     phys = jet.state.physicality
-    q = metrology.qfi_matrix(jet)
-    u = metrology.uhlmann_matrix(jet)
+    (q,), (u,), _ = metrology.information_and_curvature(jet)  # a stack of one, no errors
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise OverflowError("math range error")
 
@@ -375,6 +374,8 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
         spec, objective, workers = _parse_search(config_obj, "optimize")
         scan = optimize.grid_scan(spec, objective, workers=workers)
         if scan.best is None:
+            # every row failed: the command fails as row 0 does (exit 1 or 2)
+            optimize.objective_value(dataclasses.replace(spec.base, **scan.point(0)), objective)
             raise SloppyModelError("objective failed at every grid point")
         refined = optimize.refine_local(spec, objective, scan.point(scan.best))
         payload = {

@@ -217,9 +217,8 @@ def layer_matrices(points, layer: str):
     """
     if layer == "numeric":
         jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
-        q, q_errors = metrology.qfi_matrix(jet)
-        u, u_errors = metrology.uhlmann_matrix(jet)
-        errors, gamma = {**u_errors, **q_errors}, np.zeros(len(q))  # it never reads gamma
+        q, u, errors = metrology.information_and_curvature(jet)
+        gamma = np.zeros(len(q))  # the numeric layer never reads gamma
     elif isinstance(points, ModelConfig):
         return _point_matrices(points)
     else:
@@ -288,8 +287,7 @@ def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
     layer_matrices call per layer. The first failing config in order raises
     its engine error, else its closed-form error. Reports, never asserts:
     the two layers are known to disagree on the displacement-free parts of
-    the Q entries (constant offset) and on the normalization and
-    displacement term of U12.
+    the Q entries (constant offset) and on the displacement term of U12.
     """
     single = isinstance(config, ModelConfig)
     params = parameters([config] if single else config)

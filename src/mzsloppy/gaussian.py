@@ -12,8 +12,8 @@ Conventions (fixed here, relied on everywhere else):
   [[ch + sh cos a, sh sin a], [sh sin a, ch - sh cos a]]
 * BeamSplitter(mix, phase) transmits cos^2(mix) of each input; the phase
   is a rotation of the second mode applied before the real mixer.
-* Displacement(amplitude, angle) leaves the covariance alone and shifts the
-  mean by (amplitude/sqrt(2)) (cos angle, sin angle).
+* Displacement(amplitude, angle) keeps the covariance and shifts the mean by
+  amplitude (cos angle, sin angle): coherent amplitude (amplitude/sqrt 2) e^{i angle}.
 
 All values are immutable; all operations are pure functions.
 
@@ -256,8 +256,8 @@ def gate_symplectic(gate: Gate, modes: int) -> tuple[np.ndarray, np.ndarray]:
         _check_finite(gate, gate.amplitude, gate.angle)
         _check_mode(gate.mode, modes)
         S, shift = _identity(n, gate.amplitude, gate.angle)
-        shift[..., 2 * gate.mode] = gate.amplitude / math.sqrt(2) * np.cos(gate.angle)
-        shift[..., 2 * gate.mode + 1] = gate.amplitude / math.sqrt(2) * np.sin(gate.angle)
+        shift[..., 2 * gate.mode] = gate.amplitude * np.cos(gate.angle)
+        shift[..., 2 * gate.mode + 1] = gate.amplitude * np.sin(gate.angle)
     else:
         raise ValueError(f"unknown gate type: {type(gate).__name__}")
     return S, shift

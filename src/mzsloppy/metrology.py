@@ -1,15 +1,11 @@
 """First-principles metrology for pure Gaussian models.
 
-The information matrix and curvature are computed directly from the state
-moments and their parameter derivatives:
-
-    Q[j,k] = (1/4) Tr[(cov^-1 dcov_j)(cov^-1 dcov_k)]
-             + 2 dmean_j^T cov^-1 dmean_k
-    U[i,j] = (1/4) Tr[Om cov (Om dcov_i Om dcov_j - Om dcov_j Om dcov_i)]
-             + 4 dmean_i^T cov^-1 Om cov^-1 dmean_j
-
-Both formulas assume a pure model state and are gated on that. Linear
-systems are solved directly rather than through explicit inverses.
+Q and U of the estimated phases are read off one quantum geometric tensor G
+(Monras, arXiv:1303.3682): G[j,k] = 1/2 Tr[A_j C A_k C^T] + m^T A_j C A_k m,
+Q = 4 Re G and U = -4 Im G, with A_j = -Omega K_j the quadratic form of
+phase j's propagated generator, C = cov + i Omega/2 and m the mean. G is
+the covariance of the generators in the output state (Wick's theorem), so
+4G = Q - iU is a Gram matrix: Q + iU is positive semidefinite and R <= 1.
 
 qfi_matrix, uhlmann_matrix, quantumness_general and scalar_crb also take a
 stack: a stacked jet, or (N, n, n) matrices. They then return (values,
@@ -20,6 +16,7 @@ raises there and its values are NaN, and never raise for one point.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -43,65 +40,55 @@ _SINGULAR_MESSAGE = (
 )
 
 
-# Stacked products go through matmul and np.trace, which run the same BLAS
-# call and reduction on every point as on a single matrix, so a point's
-# value does not depend on the stack it is evaluated in.
+# Stacked products go through matmul, the same BLAS call on every point as
+# on one matrix, so a point's value does not depend on its stack.
 
 
-def _pure_stack(jet: ModelJet, op: str):
-    """(stacked, cov, dcov, dmean, errors) of a jet, points first: dcov is
-    (N, n, 2M, 2M) and dmean (N, n, 2M) for n parameters. A point's error
-    is the state's own, else the pure-state gate of `op`."""
-    state = jet.state
-    stacked = state.cov.ndim == 3
-    labels = state.physicality.classification
-    if isinstance(labels, str):
-        labels = (labels,)
-    gate = {
-        i: ValueError(f"{op} requires a pure model state, got {label}")
-        for i, label in enumerate(labels)
-        if label != "pure"
-    }
-    errors = {**gate, **state.errors}
-    axis = 1 if stacked else 0
-    dcov, dmean = np.stack(jet.dcov, axis=axis), np.stack(jet.dmean, axis=axis)
-    if not stacked:
-        return False, state.cov[None], dcov[None], dmean[None], errors
-    return True, state.cov, dcov, dmean, errors
+def geometric_tensor(jet: ModelJet):
+    """(G, errors): the quantum geometric tensor, stacked (a single jet is a
+    stack of one), NaN at each point of errors. With C = S B B^H S^T (S the
+    jet's symplectic matrix, B B^H = (I + i Omega)/2 the vacuum's), G is the
+    Gram matrix of (Y_j / sqrt 2, w_j), Y_j = B^H S^T A_j S conj(B) and
+    w_j = B^H S^T A_j m: positive semidefinite to round-off, which is
+    squared at vacuum."""
+    if jet.generators is None:
+        raise ValueError("geometric_tensor needs a jet with propagated generators")
+    gens, S, mean = np.stack(jet.generators, axis=-3), jet.symplectic, jet.state.mean
+    if S.ndim == 2:
+        gens, S, mean = gens[None], S[None], mean[None]
+    with np.errstate(all="ignore"):  # a G that overflows is the caller's error
+        # S^T A_j = (Omega S)^T K_j, and B's column on mode m is (e_q - i e_p)/sqrt 2
+        left = (symplectic_form(jet.state.modes) @ S).transpose(0, 2, 1)[:, None]
+        A = left @ gens @ S[:, None]
+        u = (left @ gens @ mean[:, None, :, None])[..., 0]
+        Y = A[..., ::2, ::2] - A[..., 1::2, 1::2] + 1j * (A[..., ::2, 1::2] + A[..., 1::2, ::2])
+        w = u[..., ::2] + 1j * u[..., 1::2]
+        Y = Y.reshape(Y.shape[:2] + (Y.shape[2] * Y.shape[3],))
+        V = np.concatenate([Y / math.sqrt(8), w / math.sqrt(2)], axis=-1)
+        G = V.conj() @ V.transpose(0, 2, 1)
+        G = (G + G.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
+    errors = dict(jet.state.errors)
+    G[list(errors)] = np.nan
+    return G, errors
+
+
+def information_and_curvature(jet: ModelJet):
+    """(Q, U, errors) = (4 Re G, -4 Im G, errors), stacked; -Im G is read as
+    the transpose of Im G (G is Hermitian), which keeps U's diagonal +0.0."""
+    G, errors = geometric_tensor(jet)
+    return 4.0 * G.real, 4.0 * G.imag.transpose(0, 2, 1), errors
 
 
 def qfi_matrix(jet: ModelJet):
-    """Quantum Fisher information matrix, 2x2 symmetric."""
-    stacked, cov, dcov, dmean, errors = _pure_stack(jet, "qfi_matrix")
-    n, dim = dcov.shape[1], cov.shape[-1]
-    # one solve per parameter for [cov^-1 dcov_j | cov^-1 dmean_j]
-    rhs = np.concatenate([dcov, dmean[..., None]], axis=-1)
-    sol, errors = guarded_call(np.linalg.solve, errors, cov[:, None], rhs)
-    A, m = sol[..., :dim], sol[..., dim:]
-    traces = np.trace(A[:, :, None] @ A[:, None, :], axis1=-2, axis2=-1)
-    means = (dmean[:, :, None, None, :] @ m[:, None])[..., 0, 0]
-    Q = 0.25 * traces + 2.0 * means
-    # both terms are symmetric in (j, k); mirroring keeps that exact
-    for j in range(n):
-        for k in range(j):
-            Q[:, j, k] = Q[:, k, j]
-    return unstack(Q, errors, stacked)
+    """Quantum Fisher information matrix Q = 4 Re G, symmetric."""
+    Q, _, errors = information_and_curvature(jet)
+    return unstack(Q, errors, jet.state.cov.ndim == 3)
 
 
 def uhlmann_matrix(jet: ModelJet):
-    """Uhlmann curvature, 2x2 antisymmetric (enforced structurally)."""
-    stacked, cov, dcov, dmean, errors = _pure_stack(jet, "uhlmann_matrix")
-    Om = symplectic_form(jet.state.modes)
-    X1, X2 = Om @ dcov[:, 0], Om @ dcov[:, 1]
-    comm = X1 @ X2 - X2 @ X1
-    si, errors = guarded_call(np.linalg.solve, errors, cov, dmean.transpose(0, 2, 1))
-    u = 0.25 * np.trace(Om @ cov @ comm, axis1=1, axis2=2) + 4.0 * (
-        si[:, None, :, 0] @ Om @ si[:, :, 1:]
-    )[:, 0, 0]
-    U = np.zeros((len(cov), 2, 2))
-    U[:, 0, 1], U[:, 1, 0] = u, -u
-    U[list(errors)] = np.nan
-    return unstack(U, errors, stacked)
+    """Uhlmann curvature U = -4 Im G, antisymmetric."""
+    _, U, errors = information_and_curvature(jet)
+    return unstack(U, errors, jet.state.cov.ndim == 3)
 
 
 def _singular_errors(Q: np.ndarray) -> dict:
@@ -111,12 +98,6 @@ def _singular_errors(Q: np.ndarray) -> dict:
     w, _ = guarded_call(np.linalg.eigvalsh, dict.fromkeys(nonfinite), Q)
     regular = w[:, 0] > SINGULAR_Q_TOL * np.maximum(1.0, w[:, -1])  # False where NaN
     return {i: SloppyModelError(_SINGULAR_MESSAGE) for i in (~regular).nonzero()[0].tolist()}
-
-
-def _require_invertible(Q: np.ndarray) -> None:
-    errors = _singular_errors(np.asarray(Q, dtype=float)[None])
-    if errors:
-        raise errors[0]
 
 
 def quantumness_general(Q: np.ndarray, U: np.ndarray):
@@ -136,7 +117,9 @@ def quantumness_two_param(Q: np.ndarray, U: np.ndarray) -> float:
     """R = |U12| / sqrt(det Q), the two-parameter shortcut."""
     if Q.shape != (2, 2):
         raise ValueError("two-parameter form needs 2x2 matrices")
-    _require_invertible(Q)
+    errors = _singular_errors(np.asarray(Q, dtype=float)[None])
+    if errors:
+        raise errors[0]
     return float(abs(U[0, 1]) / np.sqrt(np.linalg.det(Q)))
 
 

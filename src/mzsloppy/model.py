@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .gaussian import (
     PhaseRotation,
     Squeezer,
     gate_symplectic,
+    symplectic_form,
 )
 
 FD_STEP_DEFAULT = 1e-5
@@ -117,6 +118,10 @@ class ModelColumns:
 class ModelJet:
     """Output state with its derivatives along (lam1, lam2).
 
+    generators are the phases' generators K_j (dS/dlam_j = K_j S) and
+    symplectic the circuit's matrix S (cov = S S^T / 2), which the geometric
+    tensor reads; a jet of states alone (jacobian_fd) has neither.
+
     For a stack of N configurations every array has a leading point axis
     and state.errors maps each failed point to its error.
     """
@@ -124,6 +129,8 @@ class ModelJet:
     state: GaussianState
     dcov: tuple[np.ndarray, np.ndarray]
     dmean: tuple[np.ndarray, np.ndarray]
+    generators: Optional[tuple[np.ndarray, np.ndarray]] = None
+    symplectic: Optional[np.ndarray] = None
 
 
 def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
@@ -144,35 +151,43 @@ def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
 # J0 = Omega P0, the generator of a mode-0 phase rotation: dS/dlam = J0 S
 _J0 = np.zeros((4, 4))
 _J0[0, 1], _J0[1, 0] = 1.0, -1.0
+_OMEGA = symplectic_form(2)
 
 
 def _propagate(params: np.ndarray):
-    """(cov, mean, dcov, dmean) of the output for an (N, 9) parameter array.
+    """(cov, mean, dcov, dmean, generators, symplectic) of the output for an
+    (N, 9) parameter array; symplectic is the product of all gates.
 
     The only rotations of the circuit are the estimated phases, lam1 then
     lam2. Right after each, its derivative opens as J0 cov - cov J0 and
-    J0 mean; every later gate conjugates it as it does the state.
+    J0 mean, and its generator as J0; every later gate conjugates the
+    derivative as it does the state, and the generator as S K S^-1, with
+    S^-1 = -Omega S^T Omega.
     """
     cov = np.broadcast_to(np.eye(4) / 2, (len(params), 4, 4))
+    total = np.broadcast_to(np.eye(4), cov.shape)
     mean = np.zeros((len(params), 4, 1))  # means are carried as columns
-    dcov, dmean = [], []
+    dcov, dmean, gens = [], [], []
     for gate in build_mz_model(ModelColumns(params)):
         S, shift = gate_symplectic(gate, 2)
         St = S.transpose(0, 2, 1)
         dcov = [S @ d @ St for d in dcov]
         dmean = [S @ d for d in dmean]
+        gens = [-(S @ k @ _OMEGA @ St @ _OMEGA) for k in gens]
         cov = S @ cov @ St
         mean = S @ mean + shift[..., None]
+        total = S @ total
         if isinstance(gate, PhaseRotation):
             dcov.append(_J0 @ cov - cov @ _J0)
             dmean.append(_J0 @ mean)
-    return cov, mean[..., 0], dcov, [d[..., 0] for d in dmean]
+            gens.append(np.broadcast_to(_J0, cov.shape))
+    return cov, mean[..., 0], dcov, [d[..., 0] for d in dmean], gens, total
 
 
 def jacobian_analytic(
     config: Union[ModelConfig, Sequence[ModelConfig], np.ndarray]
 ) -> ModelJet:
-    """Exact (dcov, dmean) along (lam1, lam2) by chain rule.
+    """Exact (dcov, dmean) along (lam1, lam2) by chain rule, and generators.
 
     Given a sequence of configs, or their (N, 9) parameter array with rows
     that ModelConfig accepts, propagates all of them in one pass and
@@ -184,14 +199,16 @@ def jacobian_analytic(
     if not isinstance(config, np.ndarray):
         config = parameters([config] if single else config)
     with np.errstate(all="ignore"):
-        cov, mean, dcov, dmean = _propagate(config)
+        cov, mean, dcov, dmean, gens, total = _propagate(config)
     if single:
-        cov, mean = cov[0], mean[0]
-        dcov, dmean = [d[0] for d in dcov], [d[0] for d in dmean]
+        cov, mean, total = cov[0], mean[0], total[0]
+        dcov, dmean, gens = [d[0] for d in dcov], [d[0] for d in dmean], [k[0] for k in gens]
     return ModelJet(
         state=GaussianState(modes=2, mean=mean, cov=cov),
         dcov=(dcov[0], dcov[1]),
         dmean=(dmean[0], dmean[1]),
+        generators=(gens[0], gens[1]),
+        symplectic=total,
     )
 
 

@@ -121,8 +121,8 @@ def test_criterion_04_weak_compatibility_at_balanced_setting():
     quantumness, for every squeezer phase gamma without displacement. With
     displacement on it vanishes on the phase-locked line 2 beta = gamma
     (mod pi), both branches: at this setting the Fock-space oracle gives
-    4 Im G12 = (1/2) q^2 sinh(2x) sin(gamma - 2 beta), which is nonzero
-    off that line (README.md, "Known tensions between the layers")."""
+    4 Im G12 = q^2 sinh(2x) sin(gamma - 2 beta), which is nonzero off that
+    line (README.md, "Known tensions between the layers")."""
     for r in (0.25, 0.5, 1.0):
         for x in (0.25, 0.5, 1.0):
             for gamma in (0.0, PI / 3, PI / 2, 2.2, PI):
@@ -221,8 +221,8 @@ def test_criterion_08_quantumness_definition_equivalence():
         assert -1e-12 <= general <= 1.0 + 1e-12
         checked += 1
 
-    # the two definitions also agree with displacement on; the unit-interval
-    # bound does not survive there (see README, known tensions)
+    # the two definitions also agree with displacement on, inside the unit
+    # interval too: Q + iU is a Gram matrix
     for seed in range(5):
         config = random_config(np.random.default_rng(900 + seed))
         if config.r < 0.05 or config.x < 0.05:
@@ -233,6 +233,7 @@ def test_criterion_08_quantumness_definition_equivalence():
             continue
         general = quantumness_general(q, u)
         assert abs(general - quantumness_two_param(q, u)) <= 1e-9 * max(1.0, general)
+        assert -1e-12 <= general <= 1.0 + 1e-12
 
 
 def test_criterion_09_optimizer_recovery():
@@ -255,7 +256,8 @@ def test_criterion_09_optimizer_recovery():
 def test_criterion_10_discrepancy_documentation():
     """The default comparison grid yields a complete report, calibration
     points agree, and the disputed constant-offset entries stay visibly
-    apart (their agreement is never asserted, here or anywhere)."""
+    apart (their agreement is never asserted, here or anywhere). The notes
+    name the offset and the reference layer's curvature defect."""
     payload = cli.run_compare()
     records = payload["records"]
     summary = payload["summary"]
@@ -279,7 +281,7 @@ def test_criterion_10_discrepancy_documentation():
     assert all(rec["abs_difference"] > 1.0 for rec in disputed)
     notes = " ".join(summary["notes"])
     assert "offset" in notes
-    assert "4 times" in notes
+    assert "defect of the reference layer" in notes
 
 
 def test_criterion_11_cli_contract(tmp_path, capsys):

@@ -88,6 +88,19 @@ class TestEval:
         assert payload["sloppiness"]["sloppy"] is True
         assert payload["sloppiness"]["threshold"] == 1e-8
 
+    def test_large_squeezing_is_evaluated(self, tmp_path, capsys):
+        # a pure state whose computed symplectic spectrum reads "unphysical"
+        # at this squeezing: Q and U do not depend on that label
+        model = model_dict(r=4.0, x=2.0, theta=1.0, phi=0.7, alpha=0.3)
+        cfg = write_config(tmp_path, {"model": model, "weight": [[1.0, 0.0], [0.0, 1.0]]})
+        code, out, err = run_cli(capsys, ["eval", "--config", cfg])
+        assert code in (0, 2) and err == ""
+        payload = json.loads(out)
+        assert code == (2 if payload["sloppiness"]["sloppy"] else 0)
+        assert all(math.isfinite(v) for row in payload["information_matrix"] for v in row)
+        assert all(math.isfinite(v) for row in payload["curvature_matrix"] for v in row)
+        assert 0.0 <= payload["quantumness"]["general"] <= 1.0 + 1e-9
+
     def test_balanced_configuration_exits_zero(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -363,6 +376,29 @@ class TestOptimize:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["mode"] == "custom"
 
+    def test_all_failed_grid_reports_row_zero_error(self, tmp_path, capsys):
+        # rows: a negative field, then an overflow; scan names both, and
+        # optimize fails as row 0 does, with its config error
+        cfg = write_config(tmp_path, {
+            "model": model_dict(r=0.5, x=0.5),
+            "objective": {"kind": "Q22"},
+            "axes": [{"name": "r", "values": [-1.0, 400.0]}],
+        })
+        code, out, err = run_cli(capsys, ["optimize", "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == "mzsloppy: error: model field r must be non-negative\n"
+
+    def test_all_sloppy_grid_exits_two(self, tmp_path, capsys):
+        # x = 0: Q is singular at every grid point, so R is undefined there
+        cfg = write_config(tmp_path, {
+            "model": model_dict(r=0.5, x=0.0),
+            "objective": {"kind": "minus_R", "layer": "numeric"},
+            "axes": [{"name": "theta", "values": [0.0, 1.0]}],
+        })
+        code, out, err = run_cli(capsys, ["optimize", "--config", cfg])
+        assert code == 2 and out == ""
+        assert err.startswith("mzsloppy: degenerate model: information matrix is singular")
+
     def test_missing_inputs_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"r": 0.5})
         code, _, err = run_cli(capsys, ["optimize", "--config", cfg])
@@ -577,12 +613,6 @@ class TestEngineErrors:
         [
             ("optimize", {"r": 400, "x": 1}, "OverflowError: math range error"),
             ("eval", {"model": model_dict(r=400.0, x=0.5)}, "state moments must be finite"),
-            # a pure state misclassified at large squeezing
-            (
-                "eval",
-                {"model": model_dict(r=4.0, x=2.0, theta=1.0, phi=0.7, alpha=0.3)},
-                "requires a pure model state",
-            ),
             # a malformed weight is the objective's error, not every row's
             (
                 "scan",
@@ -638,7 +668,7 @@ class TestEngineErrors:
             # an angle whose closed forms leave math's domain is worded as in a scan row
             ("compare", {"phi_values": [1e308]}, "OverflowError: math range error"),
         ],
-        ids=["optimize_r400", "eval_r400", "eval_r4_x2", "scan_asymmetric_weight",
+        ids=["optimize_r400", "eval_r400", "scan_asymmetric_weight",
              "optimize_indefinite_weight", "eval_nan_weight", "eval_nan_threshold",
              "scan_nan_weight", "optimize_inf_weight", "eval_information_overflow",
              "compare_information_overflow", "compare_engine_overflow", "compare_x400", "compare_overflow_before_negative_x",
@@ -716,7 +746,7 @@ def test_every_finite_config_exits_zero_one_or_two(command_config, fmt):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     # exit 2 is eval's sloppy verdict, with its payload, or a degenerate
-    # model without one (optimize: the objective failed at every grid point)
+    # model without one (optimize: every grid point failed, row 0 as sloppy)
     assert (out.getvalue() == "") == (code == 1 or (code == 2 and command == "optimize"))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # compare can still write a difference that overflows (CHANGES.md)

@@ -302,19 +302,22 @@ class TestCompare:
         assert report.flags["u12_abs_difference"] < 1e-10
 
     def test_curvature_normalization_gap_documented(self):
-        # away from the special settings the reference curvature runs at
-        # exactly four times the engine value (no displacement)
+        # the gap is closed: without displacement the reference curvature
+        # equals the engine's -4 Im G, which the Fock oracle confirms
+        # (tests/test_fock_oracle.py)
         for cfg in (
             ModelConfig(r=0.5, x=0.5, theta=0.0, phi=0.0, alpha=math.pi / 2),
             ModelConfig(r=0.8, x=0.6, theta=0.9, phi=0.3, alpha=1.7, lam1=0.4),
         ):
             report = compare(cfg)
             u12 = report.records[3]
-            assert u12.numeric == pytest.approx(u12.closed_form / 4.0, rel=1e-9)
+            assert u12.numeric == pytest.approx(u12.closed_form, rel=1e-9)
 
     def test_displacement_curvature_law_disagrees(self):
-        # at beta = lam2 = 0 the reference q-term vanishes while the engine
-        # gives 4 q^2 sinh(2x) sin(gamma); never reconciled, only reported
+        # at the balanced setting with beta = lam2 = 0 the reference q-term
+        # vanishes, while the engine follows the Fock law
+        # 4 Im G12 = q^2 sinh(2x) sin(gamma - 2 beta), so U12 = -q^2 sinh(2x)
+        # sin(gamma); the reference term's lam2 dependence is its defect
         r, x, q, gamma = 0.5, 0.7, 0.9, 1.1
         cfg = ModelConfig(r=r, q=q, x=x, alpha=gamma,
                           theta=math.pi / 2, phi=math.pi / 4)
@@ -322,7 +325,7 @@ class TestCompare:
         u12 = report.records[3]
         assert abs(u12.closed_form) < 1e-12
         assert u12.numeric == pytest.approx(
-            4 * q * q * math.sinh(2 * x) * math.sin(gamma), rel=1e-9
+            -q * q * math.sinh(2 * x) * math.sin(gamma), rel=1e-9
         )
         assert report.flags["u12_abs_difference"] > 1.0
 
@@ -366,8 +369,8 @@ class TestCompare:
                 compare(config)
 
     def test_engine_overflow_with_finite_closed_forms_raises(self):
-        # the closed forms are finite here, the engine's U12 is -inf
-        config = ModelConfig(r=0.35, q=4.4e153, beta=5.3, theta=0.6, phi=0.13, x=0.6,
+        # the closed forms are finite here, the engine's Q22 overflows
+        config = ModelConfig(r=0.35, q=5.22e153, beta=5.3, theta=0.6, phi=0.13, x=0.6,
                              alpha=0.67, lam1=1.14, lam2=0.57)
         with pytest.raises(OverflowError, match="math range error"):
             compare(config)

@@ -1,4 +1,4 @@
-"""Fock-space state-vector oracle for the interferometer at the balanced setting.
+"""Fock-space state-vector oracle for the interferometer.
 
 Each gate is the two-mode unitary whose Heisenberg map is the engine's
 symplectic matrix, built with scipy.linalg.expm on a truncated Fock space
@@ -7,19 +7,19 @@ symplectic matrix, built with scipy.linalg.expm on a truncated Fock space
 - phase rotation by t: exp(-i t n);
 - squeezer of magnitude m and angle a: exp((z* a^2 - z a^dag^2)/2) with
   z = -m e^{i a};
-- displacement of amplitude A and angle b: coherent amplitude (A/2) e^{i b};
+- displacement of amplitude A and angle b: coherent amplitude
+  (A/sqrt(2)) e^{i b}, so that the mean moves by A (cos b, sin b);
 - beam splitter: exp(phi (a0^dag a1 - a1^dag a0)) after exp(-i theta n1),
   applied with scipy.sparse.linalg.expm_multiply.
 
 The quantum geometric tensor of the output state along (lam1, lam2) is
-G_jk = <d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>, with U = 4 Im G. At
-theta = pi/2, phi = pi/4 it obeys 4 Im G12 = (1/2) q^2 sinh(2x)
-sin(gamma - 2 beta), with gamma = alpha + 2 lam1: no dependence on r or on
-lam2 (the last gate), zero without displacement and on the phase-locked
-line 2 beta = gamma (mod pi). This is the evidence for the phase condition
-in acceptance criterion 4. The engine's curvature has the same zero set;
-its magnitude is not asserted here (the engine's U coefficients are not
-yet fixed against this oracle, see ROADMAP.md, item 1).
+G_jk = <d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>. The engine's
+information matrix and curvature are Q = 4 Re G and U = -4 Im G, which the
+random settings below assert to 1e-9. At theta = pi/2, phi = pi/4, G obeys
+4 Im G12 = q^2 sinh(2x) sin(gamma - 2 beta), with gamma = alpha + 2 lam1:
+no dependence on r or on lam2 (the last gate), zero without displacement
+and on the phase-locked line 2 beta = gamma (mod pi). This is the evidence
+for the phase condition in acceptance criterion 4.
 
 Small squeezing and displacement (r, x, q <= 0.3) keep the truncation
 error at cutoff 28 (about 1e-11 in the moments) far below the 1e-9
@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from mzsloppy.metrology import uhlmann_matrix
+from mzsloppy.metrology import qfi_matrix, uhlmann_matrix
 from mzsloppy.model import ModelConfig, evaluate_state, jacobian_analytic
 
 PI = math.pi
@@ -65,7 +65,7 @@ def squeezer(magnitude, angle):
 
 
 def displacement(amplitude, angle):
-    alpha = 0.5 * amplitude * np.exp(1j * angle)
+    alpha = amplitude / math.sqrt(2) * np.exp(1j * angle)
     return expm(alpha * A.T - np.conj(alpha) * A)
 
 
@@ -83,7 +83,8 @@ def on_mode1(op, psi):
 
 
 def oracle(config):
-    """(mean, cov, 4 Im G12) of the output state in the Fock basis."""
+    """(mean, cov, G) of the output state in the Fock basis, G the 2x2
+    geometric tensor along (lam1, lam2)."""
     psi = np.zeros((CUTOFF, CUTOFF), dtype=complex)
     psi[0, 0] = 1.0
     psi = on_mode1(squeezer(config.r, 0.0), squeezer(config.r, 0.0) @ psi)
@@ -96,12 +97,13 @@ def oracle(config):
     d1 = tail @ (-1j * n0 * psi)  # lam1 enters before the tail
     psi = tail @ psi
     d2 = -1j * n0 * psi  # lam2 is the last gate
-    g12 = np.vdot(d1, d2) - np.vdot(d1, psi) * np.vdot(psi, d2)
+    G = np.array([[np.vdot(a, b) - np.vdot(a, psi) * np.vdot(psi, b) for b in (d1, d2)]
+                  for a in (d1, d2)])
     moved = [QUAD_Q @ psi, QUAD_P @ psi, on_mode1(QUAD_Q, psi), on_mode1(QUAD_P, psi)]
     mean = np.array([np.vdot(psi, v).real for v in moved])
     # symmetrised second moments of Hermitian quadratures: Re <X psi|Y psi>
     second = np.array([[np.vdot(u, v).real for v in moved] for u in moved])
-    return mean, second - np.outer(mean, mean), 4.0 * g12.imag
+    return mean, second - np.outer(mean, mean), G
 
 
 def balanced(r, x, q, beta, gamma, lam1, lam2):
@@ -110,7 +112,8 @@ def balanced(r, x, q, beta, gamma, lam1, lam2):
 
 
 def curvature_law(x, q, beta, gamma):
-    return 0.5 * q * q * math.sinh(2 * x) * math.sin(gamma - 2 * beta)
+    """4 Im G12 at the balanced setting."""
+    return q * q * math.sinh(2 * x) * math.sin(gamma - 2 * beta)
 
 
 @pytest.mark.parametrize("r, x, q, gamma, lam1, lam2", CONFIGS)
@@ -130,8 +133,8 @@ def test_curvature_vanishes_without_displacement_and_on_phase_line(
     settings = ((0.0, 0.0), (q, gamma / 2), (q, gamma / 2 + PI / 2))
     for amplitude, beta in settings:
         config = balanced(r, x, amplitude, beta, gamma, lam1, lam2)
-        _, _, curvature = oracle(config)
-        assert abs(curvature) <= TOL, (amplitude, beta)
+        _, _, G = oracle(config)
+        assert abs(4.0 * G[0, 1].imag) <= TOL, (amplitude, beta)
         assert abs(uhlmann_matrix(jacobian_analytic(config))[0, 1]) <= TOL
 
 
@@ -142,7 +145,27 @@ def test_curvature_follows_phase_law_off_the_line(r, x, q, gamma, lam1, lam2):
         if abs(expected) < 1e-4:  # beta = 0 lies on the line when gamma = 0 mod pi
             continue
         config = balanced(r, x, q, beta, gamma, lam1, lam2)
-        _, _, curvature = oracle(config)
-        assert abs(curvature - expected) <= TOL, beta
-        # same zero set: the engine's curvature is nonzero here as well
-        assert abs(uhlmann_matrix(jacobian_analytic(config))[0, 1]) > 1e-4
+        _, _, G = oracle(config)
+        assert abs(4.0 * G[0, 1].imag - expected) <= TOL, beta
+        assert abs(uhlmann_matrix(jacobian_analytic(config))[0, 1] + expected) <= TOL, beta
+
+
+def random_settings(count, seed=1729):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r, x, q = rng.uniform(0.0, 0.3, 3)
+        beta, theta, phi, alpha, lam1, lam2 = rng.uniform(-PI, PI, 6)
+        yield ModelConfig(r=r, q=q, beta=beta, theta=theta, phi=phi, x=x,
+                          alpha=alpha, lam1=lam1, lam2=lam2)
+
+
+@pytest.mark.parametrize("config", list(random_settings(6)), ids=lambda c: f"r{c.r:.3f}")
+def test_engine_reads_the_fock_geometric_tensor(config):
+    # every angle random: Q = 4 Re G and U = -4 Im G, mean and covariance
+    # terms alike
+    mean, cov, G = oracle(config)
+    jet = jacobian_analytic(config)
+    assert np.max(np.abs(mean - jet.state.mean)) <= TOL
+    assert np.max(np.abs(cov - jet.state.cov)) <= TOL
+    assert np.max(np.abs(qfi_matrix(jet) - 4.0 * G.real)) <= TOL
+    assert np.max(np.abs(uhlmann_matrix(jet) + 4.0 * G.imag)) <= TOL

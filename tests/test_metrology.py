@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzsloppy.exceptions import SloppyModelError
 from mzsloppy.gaussian import GaussianState
 from mzsloppy.metrology import (
     ScalarBounds,
     default_threshold,
+    geometric_tensor,
+    information_and_curvature,
     qfi_matrix,
     quantumness_general,
     quantumness_two_param,
@@ -18,7 +21,7 @@ from mzsloppy.metrology import (
     sloppiness_report,
     uhlmann_matrix,
 )
-from mzsloppy.model import ModelConfig, ModelJet, jacobian_analytic
+from mzsloppy.model import ModelConfig, ModelJet, jacobian_analytic, jacobian_fd
 
 
 def jet_at(**kwargs):
@@ -66,16 +69,30 @@ class TestQfiMatrix:
         assert q[1, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_mixed_state_rejected(self):
+        # a hand-built jet of moments alone carries no generators to read
         thermal = GaussianState(modes=2, mean=np.zeros(4), cov=np.eye(4))
         jet = ModelJet(
             state=thermal,
             dcov=(np.zeros((4, 4)), np.zeros((4, 4))),
             dmean=(np.zeros(4), np.zeros(4)),
         )
-        with pytest.raises(ValueError):
-            qfi_matrix(jet)
-        with pytest.raises(ValueError):
-            uhlmann_matrix(jet)
+        for fn in (geometric_tensor, qfi_matrix, uhlmann_matrix):
+            with pytest.raises(ValueError, match="generators"):
+                fn(jet)
+
+    def test_jet_without_generators_rejected(self):
+        # Q and U are read off the propagated generators; a jet of states
+        # alone (finite differences, or a hand-built stack) carries none
+        stacked = ModelJet(
+            state=GaussianState(modes=2, mean=np.zeros((2, 4)), cov=np.stack([np.eye(4) / 2] * 2)),
+            dcov=(np.zeros((2, 4, 4)),) * 2,
+            dmean=(np.zeros((2, 4)),) * 2,
+        )
+        fd = jacobian_fd(ModelConfig(r=0.5, x=0.5, q=0.3))
+        for jet in (stacked, fd):
+            for fn in (geometric_tensor, qfi_matrix, uhlmann_matrix):
+                with pytest.raises(ValueError, match="generators"):
+                    fn(jet)
 
 
 class TestUhlmannMatrix:
@@ -136,16 +153,15 @@ class TestQuantumness:
             assert 0.0 <= general <= 1.0 + 1e-12
             checked += 1
 
-    def test_displaced_models_break_the_unit_bound(self):
-        # documented tension: with the pinned mean-field normalization the
-        # displacement sector is overweighted in the curvature and the
-        # measure escapes [0, 1]; the zero-displacement twin stays inside
+    def test_displaced_models_keep_the_unit_bound(self):
+        # with displacement on, Q + iU = 4 conj(G) is a Gram matrix, so
+        # R <= 1 (here about 0.418), under both definitions
         cfg = ModelConfig(r=0.3, q=1.0, theta=math.pi / 2, phi=math.pi / 4,
                           x=1.0, alpha=math.pi / 2)
         jet = jacobian_analytic(cfg)
         q, u = qfi_matrix(jet), uhlmann_matrix(jet)
         r_displaced = quantumness_general(q, u)
-        assert r_displaced > 1.0
+        assert 0.4 < r_displaced <= 1.0
         assert quantumness_two_param(q, u) == pytest.approx(r_displaced, rel=1e-9)
         jet0 = jacobian_analytic(dataclasses.replace(cfg, q=0.0))
         r_plain = quantumness_general(qfi_matrix(jet0), uhlmann_matrix(jet0))
@@ -296,6 +312,10 @@ def test_reparametrization_congruence():
         dmean=tuple(
             a[0, j] * jet.dmean[0] + a[1, j] * jet.dmean[1] for j in range(2)
         ),
+        generators=tuple(
+            a[0, j] * jet.generators[0] + a[1, j] * jet.generators[1] for j in range(2)
+        ),
+        symplectic=jet.symplectic,
     )
     q_new = qfi_matrix(new_jet)
     np.testing.assert_allclose(q_new, a.T @ q @ a, atol=1e-8)
@@ -316,6 +336,10 @@ def test_spectrum_invariant_under_orthogonal_reparametrization():
         dmean=tuple(
             o[0, j] * jet.dmean[0] + o[1, j] * jet.dmean[1] for j in range(2)
         ),
+        generators=tuple(
+            o[0, j] * jet.generators[0] + o[1, j] * jet.generators[1] for j in range(2)
+        ),
+        symplectic=jet.symplectic,
     )
     q_rot = qfi_matrix(rotated)
     np.testing.assert_allclose(
@@ -343,24 +367,17 @@ def test_optimal_configuration_is_phase_covariant():
 # -- stacked evaluation ---------------------------------------------------
 
 
-def _reference_qfi(jet):
-    """Per-matrix loop form of the Q formula, one config at a time."""
-    cov = jet.state.cov
-    A = [np.linalg.solve(cov, d) for d in jet.dcov]
-    m = [np.linalg.solve(cov, d) for d in jet.dmean]
+def _reference_tensor(jet):
+    """Per-matrix loop form of the Wick formula of G, one config at a time:
+    G_jk = 1/2 Tr[A_j C A_k C^T] + m^T A_j C A_k m, A_j = -Omega K_j."""
+    Om = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0.0]])
+    C = jet.state.cov + 0.5j * Om
+    m = jet.state.mean
+    A = [-Om @ k for k in jet.generators]
     return np.array([
-        [0.25 * np.trace(A[j] @ A[k]) + 2.0 * jet.dmean[j] @ m[k] for k in range(2)]
+        [0.5 * np.trace(A[j] @ C @ A[k] @ C.T) + m @ A[j] @ C @ A[k] @ m for k in range(2)]
         for j in range(2)
     ])
-
-
-def _reference_u12(jet):
-    cov = jet.state.cov
-    Om = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0.0]])
-    d1, d2 = jet.dcov
-    comm = Om @ d1 @ Om @ d2 - Om @ d2 @ Om @ d1
-    si = [np.linalg.solve(cov, d) for d in jet.dmean]
-    return 0.25 * np.trace(Om @ cov @ comm) + 4.0 * si[0] @ Om @ si[1]
 
 
 def test_stacked_metrology_matches_loop_reference_and_single_calls():
@@ -377,8 +394,9 @@ def test_stacked_metrology_matches_loop_reference_and_single_calls():
         q, u = qfi_matrix(single), uhlmann_matrix(single)
         assert np.array_equal(Q[i], q) and np.array_equal(U[i], u)
         scale = max(1.0, np.max(np.abs(q)))
-        assert np.max(np.abs(q - _reference_qfi(single))) < 1e-12 * scale
-        assert abs(u[0, 1] - _reference_u12(single)) < 1e-12 * scale
+        g = _reference_tensor(single)
+        assert np.max(np.abs(q - 4 * g.real)) < 1e-12 * scale
+        assert abs(u[0, 1] + 4 * g[0, 1].imag) < 1e-12 * scale
         try:
             assert R[i] == quantumness_general(q, u) and i not in r_errors
         except SloppyModelError as exc:
@@ -388,30 +406,16 @@ def test_stacked_metrology_matches_loop_reference_and_single_calls():
 
 def test_stacked_gates_never_raise_for_one_point():
     good = ModelConfig(r=0.5, q=0.3, x=0.5, alpha=0.4)
-    thermal_like = ModelConfig(r=4.0, x=2.0, theta=1.0, phi=0.5)
-    jet = jacobian_analytic([good, ModelConfig(r=400.0), thermal_like, good])
+    # its computed symplectic spectrum reads as impure; Q does not gate on it
+    large = ModelConfig(r=4.0, x=2.0, theta=1.0, phi=0.5)
+    jet = jacobian_analytic([good, ModelConfig(r=400.0), large, good])
     Q, errors = qfi_matrix(jet)
-    assert 0 not in errors and 3 not in errors
+    assert sorted(errors) == [1]
     assert str(errors[1]) == "state moments must be finite"
     np.testing.assert_array_equal(Q[0], qfi_matrix(jacobian_analytic(good)))
     assert np.isnan(Q[1]).all()
-    label = jet.state.physicality.classification[2]
-    if label != "pure":
-        assert str(errors[2]) == f"qfi_matrix requires a pure model state, got {label}"
-        assert np.isnan(Q[2]).all()
-
-
-def test_stacked_purity_gate_is_per_point():
-    vacuum_and_thermal = GaussianState(
-        modes=2, mean=np.zeros((2, 4)), cov=np.stack([np.eye(4) / 2, np.eye(4)])
-    )
-    zeros = np.zeros((2, 4, 4)), np.zeros((2, 4, 4))
-    jet = ModelJet(state=vacuum_and_thermal, dcov=zeros, dmean=(np.zeros((2, 4)),) * 2)
-    for fn in (qfi_matrix, uhlmann_matrix):
-        values, errors = fn(jet)
-        assert 0 not in errors and np.array_equal(values[0], np.zeros((2, 2)))
-        assert str(errors[1]) == f"{fn.__name__} requires a pure model state, got mixed"
-        assert np.isnan(values[1]).all()
+    np.testing.assert_array_equal(Q[2], qfi_matrix(jacobian_analytic(large)))
+    assert np.isfinite(Q[2]).all()
 
 
 class TestSingularGate:
@@ -440,3 +444,31 @@ class TestSingularGate:
             jet = jacobian_analytic(cfg)
             with pytest.raises(SloppyModelError):
                 quantumness_general(qfi_matrix(jet), uhlmann_matrix(jet))
+
+
+# -- the geometric tensor up to large squeezing ----------------------------
+
+ANGLES = st.floats(-math.pi, math.pi)
+
+
+@settings(deadline=None, max_examples=200)
+@given(r=st.floats(0.0, 6.0), x=st.floats(0.0, 1.5), q=st.floats(0.0, 1.0), beta=ANGLES,
+       theta=ANGLES, phi=ANGLES, alpha=ANGLES, lam1=ANGLES, lam2=ANGLES)
+def test_information_and_curvature_form_a_gram_matrix(**fields):
+    # Q + iU = 4 conj(G) is positive semidefinite and R <= 1 at every
+    # setting, and no point is refused: the output state is pure however
+    # large the squeezing, and nothing gates on its symplectic spectrum
+    Q, U, errors = information_and_curvature(jacobian_analytic([ModelConfig(**fields)]))
+    assert errors == {}
+    assert np.isfinite(Q).all() and np.isfinite(U).all()
+    assert np.linalg.eigvalsh(Q[0] + 1j * U[0])[0] >= -1e-9 * np.trace(Q[0])
+    R, r_errors = quantumness_general(Q, U)
+    if r_errors:
+        assert isinstance(r_errors[0], SloppyModelError)
+    else:
+        # 1 - R^2 = det(Q + iU) / det Q: the round-off of det(Q + iU), on
+        # the scale tr(Q)^2, reaches R divided by det Q. It shows near R = 1,
+        # as where R is 1 exactly (theta = phi = q = 0: both tangent vectors
+        # lie in the two-photon sector of mode 0, so they are parallel)
+        amplification = np.trace(Q[0]) ** 2 / np.linalg.det(Q[0])
+        assert 0.0 <= R[0] <= 1.0 + 1e-12 * max(1.0, amplification)

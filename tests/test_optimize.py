@@ -666,9 +666,10 @@ def test_non_finite_value_is_a_point_error(kind):
         objective_value(ModelConfig(r=0.5, x=0.5, q=1e160), objective)
 
 
-@pytest.mark.parametrize("layer, shown", [("numeric", "-inf"), ("closed_form", "inf")])
+@pytest.mark.parametrize("layer, shown", [("numeric", "inf"), ("closed_form", "inf")])
 def test_non_finite_objective_of_finite_matrices_is_a_point_error(layer, shown):
-    # Q is finite at q = 1e152, its determinant is not
+    # Q is finite at q = 1e152, its determinant is not (positive on both
+    # layers: the numeric Q + iU is a Gram matrix)
     config = ModelConfig(r=0.5, x=0.5, q=1e152, theta=0.3, phi=0.4)
     objective = Objective(kind="detQ", layer=layer)
     result = grid_scan(SearchSpec(base=config, axes=()), objective)
