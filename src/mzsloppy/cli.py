@@ -34,6 +34,7 @@ import numpy as np
 
 from . import closed_forms, metrology, optimize
 from .exceptions import SloppyModelError
+from .gaussian import physicality_check
 from .model import MODEL_FIELDS, ModelConfig, jacobian_analytic
 
 THREADS_ENV_VAR = "MZSLOPPY_THREADS"
@@ -133,7 +134,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
     config = _parse_model(config_obj["model"])
 
     jet = jacobian_analytic(config)
-    phys = jet.state.physicality
+    phys = physicality_check(jet.state)
     (q,), (u,), _ = metrology.information_and_curvature(jet)  # a stack of one, no errors
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise OverflowError("math range error")

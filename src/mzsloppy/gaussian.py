@@ -28,7 +28,6 @@ good point has no entry), and a single point raises it as before.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import NamedTuple, Sequence, Union
 
@@ -38,6 +37,7 @@ import numpy as np
 COV_SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 PURITY_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -141,12 +141,6 @@ class GaussianState:
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(cov))
         object.__setattr__(self, "errors", errors)
-
-    @functools.cached_property
-    def physicality(self) -> "Physicality":
-        """physicality_check of this state; the moments are immutable, so it
-        is computed once however many purity checks consult it."""
-        return physicality_check(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,28 +297,32 @@ class Physicality(NamedTuple):
     symplectic_eigenvalues: np.ndarray
 
 
-def _label(nu_min: float, deviation: float) -> str:
-    if not nu_min >= 0.5 - PHYSICALITY_TOL:  # NaN: no spectrum, no state
+def _label(nu_min: float, deviation: float, cond: float) -> str:
+    slack = 2.0 * _EPS * cond  # the spectrum's round-off
+    if not (nu_min >= 0.5 - PHYSICALITY_TOL - slack and cond < math.inf):  # inf, NaN: no state
         return "unphysical"
-    return "pure" if deviation <= PURITY_TOL else "mixed"
+    return "pure" if deviation <= PURITY_TOL + slack else "mixed"
 
 
 def physicality_check(state: GaussianState) -> Physicality:
     """Classify a state from its symplectic spectrum.
 
     Unphysical is a classification, not an error: any eigenvalue below
-    1/2 - 1e-10. Pure means all eigenvalues equal 1/2 within 1e-9. On a
+    1/2 - 1e-10. Pure means all eigenvalues equal 1/2 within 1e-9. Both
+    tolerances widen by 2 eps cond(cov), the round-off of the computed
+    spectrum, which loses digits like cond(cov) (about e^{4(r+x)} for the
+    model's states); near cond(cov) = 1/eps the label says little. On a
     stack, classification is a tuple of labels and the eigenvalues gain a
     leading axis; a state whose spectrum cannot be computed (non-finite
-    moments) is unphysical, with NaN eigenvalues.
+    moments) is unphysical, with NaN eigenvalues. So is a singular cov.
     """
     stacked = state.cov.ndim == 3
     cov = state.cov if stacked else state.cov[None]
-    nonfinite = (~np.isfinite(cov).all(axis=(1, 2))).nonzero()[0].tolist()
-    nus, _ = guarded_call(symplectic_eigenvalues, dict.fromkeys(nonfinite), cov)
-    labels = tuple(
-        map(_label, np.min(nus, axis=1).tolist(), np.max(np.abs(nus - 0.5), axis=1).tolist())
-    )
+    nonfinite = dict.fromkeys((~np.isfinite(cov).all(axis=(1, 2))).nonzero()[0].tolist())
+    nus, _ = guarded_call(symplectic_eigenvalues, nonfinite, cov)
+    cond, _ = guarded_call(np.linalg.cond, nonfinite, cov)
+    nu_min, deviation = np.min(nus, axis=1), np.max(np.abs(nus - 0.5), axis=1)
+    labels = tuple(map(_label, nu_min.tolist(), deviation.tolist(), cond.tolist()))
     if stacked:
         return Physicality(labels, nus)
     return Physicality(labels[0], nus[0])

@@ -3,9 +3,10 @@
 Q and U of the estimated phases are read off one quantum geometric tensor G
 (Monras, arXiv:1303.3682): G[j,k] = 1/2 Tr[A_j C A_k C^T] + m^T A_j C A_k m,
 Q = 4 Re G and U = -4 Im G, with A_j = -Omega K_j the quadratic form of
-phase j's propagated generator, C = cov + i Omega/2 and m the mean. G is
-the covariance of the generators in the output state (Wick's theorem), so
-4G = Q - iU is a Gram matrix: Q + iU is positive semidefinite and R <= 1.
+phase j's propagated generator (the jet's derivative), C = cov + i Omega/2
+and m the mean. G is the covariance of the generators in the output state
+(Wick's theorem), so 4G = Q - iU is a Gram matrix: Q + iU is positive
+semidefinite and R <= 1.
 
 qfi_matrix, uhlmann_matrix, quantumness_general and scalar_crb also take a
 stack: a stacked jet, or (N, n, n) matrices. They then return (values,
@@ -51,8 +52,6 @@ def geometric_tensor(jet: ModelJet):
     Gram matrix of (Y_j / sqrt 2, w_j), Y_j = B^H S^T A_j S conj(B) and
     w_j = B^H S^T A_j m: positive semidefinite to round-off, which is
     squared at vacuum."""
-    if jet.generators is None:
-        raise ValueError("geometric_tensor needs a jet with propagated generators")
     gens, S, mean = np.stack(jet.generators, axis=-3), jet.symplectic, jet.state.mean
     if S.ndim == 2:
         gens, S, mean = gens[None], S[None], mean[None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -116,21 +116,27 @@ class ModelColumns:
 
 @dataclasses.dataclass(frozen=True)
 class ModelJet:
-    """Output state with its derivatives along (lam1, lam2).
-
-    generators are the phases' generators K_j (dS/dlam_j = K_j S) and
-    symplectic the circuit's matrix S (cov = S S^T / 2), which the geometric
-    tensor reads; a jet of states alone (jacobian_fd) has neither.
-
+    """Output state with its derivative along (lam1, lam2): the phases'
+    propagated generators K_j (dS/dlam_j = K_j S), which the geometric
+    tensor reads with symplectic, the circuit's matrix S (cov = S S^T / 2).
     For a stack of N configurations every array has a leading point axis
-    and state.errors maps each failed point to its error.
-    """
+    and state.errors maps each failed point to its error."""
 
     state: GaussianState
-    dcov: tuple[np.ndarray, np.ndarray]
-    dmean: tuple[np.ndarray, np.ndarray]
-    generators: Optional[tuple[np.ndarray, np.ndarray]] = None
-    symplectic: Optional[np.ndarray] = None
+    generators: tuple[np.ndarray, np.ndarray]
+    symplectic: np.ndarray
+
+    @property
+    def dcov(self) -> tuple[np.ndarray, np.ndarray]:
+        """dcov_j = K_j cov + cov K_j^T."""
+        cov = self.state.cov
+        return tuple(k @ cov + cov @ np.swapaxes(k, -1, -2) for k in self.generators)
+
+    @property
+    def dmean(self) -> tuple[np.ndarray, np.ndarray]:
+        """dmean_j = K_j mean: no gate after lam1 shifts the mean (the
+        Displacement is the third gate, before both phases)."""
+        return tuple((k @ self.state.mean[..., None])[..., 0] for k in self.generators)
 
 
 def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
@@ -155,39 +161,33 @@ _OMEGA = symplectic_form(2)
 
 
 def _propagate(params: np.ndarray):
-    """(cov, mean, dcov, dmean, generators, symplectic) of the output for an
-    (N, 9) parameter array; symplectic is the product of all gates.
+    """(cov, mean, generators, symplectic) of the output for an (N, 9)
+    parameter array; symplectic is the product of all gates.
 
     The only rotations of the circuit are the estimated phases, lam1 then
-    lam2. Right after each, its derivative opens as J0 cov - cov J0 and
-    J0 mean, and its generator as J0; every later gate conjugates the
-    derivative as it does the state, and the generator as S K S^-1, with
-    S^-1 = -Omega S^T Omega.
+    lam2. Right after each, its generator opens as J0, and every later gate
+    conjugates it as S K S^-1, with S^-1 = -Omega S^T Omega.
     """
     cov = np.broadcast_to(np.eye(4) / 2, (len(params), 4, 4))
     total = np.broadcast_to(np.eye(4), cov.shape)
     mean = np.zeros((len(params), 4, 1))  # means are carried as columns
-    dcov, dmean, gens = [], [], []
+    gens = []
     for gate in build_mz_model(ModelColumns(params)):
         S, shift = gate_symplectic(gate, 2)
         St = S.transpose(0, 2, 1)
-        dcov = [S @ d @ St for d in dcov]
-        dmean = [S @ d for d in dmean]
         gens = [-(S @ k @ _OMEGA @ St @ _OMEGA) for k in gens]
         cov = S @ cov @ St
         mean = S @ mean + shift[..., None]
         total = S @ total
         if isinstance(gate, PhaseRotation):
-            dcov.append(_J0 @ cov - cov @ _J0)
-            dmean.append(_J0 @ mean)
             gens.append(np.broadcast_to(_J0, cov.shape))
-    return cov, mean[..., 0], dcov, [d[..., 0] for d in dmean], gens, total
+    return cov, mean[..., 0], gens, total
 
 
 def jacobian_analytic(
     config: Union[ModelConfig, Sequence[ModelConfig], np.ndarray]
 ) -> ModelJet:
-    """Exact (dcov, dmean) along (lam1, lam2) by chain rule, and generators.
+    """Exact jet along (lam1, lam2): the generators, propagated by chain rule.
 
     Given a sequence of configs, or their (N, 9) parameter array with rows
     that ModelConfig accepts, propagates all of them in one pass and
@@ -199,14 +199,11 @@ def jacobian_analytic(
     if not isinstance(config, np.ndarray):
         config = parameters([config] if single else config)
     with np.errstate(all="ignore"):
-        cov, mean, dcov, dmean, gens, total = _propagate(config)
+        cov, mean, gens, total = _propagate(config)
     if single:
-        cov, mean, total = cov[0], mean[0], total[0]
-        dcov, dmean, gens = [d[0] for d in dcov], [d[0] for d in dmean], [k[0] for k in gens]
+        cov, mean, total, gens = cov[0], mean[0], total[0], [k[0] for k in gens]
     return ModelJet(
         state=GaussianState(modes=2, mean=mean, cov=cov),
-        dcov=(dcov[0], dcov[1]),
-        dmean=(dmean[0], dmean[1]),
         generators=(gens[0], gens[1]),
         symplectic=total,
     )
@@ -217,19 +214,23 @@ def evaluate_state(config: Union[ModelConfig, Sequence[ModelConfig]]) -> Gaussia
     return jacobian_analytic(config).state
 
 
-def jacobian_fd(config: ModelConfig, step: float = FD_STEP_DEFAULT) -> ModelJet:
-    """Central-difference jet from output states alone; the oracle for the
-    derivatives of jacobian_analytic, whose propagation of the states it
+class MomentDerivatives(NamedTuple):
+    dcov: tuple[np.ndarray, np.ndarray]
+    dmean: tuple[np.ndarray, np.ndarray]
+
+
+def jacobian_fd(config: ModelConfig, step: float = FD_STEP_DEFAULT) -> MomentDerivatives:
+    """Central-difference (dcov, dmean) from output states alone; the oracle
+    for those of jacobian_analytic, whose propagation of the states it
     shares (tests check those against a separate oracle)."""
     if not (FD_STEP_MIN <= step <= FD_STEP_MAX):
         raise ValueError(
             f"step must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {step:g}"
         )
-    center = evaluate_state(config)
     dcov, dmean = [], []
     for name in PARAMETER_NAMES:
         lo = evaluate_state(dataclasses.replace(config, **{name: getattr(config, name) - step}))
         hi = evaluate_state(dataclasses.replace(config, **{name: getattr(config, name) + step}))
         dcov.append((hi.cov - lo.cov) / (2 * step))
         dmean.append((hi.mean - lo.mean) / (2 * step))
-    return ModelJet(state=center, dcov=(dcov[0], dcov[1]), dmean=(dmean[0], dmean[1]))
+    return MomentDerivatives((dcov[0], dcov[1]), (dmean[0], dmean[1]))

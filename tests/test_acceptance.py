@@ -65,8 +65,9 @@ def test_criterion_01_symplectic_and_purity():
 
 
 def test_criterion_02_jacobian_oracle():
-    """Analytic derivatives match central differences; gap shrinks ~4x
-    when the step is halved."""
+    """Analytic derivatives (the moments' derivatives that the propagated
+    generators give) match central differences; gap shrinks ~4x when the
+    step is halved."""
     rng = np.random.default_rng(202)
     for _ in range(200):
         config = random_config(rng)

@@ -89,8 +89,8 @@ class TestEval:
         assert payload["sloppiness"]["threshold"] == 1e-8
 
     def test_large_squeezing_is_evaluated(self, tmp_path, capsys):
-        # a pure state whose computed symplectic spectrum reads "unphysical"
-        # at this squeezing: Q and U do not depend on that label
+        # cond(cov) is about e^24 here: Q and U need no solve with cov, and
+        # the spectrum, 1/2 only to about eps cond(cov), still reads pure
         model = model_dict(r=4.0, x=2.0, theta=1.0, phi=0.7, alpha=0.3)
         cfg = write_config(tmp_path, {"model": model, "weight": [[1.0, 0.0], [0.0, 1.0]]})
         code, out, err = run_cli(capsys, ["eval", "--config", cfg])
@@ -100,6 +100,7 @@ class TestEval:
         assert all(math.isfinite(v) for row in payload["information_matrix"] for v in row)
         assert all(math.isfinite(v) for row in payload["curvature_matrix"] for v in row)
         assert 0.0 <= payload["quantumness"]["general"] <= 1.0 + 1e-9
+        assert payload["physicality"]["classification"] == "pure"
 
     def test_balanced_configuration_exits_zero(self, tmp_path, capsys):
         cfg = write_config(

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzsloppy.exceptions import SloppyModelError
-from mzsloppy.gaussian import GaussianState
 from mzsloppy.metrology import (
     ScalarBounds,
     default_threshold,
-    geometric_tensor,
     information_and_curvature,
     qfi_matrix,
     quantumness_general,
@@ -21,7 +19,7 @@ from mzsloppy.metrology import (
     sloppiness_report,
     uhlmann_matrix,
 )
-from mzsloppy.model import ModelConfig, ModelJet, jacobian_analytic, jacobian_fd
+from mzsloppy.model import ModelConfig, ModelJet, jacobian_analytic
 
 
 def jet_at(**kwargs):
@@ -67,32 +65,6 @@ class TestQfiMatrix:
         expected = 2 * math.sinh(1.0) ** 2
         assert q[0, 0] == pytest.approx(expected, rel=1e-12)
         assert q[1, 1] == pytest.approx(expected, rel=1e-12)
-
-    def test_mixed_state_rejected(self):
-        # a hand-built jet of moments alone carries no generators to read
-        thermal = GaussianState(modes=2, mean=np.zeros(4), cov=np.eye(4))
-        jet = ModelJet(
-            state=thermal,
-            dcov=(np.zeros((4, 4)), np.zeros((4, 4))),
-            dmean=(np.zeros(4), np.zeros(4)),
-        )
-        for fn in (geometric_tensor, qfi_matrix, uhlmann_matrix):
-            with pytest.raises(ValueError, match="generators"):
-                fn(jet)
-
-    def test_jet_without_generators_rejected(self):
-        # Q and U are read off the propagated generators; a jet of states
-        # alone (finite differences, or a hand-built stack) carries none
-        stacked = ModelJet(
-            state=GaussianState(modes=2, mean=np.zeros((2, 4)), cov=np.stack([np.eye(4) / 2] * 2)),
-            dcov=(np.zeros((2, 4, 4)),) * 2,
-            dmean=(np.zeros((2, 4)),) * 2,
-        )
-        fd = jacobian_fd(ModelConfig(r=0.5, x=0.5, q=0.3))
-        for jet in (stacked, fd):
-            for fn in (geometric_tensor, qfi_matrix, uhlmann_matrix):
-                with pytest.raises(ValueError, match="generators"):
-                    fn(jet)
 
 
 class TestUhlmannMatrix:
@@ -306,12 +278,6 @@ def test_reparametrization_congruence():
     a = np.array([[0.5, 0.5], [0.5, -0.5]])
     new_jet = ModelJet(
         state=jet.state,
-        dcov=tuple(
-            a[0, j] * jet.dcov[0] + a[1, j] * jet.dcov[1] for j in range(2)
-        ),
-        dmean=tuple(
-            a[0, j] * jet.dmean[0] + a[1, j] * jet.dmean[1] for j in range(2)
-        ),
         generators=tuple(
             a[0, j] * jet.generators[0] + a[1, j] * jet.generators[1] for j in range(2)
         ),
@@ -330,12 +296,6 @@ def test_spectrum_invariant_under_orthogonal_reparametrization():
     o = np.array([[c, s], [-s, c]])
     rotated = ModelJet(
         state=jet.state,
-        dcov=tuple(
-            o[0, j] * jet.dcov[0] + o[1, j] * jet.dcov[1] for j in range(2)
-        ),
-        dmean=tuple(
-            o[0, j] * jet.dmean[0] + o[1, j] * jet.dmean[1] for j in range(2)
-        ),
         generators=tuple(
             o[0, j] * jet.generators[0] + o[1, j] * jet.generators[1] for j in range(2)
         ),

@@ -19,6 +19,7 @@ from mzsloppy.gaussian import (
 from mzsloppy.model import (
     FD_STEP_MAX,
     FD_STEP_MIN,
+    MODEL_FIELDS,
     ModelConfig,
     build_mz_model,
     evaluate_state,
@@ -172,6 +173,18 @@ class TestEvaluateState:
             det = np.linalg.det(state.cov)
             assert abs(det - 1 / 16) < 1e-9 / 16
             assert physicality_check(state).classification == "pure"
+
+    def test_output_pure_at_large_squeezing(self):
+        # the computed spectrum loses digits like cond(cov), about e^{4(r+x)};
+        # the label's tolerances widen with it, so no pure state reads
+        # "unphysical" or "mixed"
+        rng = np.random.default_rng(7)
+        params = rng.uniform(-math.pi, math.pi, size=(3000, 9))
+        for name, top in (("r", 6.0), ("x", 3.0), ("q", 1.0)):
+            params[:, MODEL_FIELDS.index(name)] = rng.uniform(0.0, top, 3000)
+        state = jacobian_analytic(params).state
+        assert state.errors == {}
+        assert set(physicality_check(state).classification) == {"pure"}
 
     def test_phase_periodicity(self):
         cfg = ModelConfig(r=0.7, q=0.4, theta=1.0, phi=0.6, x=0.3, lam1=0.2, lam2=0.9)
@@ -362,7 +375,9 @@ def test_stacked_jet_is_bitwise_its_single_jets(configs):
         single = jacobian_analytic(cfg)
         assert np.array_equal(jet.state.cov[i], single.state.cov)
         assert np.array_equal(jet.state.mean[i], single.state.mean)
+        assert np.array_equal(jet.symplectic[i], single.symplectic)
         for k in range(2):
+            assert np.array_equal(jet.generators[k][i], single.generators[k])
             assert np.array_equal(jet.dcov[k][i], single.dcov[k])
             assert np.array_equal(jet.dmean[k][i], single.dmean[k])
         assert jet_distance(single, jacobian_fd(cfg)) < 1e-6
