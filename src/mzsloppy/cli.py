@@ -80,9 +80,7 @@ def _require_number(value, name: str) -> float:
 def _parse_model(obj) -> ModelConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config field 'model' must be an object")
-    for key in obj:
-        if key not in MODEL_FIELDS:
-            raise ConfigError(f"unknown model field {key!r}")
+    _check_keys(obj, MODEL_FIELDS, "model")
     fields = {}
     for name in MODEL_FIELDS:
         if name not in obj:

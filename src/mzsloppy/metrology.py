@@ -6,10 +6,11 @@ Q = 4 Re G and U = -4 Im G, with A_j = -Omega K_j the quadratic form of
 phase j's propagated generator (the jet's derivative), C = cov + i Omega/2
 and m the mean. G is the covariance of the generators in the output state
 (Wick's theorem), so 4G = Q - iU is a Gram matrix: Q + iU is positive
-semidefinite and R <= 1.
+semidefinite and R <= 1. R = |U12| / sqrt(det Q) (Carollo et al., J. Stat.
+Mech. 2019), c_q and the singular gate read Q's 2x2 invariants, no inverse.
 
 qfi_matrix, uhlmann_matrix, quantumness_general and scalar_crb also take a
-stack: a stacked jet, or (N, n, n) matrices. They then return (values,
+stack: a stacked jet, or (N, 2, 2) matrices. They then return (values,
 errors), where errors maps each failed point to the exception a single call
 raises there and its values are NaN, and never raise for one point.
 """
@@ -22,11 +23,10 @@ import math
 import numpy as np
 
 from .exceptions import SloppyModelError
-from .gaussian import guarded_call, symplectic_form, unstack
+from .gaussian import symplectic_form, unstack
 from .model import ModelJet
 
-# Q is singular for R / bounds when its smallest eigenvalue is at most this
-# fraction of max(1, largest eigenvalue)
+# Q is singular for R and c_q when its smallest eigenvalue is <= this * max(1, largest)
 SINGULAR_Q_TOL = 1e-12
 
 # default sloppiness threshold: this fraction of max(1, trace(Q)), the scale
@@ -90,36 +90,39 @@ def uhlmann_matrix(jet: ModelJet):
     return unstack(U, errors, jet.state.cov.ndim == 3)
 
 
-def _singular_errors(Q: np.ndarray) -> dict:
-    """The points of a stack of Q where Q is singular relative to its scale
-    (or not finite), each with a SloppyModelError."""
-    nonfinite = (~np.isfinite(Q).all(axis=(1, 2))).nonzero()[0].tolist()
-    w, _ = guarded_call(np.linalg.eigvalsh, dict.fromkeys(nonfinite), Q)
-    regular = w[:, 0] > SINGULAR_Q_TOL * np.maximum(1.0, w[:, -1])  # False where NaN
-    return {i: SloppyModelError(_SINGULAR_MESSAGE) for i in (~regular).nonzero()[0].tolist()}
+def _invariants(Q: np.ndarray):
+    """(P = Q/s, s = max|Q_ij|, det P, errors) of a stack of 2x2 Q, det NaN where Q is
+    refused: not finite, or s*det/top <= SINGULAR_Q_TOL * max(1, s*top), top P's largest
+    eigenvalue."""
+    if Q.shape[-2:] != (2, 2):
+        raise ValueError("quantumness and scalar bounds need 2x2 matrices")
+    with np.errstate(all="ignore"):  # on P no product overflows; a zero or non-finite Q is NaN
+        s = np.abs(Q).max(axis=(1, 2))
+        P = Q / s[:, None, None]
+        a, b, d = P[:, 0, 0], P[:, 0, 1], P[:, 1, 1]
+        det = a * d - b * b
+        top = (a + d) / 2 + np.hypot((a - d) / 2, b)
+        regular = det / top > SINGULAR_Q_TOL * np.maximum(1 / s, top)  # the gate over s
+    det[~regular] = np.nan
+    singular = (~regular).nonzero()[0].tolist()
+    return P, s, det, {i: SloppyModelError(_SINGULAR_MESSAGE) for i in singular}
 
 
 def quantumness_general(Q: np.ndarray, U: np.ndarray):
-    """R as the largest eigenvalue modulus of Q^-1 U (any parameter count)."""
+    """R = |U12| / sqrt(det Q), the largest eigenvalue modulus of Q^-1 U."""
     Q, U = np.asarray(Q, dtype=float), np.asarray(U, dtype=float)
     stacked = Q.ndim == 3
-    if not stacked:
-        Q, U = Q[None], U[None]
-    ev, errors = guarded_call(
-        lambda q, u: np.linalg.eigvals(np.linalg.solve(q, u)), _singular_errors(Q), Q, U
-    )
-    R = np.max(np.abs(ev), axis=-1)
+    Q, U = (Q, U) if stacked else (Q[None], U[None])
+    _, s, det, errors = _invariants(Q)
+    R = np.abs(U[:, 0, 1]) / (s * np.sqrt(det))  # NaN where refused
     return (R, errors) if stacked else float(unstack(R, errors, False))
 
 
 def quantumness_two_param(Q: np.ndarray, U: np.ndarray) -> float:
-    """R = |U12| / sqrt(det Q), the two-parameter shortcut."""
-    if Q.shape != (2, 2):
+    """quantumness_general at one point."""
+    if np.shape(Q) != (2, 2):
         raise ValueError("two-parameter form needs 2x2 matrices")
-    errors = _singular_errors(np.asarray(Q, dtype=float)[None])
-    if errors:
-        raise errors[0]
-    return float(abs(U[0, 1]) / np.sqrt(np.linalg.det(Q)))
+    return quantumness_general(Q, U)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,33 +133,33 @@ class ScalarBounds:
     bracket_upper: float  # (1 + R) * c_q
 
 
-def check_weight(weight, shape: tuple = (2, 2)) -> np.ndarray:
-    """The weight as a float matrix; ValueError unless it is finite,
-    symmetric, positive semidefinite and of the information matrix's shape."""
+def check_weight(weight) -> np.ndarray:
+    """The weight as a float matrix; ValueError unless it is a finite,
+    symmetric, positive semidefinite 2x2 matrix."""
     W = np.asarray(weight, dtype=float)
-    if W.shape == shape and not np.isfinite(W).all():
+    if W.shape == (2, 2) and not np.isfinite(W).all():
         raise ValueError("weight must have finite entries")
-    if W.shape != shape or np.max(np.abs(W - W.T)) > 1e-12 * max(1.0, np.max(np.abs(W))):
+    if W.shape != (2, 2) or np.max(np.abs(W - W.T)) > 1e-12 * max(1.0, np.max(np.abs(W))):
         raise ValueError("weight must be a symmetric matrix matching Q")
-    if np.min(np.linalg.eigvalsh(W)) < -1e-9:
+    (a, b), (_, d) = W.tolist()
+    if a / 2 + d / 2 - math.hypot(a / 2 - d / 2, b) < -1e-9:  # its smallest eigenvalue
         raise ValueError("weight must be positive semidefinite")
     return W
 
 
 def scalar_crb(Q: np.ndarray, U: np.ndarray, weight: np.ndarray, repetitions: int = 1):
-    """Scalar Cramer-Rao bound c_q = Tr[W Q^-1]/M and its (1+R) bracket;
-    on a stack, c_q and bracket_upper are arrays."""
+    """Scalar Cramer-Rao bound c_q = Tr[W Q^-1]/M = Tr[W adj Q]/(det Q M)
+    and its (1+R) bracket; on a stack, c_q and bracket_upper are arrays."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    Q, U = np.asarray(Q, dtype=float), np.asarray(U, dtype=float)
-    W = check_weight(weight, Q.shape[-2:])
+    Q, W = np.asarray(Q, dtype=float), check_weight(weight)
     stacked = Q.ndim == 3
-    if not stacked:
-        Q, U = Q[None], U[None]
-    r, errors = quantumness_general(Q, U)  # its errors start with the singular-Q gate
-    sol, errors = guarded_call(np.linalg.solve, errors, Q, np.broadcast_to(W, Q.shape))
-    c_q = np.trace(sol, axis1=1, axis2=2) / repetitions
-    with np.errstate(over="ignore"):  # an overflowing bracket is inf, as with Python floats
+    Q, U = (Q, U) if stacked else (Q[None], np.asarray(U)[None])
+    r, errors = quantumness_general(Q, U)  # its errors are the singular-Q gate's
+    P, s, det, _ = _invariants(Q)
+    with np.errstate(all="ignore"):  # an overflowing bound is inf, as with Python floats
+        adj_trace = W[0, 0] * P[:, 1, 1] + W[1, 1] * P[:, 0, 0] - (W[0, 1] + W[1, 0]) * P[:, 0, 1]
+        c_q = adj_trace / (s * det) / repetitions  # Tr[W adj Q] = s Tr[W adj P]
         upper = (1.0 + r) * c_q
     if stacked:
         return ScalarBounds(W, int(repetitions), c_q, upper), errors
@@ -191,8 +194,7 @@ def sloppiness_report(Q: np.ndarray, threshold: float | None = None) -> Sloppine
     elif not 0 < threshold < np.inf:  # false for NaN too
         raise ValueError("threshold must be a finite positive number")
     w, V = np.linalg.eigh(Q)
-    order = np.argsort(w)[::-1]
-    w, V = w[order], V[:, order]
+    w, V = w[::-1], V[:, ::-1]  # eigh's order is ascending
     nulls = tuple(V[:, i].copy() for i in range(len(w)) if w[i] < threshold)
     return SloppinessReport(
         eigenvalues=w,

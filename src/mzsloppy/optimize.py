@@ -26,7 +26,7 @@ import scipy.optimize
 
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
-from .gaussian import guarded_call, unstack
+from .gaussian import unstack
 from .model import MODEL_FIELDS, ModelConfig, parameters, row_errors
 
 OBJECTIVE_KINDS = ("Q11", "Q22", "detQ", "minus_R", "weighted_CQ_inverse")
@@ -98,7 +98,7 @@ def _kind_values(points, objective: Objective):
     if objective.kind == "Q22":
         return q[:, 1, 1], errors
     if objective.kind == "detQ":
-        return guarded_call(np.linalg.det, errors, q)
+        return np.linalg.det(q), errors
     if objective.kind == "minus_R":
         r, r_errors = metrology.quantumness_general(q, u)
         return -r, {**r_errors, **errors}

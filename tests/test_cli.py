@@ -168,8 +168,8 @@ class TestEval:
     @pytest.mark.parametrize("config", [
         # Q is finite, its determinant and largest eigenvalue are not
         {"model": model_dict(q=1e154, phi=1e308), "threshold": 1},
-        # Q is finite, the weighted bounds are not
-        {"model": model_dict(r=0.5, x=0.5, theta=PI / 2, phi=PI / 4),
+        # Q is finite, the weighted bounds are not: c_q = 1e308 Tr Q^-1 = 7.4e308
+        {"model": model_dict(r=0.25, x=0.25, theta=PI / 2, phi=PI / 4),
          "weight": [[1e308, 0], [0, 1e308]]},
     ], ids=["determinant", "scalar_bounds"])
     def test_number_that_overflows_is_an_error(self, tmp_path, capsys, config):

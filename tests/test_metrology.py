@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mzsloppy.exceptions import SloppyModelError
 from mzsloppy.metrology import (
+    SINGULAR_Q_TOL,
+    _SINGULAR_MESSAGE,
     ScalarBounds,
     default_threshold,
     information_and_curvature,
@@ -86,26 +88,33 @@ class TestUhlmannMatrix:
             assert u[0, 1] == -u[1, 0]
 
 
+def eigen_quantumness(q, u):
+    """The n-parameter definition, the test-side reference of R: the
+    largest eigenvalue modulus of Q^-1 U."""
+    return float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(q, u)))))
+
+
 class TestQuantumness:
     def test_hand_oracle(self):
         # eigenvalues of Q^{-1}U = (1/2)[[0,1],[-1,0]] are +-i/2
         q = 2 * np.eye(2)
         u = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert quantumness_general(q, u) == pytest.approx(0.5, abs=1e-14)
-        assert quantumness_two_param(q, u) == pytest.approx(0.5, abs=1e-14)
+        assert eigen_quantumness(q, u) == pytest.approx(0.5, abs=1e-14)
 
     def test_zero_curvature_gives_zero(self):
         q = np.diag([3.0, 7.0])
         assert quantumness_general(q, np.zeros((2, 2))) == 0.0
-        assert quantumness_two_param(q, np.zeros((2, 2))) == 0.0
+        assert eigen_quantumness(q, np.zeros((2, 2))) == 0.0
 
     def test_singular_information_refused(self):
+        # refused where the eigenvalue reference cannot solve with Q
         q = np.diag([1.0, 0.0])
         u = np.array([[0.0, 0.1], [-0.1, 0.0]])
         with pytest.raises(SloppyModelError):
             quantumness_general(q, u)
-        with pytest.raises(SloppyModelError):
-            quantumness_two_param(q, u)
+        with pytest.raises(np.linalg.LinAlgError):
+            eigen_quantumness(q, u)
 
     def test_definitions_agree_and_bounded_without_displacement(self):
         rng = np.random.default_rng(37)
@@ -120,21 +129,21 @@ class TestQuantumness:
                 general = quantumness_general(q, u)
             except SloppyModelError:
                 continue
-            two = quantumness_two_param(q, u)
+            two = eigen_quantumness(q, u)
             assert abs(general - two) <= 1e-9 * max(1.0, general)
             assert 0.0 <= general <= 1.0 + 1e-12
             checked += 1
 
     def test_displaced_models_keep_the_unit_bound(self):
         # with displacement on, Q + iU = 4 conj(G) is a Gram matrix, so
-        # R <= 1 (here about 0.418), under both definitions
+        # R <= 1 (here about 0.418), as the eigenvalue reference agrees
         cfg = ModelConfig(r=0.3, q=1.0, theta=math.pi / 2, phi=math.pi / 4,
                           x=1.0, alpha=math.pi / 2)
         jet = jacobian_analytic(cfg)
         q, u = qfi_matrix(jet), uhlmann_matrix(jet)
         r_displaced = quantumness_general(q, u)
         assert 0.4 < r_displaced <= 1.0
-        assert quantumness_two_param(q, u) == pytest.approx(r_displaced, rel=1e-9)
+        assert eigen_quantumness(q, u) == pytest.approx(r_displaced, rel=1e-9)
         jet0 = jacobian_analytic(dataclasses.replace(cfg, q=0.0))
         r_plain = quantumness_general(qfi_matrix(jet0), uhlmann_matrix(jet0))
         assert r_plain <= 1.0 + 1e-12
@@ -404,6 +413,102 @@ class TestSingularGate:
             jet = jacobian_analytic(cfg)
             with pytest.raises(SloppyModelError):
                 quantumness_general(qfi_matrix(jet), uhlmann_matrix(jet))
+
+
+# -- one reading of Q: its 2x2 invariants against the eigen/solve path -------
+
+EPS = np.finfo(float).eps
+
+
+def eigen_gate(q):
+    """The eigvalsh rule: Q is refused unless it is finite and its smallest
+    eigenvalue exceeds SINGULAR_Q_TOL * max(1, largest). Returns (refused,
+    distance of the smallest eigenvalue from the threshold, largest)."""
+    if not np.isfinite(q).all():
+        return True, math.inf, math.nan
+    low, top = np.linalg.eigvalsh(q)
+    threshold = SINGULAR_Q_TOL * max(1.0, top)
+    return low <= threshold, abs(low - threshold), top
+
+
+@st.composite
+def information_rows(draw):
+    """(Q, u12): a 2x2 PSD Q at a scale from 1e-150 to 1e300, with exactly
+    singular, zero, NaN and inf rows mixed in, and a curvature on its scale."""
+    scale = 10.0 ** draw(st.floats(-150.0, 300.0))
+    kind = draw(st.sampled_from(("regular",) * 6 + ("singular", "zero", "nan", "inf")))
+    if kind == "regular":
+        # eigenvalues scale and scale * ratio; some ratios sit at the gate
+        ratio = draw(st.one_of(
+            st.floats(-20.0, 0.0).map(lambda e: 10.0 ** e),
+            st.floats(-1e-2, 1e-2).map(lambda d: SINGULAR_Q_TOL * (1.0 + d)),
+        ))
+        angle = draw(st.floats(0.0, math.pi))
+        c, s = math.cos(angle), math.sin(angle)
+        off = scale * c * s * (1.0 - ratio)
+        q = np.array([[scale * (c * c + ratio * s * s), off],
+                      [off, scale * (s * s + ratio * c * c)]])
+    elif kind == "singular":
+        q = scale * np.array(draw(st.sampled_from((
+            [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0]], [[1.0, -2.0], [-2.0, 4.0]],
+        ))))
+    elif kind == "zero":
+        q = np.zeros((2, 2))
+    else:
+        q = np.eye(2)
+        q[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = math.nan if kind == "nan" else math.inf
+    return q, draw(st.floats(-1.0, 1.0)) * scale
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=st.lists(information_rows(), min_size=1, max_size=8),
+       w=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), reps=st.integers(1, 5))
+def test_invariants_agree_with_the_eigen_and_solve_path(rows, w, reps):
+    # the retired n-parameter path is the reference: the eigvalsh gate, and
+    # R and c_q as max|eig(Q^-1 U)| and Tr[Q^-1 W]/M wherever Q is well
+    # conditioned. The gate's verdict may differ only where the smallest
+    # eigenvalue is within 1e-6 of the threshold, relative, or within 4 eps
+    # times the largest, the round-off of either rule's smallest eigenvalue
+    # (they differ by at most 0.6 eps times the largest at the threshold)
+    Q = np.array([q for q, _ in rows])
+    U = np.zeros_like(Q)
+    U[:, 0, 1] = [u12 for _, u12 in rows]
+    U[:, 1, 0] = -U[:, 0, 1]
+    L = np.array(w).reshape(2, 2)
+    W = L @ L.T
+    R, errors = quantumness_general(Q, U)
+    bounds, crb_errors = scalar_crb(Q, U, W, repetitions=reps)
+    assert crb_errors.keys() == errors.keys()
+    for i, (q, u) in enumerate(zip(Q, U)):
+        refused, distance, top = eigen_gate(q)
+        if i in errors:
+            assert str(errors[i]) == str(SloppyModelError(_SINGULAR_MESSAGE))
+            assert math.isnan(R[i]) and math.isnan(bounds.c_q[i])
+            with pytest.raises(SloppyModelError):
+                quantumness_two_param(q, u)
+        else:
+            assert quantumness_two_param(q, u) == R[i]  # bitwise: one implementation
+        if distance <= 1e-6 * SINGULAR_Q_TOL * max(1.0, top) + 4 * EPS * top:
+            continue
+        assert (i in errors) == refused
+        if not refused and np.linalg.eigvalsh(q)[0] >= 1e-6 * top:
+            r_ref = np.max(np.abs(np.linalg.eigvals(np.linalg.solve(q, u))))
+            c_ref = np.trace(np.linalg.solve(q, W)) / reps
+            # relative, but for values below the normal floats (tiny curvatures
+            # and weights), which keep only absolute precision
+            assert R[i] == pytest.approx(r_ref, rel=1e-9, abs=1e-300)
+            assert bounds.c_q[i] == pytest.approx(c_ref, rel=1e-9, abs=1e-300)
+
+
+def test_more_than_two_parameters_are_refused():
+    for q in (np.eye(3), np.stack([np.eye(3)] * 2)):
+        with pytest.raises(ValueError, match="2x2"):
+            quantumness_general(q, np.zeros_like(q))
+    with pytest.raises(ValueError, match="2x2"):
+        quantumness_two_param(np.eye(3), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        scalar_crb(np.eye(3), np.zeros((3, 3)), np.eye(3))
 
 
 # -- the geometric tensor up to large squeezing ----------------------------
