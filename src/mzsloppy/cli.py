@@ -133,7 +133,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
 
     jet = jacobian_analytic(config)
     phys = physicality_check(jet.state)
-    (q,), (u,), _ = metrology.information_and_curvature(jet)  # a stack of one, no errors
+    (q,), (u,), (det,), _ = metrology.information_and_curvature(jet)  # a stack of one, no errors
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise OverflowError("math range error")
 
@@ -158,7 +158,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
             "symplectic_eigenvalues": [float(v) for v in phys.symplectic_eigenvalues],
         },
         "information_matrix": _matrix_list(q),
-        "information_determinant": float(np.linalg.det(q)),
+        "information_determinant": float(det),
         "curvature_matrix": _matrix_list(u),
         "quantumness": quantumness,
         "sloppiness": {

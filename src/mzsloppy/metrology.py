@@ -1,11 +1,11 @@
 """First-principles metrology for pure Gaussian models.
 
 Q and U of the estimated phases are read off one quantum geometric tensor G
-(Monras, arXiv:1303.3682): G[j,k] = 1/2 Tr[A_j C A_k C^T] + m^T A_j C A_k m,
-Q = 4 Re G and U = -4 Im G, with A_j = -Omega K_j the quadratic form of
-phase j's propagated generator (the jet's derivative), C = cov + i Omega/2
-and m the mean. G is the covariance of the generators in the output state
-(Wick's theorem), so 4G = Q - iU is a Gram matrix: Q + iU is positive
+(Monras, arXiv:1303.3682), the covariance of the phases' generators in the
+output state. Read on the input vacuum, phase j's generator is the jet's
+quadratic form F_j plus its linear part u_j, so by Wick's theorem
+G[j,k] = 1/2 Tr[F_j C F_k C^T] + u_j^T C u_k with C = (I + i Omega)/2, and
+Q = 4 Re G, U = -4 Im G. G is a Gram matrix: Q + iU is positive
 semidefinite and R <= 1. R = |U12| / sqrt(det Q) (Carollo et al., J. Stat.
 Mech. 2019), c_q and the singular gate read Q's 2x2 invariants, no inverse.
 
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .exceptions import SloppyModelError
-from .gaussian import symplectic_form, unstack
+from .gaussian import unstack
 from .model import ModelJet
 
 # Q is singular for R and c_q when its smallest eigenvalue is <= this * max(1, largest)
@@ -44,56 +44,57 @@ _SINGULAR_MESSAGE = (
 # Stacked products go through matmul, the same BLAS call on every point as
 # on one matrix, so a point's value does not depend on its stack.
 
-
-def geometric_tensor(jet: ModelJet):
-    """(G, errors): the quantum geometric tensor, stacked (a single jet is a
-    stack of one), NaN at each point of errors. With C = S B B^H S^T (S the
-    jet's symplectic matrix, B B^H = (I + i Omega)/2 the vacuum's), G is the
-    Gram matrix of (Y_j / sqrt 2, w_j), Y_j = B^H S^T A_j S conj(B) and
-    w_j = B^H S^T A_j m: positive semidefinite to round-off, which is
-    squared at vacuum."""
-    gens, S, mean = np.stack(jet.generators, axis=-3), jet.symplectic, jet.state.mean
-    if S.ndim == 2:
-        gens, S, mean = gens[None], S[None], mean[None]
-    with np.errstate(all="ignore"):  # a G that overflows is the caller's error
-        # S^T A_j = (Omega S)^T K_j, and B's column on mode m is (e_q - i e_p)/sqrt 2
-        left = (symplectic_form(jet.state.modes) @ S).transpose(0, 2, 1)[:, None]
-        A = left @ gens @ S[:, None]
-        u = (left @ gens @ mean[:, None, :, None])[..., 0]
-        Y = A[..., ::2, ::2] - A[..., 1::2, 1::2] + 1j * (A[..., ::2, 1::2] + A[..., 1::2, ::2])
-        w = u[..., ::2] + 1j * u[..., 1::2]
-        Y = Y.reshape(Y.shape[:2] + (Y.shape[2] * Y.shape[3],))
-        V = np.concatenate([Y / math.sqrt(8), w / math.sqrt(2)], axis=-1)
-        G = V.conj() @ V.transpose(0, 2, 1)
-        G = (G + G.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
-    errors = dict(jet.state.errors)
-    G[list(errors)] = np.nan
-    return G, errors
+# the pairs a < b of the 12 entries of a row of X = [Re V | Im V], for det Q
+_MINORS = np.triu_indices(12, 1)
 
 
 def information_and_curvature(jet: ModelJet):
-    """(Q, U, errors) = (4 Re G, -4 Im G, errors), stacked; -Im G is read as
-    the transpose of Im G (G is Hermitian), which keeps U's diagonal +0.0."""
-    G, errors = geometric_tensor(jet)
-    return 4.0 * G.real, 4.0 * G.imag.transpose(0, 2, 1), errors
+    """(Q, U, det Q, errors), stacked (a single jet is a stack of one), NaN
+    at each point of errors: Q = 4 Re G and U = -4 Im G of the geometric
+    tensor G = V^* V^T, the Gram matrix of the rows V_j = (Y_j / sqrt 8,
+    w_j / sqrt 2). With B B^H = (I + i Omega)/2 the vacuum's, B's column on
+    mode m being (e_q - i e_p)/sqrt 2, Y_j = 2 B^H F_j conj(B) and
+    w_j = 2 B^H u_j are sums of the q and p blocks of phase j's form and
+    shift. Q + iU is positive semidefinite to round-off, which is squared
+    at vacuum. Q = 4 X X^T with X = [Re V | Im V], so det Q is 16 times the
+    sum of the squared 2x2 minors of X (Cauchy-Binet): it does not cancel
+    where the det of the rounded Q loses every digit (entries about q^2)."""
+    F, u = np.stack(jet.forms, axis=-3), np.stack(jet.shifts, axis=-2)
+    if F.ndim == 3:
+        F, u = F[None], u[None]
+    errors = dict(jet.state.errors)
+    with np.errstate(all="ignore"):  # an overflow is the caller's error
+        Y = F[..., ::2, ::2] - F[..., 1::2, 1::2] + 1j * (F[..., ::2, 1::2] + F[..., 1::2, ::2])
+        w = u[..., ::2] + 1j * u[..., 1::2]
+        V = np.concatenate([Y.reshape(Y.shape[:2] + (4,)) / math.sqrt(8), w / math.sqrt(2)], -1)
+        V[list(errors)] = np.nan
+        G = V.conj() @ V.transpose(0, 2, 1)
+        G = (G + G.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
+        # take keeps each point's entries contiguous: the sum below runs the
+        # same pairwise summation on every point, whatever the stack
+        Xa, Xb = (np.take(np.concatenate([V.real, V.imag], -1), i, axis=-1) for i in _MINORS)
+        minors = Xa[:, 0] * Xb[:, 1] - Xb[:, 0] * Xa[:, 1]
+        det = 16.0 * (minors * minors).sum(axis=-1)
+    # -Im G is read as the transpose of Im G (G is Hermitian): U's diagonal stays +0.0
+    return 4.0 * G.real, 4.0 * G.imag.transpose(0, 2, 1), det, errors
 
 
 def qfi_matrix(jet: ModelJet):
     """Quantum Fisher information matrix Q = 4 Re G, symmetric."""
-    Q, _, errors = information_and_curvature(jet)
+    Q, _, _, errors = information_and_curvature(jet)
     return unstack(Q, errors, jet.state.cov.ndim == 3)
 
 
 def uhlmann_matrix(jet: ModelJet):
     """Uhlmann curvature U = -4 Im G, antisymmetric."""
-    _, U, errors = information_and_curvature(jet)
+    _, U, _, errors = information_and_curvature(jet)
     return unstack(U, errors, jet.state.cov.ndim == 3)
 
 
-def _invariants(Q: np.ndarray):
-    """(P = Q/s, s = max|Q_ij|, det P, errors) of a stack of 2x2 Q, det NaN where Q is
-    refused: not finite, or s*det/top <= SINGULAR_Q_TOL * max(1, s*top), top P's largest
-    eigenvalue."""
+def _invariants(Q: np.ndarray, U: np.ndarray):
+    """(P = Q/s, s = max|Q_ij|, det P, R, errors) of a stack of 2x2 Q and U, det and
+    R NaN where Q is refused: not finite, or s*det/top <= SINGULAR_Q_TOL * max(1, s*top),
+    top P's largest eigenvalue."""
     if Q.shape[-2:] != (2, 2):
         raise ValueError("quantumness and scalar bounds need 2x2 matrices")
     with np.errstate(all="ignore"):  # on P no product overflows; a zero or non-finite Q is NaN
@@ -104,8 +105,9 @@ def _invariants(Q: np.ndarray):
         top = (a + d) / 2 + np.hypot((a - d) / 2, b)
         regular = det / top > SINGULAR_Q_TOL * np.maximum(1 / s, top)  # the gate over s
     det[~regular] = np.nan
+    R = np.abs(U[:, 0, 1]) / (s * np.sqrt(det))  # |U12| / sqrt(det Q)
     singular = (~regular).nonzero()[0].tolist()
-    return P, s, det, {i: SloppyModelError(_SINGULAR_MESSAGE) for i in singular}
+    return P, s, det, R, {i: SloppyModelError(_SINGULAR_MESSAGE) for i in singular}
 
 
 def quantumness_general(Q: np.ndarray, U: np.ndarray):
@@ -113,8 +115,7 @@ def quantumness_general(Q: np.ndarray, U: np.ndarray):
     Q, U = np.asarray(Q, dtype=float), np.asarray(U, dtype=float)
     stacked = Q.ndim == 3
     Q, U = (Q, U) if stacked else (Q[None], U[None])
-    _, s, det, errors = _invariants(Q)
-    R = np.abs(U[:, 0, 1]) / (s * np.sqrt(det))  # NaN where refused
+    *_, R, errors = _invariants(Q, U)
     return (R, errors) if stacked else float(unstack(R, errors, False))
 
 
@@ -137,12 +138,13 @@ def check_weight(weight) -> np.ndarray:
     """The weight as a float matrix; ValueError unless it is a finite,
     symmetric, positive semidefinite 2x2 matrix."""
     W = np.asarray(weight, dtype=float)
+    scale = np.abs(W).max(initial=1.0)  # both checks allow round-off relative to it
     if W.shape == (2, 2) and not np.isfinite(W).all():
         raise ValueError("weight must have finite entries")
-    if W.shape != (2, 2) or np.max(np.abs(W - W.T)) > 1e-12 * max(1.0, np.max(np.abs(W))):
+    if W.shape != (2, 2) or np.max(np.abs(W - W.T)) > 1e-12 * scale:
         raise ValueError("weight must be a symmetric matrix matching Q")
     (a, b), (_, d) = W.tolist()
-    if a / 2 + d / 2 - math.hypot(a / 2 - d / 2, b) < -1e-9:  # its smallest eigenvalue
+    if a / 2 + d / 2 - math.hypot(a / 2 - d / 2, b) < -1e-9 * scale:  # its smallest eigenvalue
         raise ValueError("weight must be positive semidefinite")
     return W
 
@@ -152,11 +154,10 @@ def scalar_crb(Q: np.ndarray, U: np.ndarray, weight: np.ndarray, repetitions: in
     and its (1+R) bracket; on a stack, c_q and bracket_upper are arrays."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    Q, W = np.asarray(Q, dtype=float), check_weight(weight)
+    Q, U, W = np.asarray(Q, dtype=float), np.asarray(U, dtype=float), check_weight(weight)
     stacked = Q.ndim == 3
-    Q, U = (Q, U) if stacked else (Q[None], np.asarray(U)[None])
-    r, errors = quantumness_general(Q, U)  # its errors are the singular-Q gate's
-    P, s, det, _ = _invariants(Q)
+    Q, U = (Q, U) if stacked else (Q[None], U[None])
+    P, s, det, r, errors = _invariants(Q, U)  # its errors are the singular-Q gate's
     with np.errstate(all="ignore"):  # an overflowing bound is inf, as with Python floats
         adj_trace = W[0, 0] * P[:, 1, 1] + W[1, 1] * P[:, 0, 0] - (W[0, 1] + W[1, 0]) * P[:, 0, 1]
         c_q = adj_trace / (s * det) / repetitions  # Tr[W adj Q] = s Tr[W adj P]

@@ -116,27 +116,29 @@ class ModelColumns:
 
 @dataclasses.dataclass(frozen=True)
 class ModelJet:
-    """Output state with its derivative along (lam1, lam2): the phases'
-    propagated generators K_j (dS/dlam_j = K_j S), which the geometric
-    tensor reads with symplectic, the circuit's matrix S (cov = S S^T / 2).
-    For a stack of N configurations every array has a leading point axis
-    and state.errors maps each failed point to its error."""
+    """Output state with its derivative along (lam1, lam2): phase j's
+    generator read on the input vacuum, its quadratic form F_j in forms and
+    linear part u_j in shifts (see _propagate), and the circuit's matrix S
+    (cov = S S^T / 2) as symplectic. For a stack of N configurations every
+    array has a leading point axis and state.errors maps each failed point
+    to its error."""
 
     state: GaussianState
-    generators: tuple[np.ndarray, np.ndarray]
+    forms: tuple[np.ndarray, np.ndarray]
+    shifts: tuple[np.ndarray, np.ndarray]
     symplectic: np.ndarray
 
     @property
     def dcov(self) -> tuple[np.ndarray, np.ndarray]:
-        """dcov_j = K_j cov + cov K_j^T."""
-        cov = self.state.cov
-        return tuple(k @ cov + cov @ np.swapaxes(k, -1, -2) for k in self.generators)
+        """dcov_j = S (Omega F_j - F_j Omega) S^T / 2."""
+        S, St = self.symplectic, np.swapaxes(self.symplectic, -1, -2)
+        return tuple(S @ (_OMEGA @ f - f @ _OMEGA) @ St / 2 for f in self.forms)
 
     @property
     def dmean(self) -> tuple[np.ndarray, np.ndarray]:
-        """dmean_j = K_j mean: no gate after lam1 shifts the mean (the
+        """dmean_j = S Omega u_j: no gate after lam1 shifts the mean (the
         Displacement is the third gate, before both phases)."""
-        return tuple((k @ self.state.mean[..., None])[..., 0] for k in self.generators)
+        return tuple((self.symplectic @ (u @ _OMEGA.T)[..., None])[..., 0] for u in self.shifts)
 
 
 def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
@@ -154,40 +156,39 @@ def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
     ]
 
 
-# J0 = Omega P0, the generator of a mode-0 phase rotation: dS/dlam = J0 S
-_J0 = np.zeros((4, 4))
-_J0[0, 1], _J0[1, 0] = 1.0, -1.0
 _OMEGA = symplectic_form(2)
 
 
 def _propagate(params: np.ndarray):
-    """(cov, mean, generators, symplectic) of the output for an (N, 9)
+    """(cov, mean, forms, shifts, symplectic) of the output for an (N, 9)
     parameter array; symplectic is the product of all gates.
 
     The only rotations of the circuit are the estimated phases, lam1 then
-    lam2. Right after each, its generator opens as J0, and every later gate
-    conjugates it as S K S^-1, with S^-1 = -Omega S^T Omega.
+    lam2, both generated by mode 0's number operator, whose quadratic form
+    right after the rotation is P0, the projector on mode 0. Pulled back to
+    the input vacuum through the product so far, S_j, it is
+    S_j^T P0 S_j = R^T R with R the mode-0 rows of S_j, and its linear part
+    is R^T mean_0, which stays valid because no later gate shifts the mean.
     """
-    cov = np.broadcast_to(np.eye(4) / 2, (len(params), 4, 4))
-    total = np.broadcast_to(np.eye(4), cov.shape)
+    total = np.broadcast_to(np.eye(4), (len(params), 4, 4))
     mean = np.zeros((len(params), 4, 1))  # means are carried as columns
-    gens = []
+    forms, shifts = [], []
     for gate in build_mz_model(ModelColumns(params)):
         S, shift = gate_symplectic(gate, 2)
-        St = S.transpose(0, 2, 1)
-        gens = [-(S @ k @ _OMEGA @ St @ _OMEGA) for k in gens]
-        cov = S @ cov @ St
-        mean = S @ mean + shift[..., None]
         total = S @ total
+        mean = S @ mean + shift[..., None]
         if isinstance(gate, PhaseRotation):
-            gens.append(np.broadcast_to(_J0, cov.shape))
-    return cov, mean[..., 0], gens, total
+            Rt = total[:, :2].transpose(0, 2, 1)
+            forms.append(Rt @ total[:, :2])
+            shifts.append((Rt @ mean[:, :2])[..., 0])
+    cov = total @ total.transpose(0, 2, 1) / 2
+    return cov, mean[..., 0], np.array(forms), np.array(shifts), total
 
 
 def jacobian_analytic(
     config: Union[ModelConfig, Sequence[ModelConfig], np.ndarray]
 ) -> ModelJet:
-    """Exact jet along (lam1, lam2): the generators, propagated by chain rule.
+    """Exact jet along (lam1, lam2): each phase's generator on the input vacuum.
 
     Given a sequence of configs, or their (N, 9) parameter array with rows
     that ModelConfig accepts, propagates all of them in one pass and
@@ -199,14 +200,10 @@ def jacobian_analytic(
     if not isinstance(config, np.ndarray):
         config = parameters([config] if single else config)
     with np.errstate(all="ignore"):
-        cov, mean, gens, total = _propagate(config)
+        cov, mean, forms, shifts, total = _propagate(config)
     if single:
-        cov, mean, total, gens = cov[0], mean[0], total[0], [k[0] for k in gens]
-    return ModelJet(
-        state=GaussianState(modes=2, mean=mean, cov=cov),
-        generators=(gens[0], gens[1]),
-        symplectic=total,
-    )
+        cov, mean, total, forms, shifts = cov[0], mean[0], total[0], forms[:, 0], shifts[:, 0]
+    return ModelJet(GaussianState(modes=2, mean=mean, cov=cov), tuple(forms), tuple(shifts), total)
 
 
 def evaluate_state(config: Union[ModelConfig, Sequence[ModelConfig]]) -> GaussianState:

@@ -56,8 +56,8 @@ def test_criterion_01_symplectic_and_purity():
 
 
 def test_criterion_02_jacobian_oracle():
-    """Analytic derivatives (the moments' derivatives that the propagated
-    generators give) match central differences; gap shrinks ~4x when the
+    """Analytic derivatives (the moments' derivatives that the jet's forms
+    and shifts give) match central differences; gap shrinks ~4x when the
     step is halved."""
     rng = np.random.default_rng(202)
     for _ in range(200):

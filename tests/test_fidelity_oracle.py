@@ -16,9 +16,10 @@ derivative jet nor the metrology formulas with the engine. Its error is
 O(h^2) plus round-off of F near 1 amplified by 1/h^2, and grows with the
 squeezing like the condition of the covariance, so the tolerances are
 scaled with r (largest errors about 9e-8, 2e-6, 1e-4 and 4e-3 relative at
-r = 0.3, 1, 2 and 3 with h = 1e-4 on the settings below). Displacement is part of the check: at q > 0 the
-engine's Q is 4 Re G of the propagated generators, and the oracle agrees
-there as at q = 0.
+r = 0.3, 1, 2 and 3 with h = 1e-4 on the settings below). Displacement is
+part of the check: at q > 0 the engine's Q is 4 Re G of the phases'
+generators read on the input vacuum, and the oracle agrees there as at
+q = 0.
 """
 
 import dataclasses

@@ -12,6 +12,7 @@ from mzsloppy.metrology import (
     SINGULAR_Q_TOL,
     _SINGULAR_MESSAGE,
     ScalarBounds,
+    check_weight,
     default_threshold,
     information_and_curvature,
     qfi_matrix,
@@ -181,6 +182,13 @@ class TestScalarBounds:
         with pytest.raises(SloppyModelError):
             scalar_crb(np.diag([1.0, 0.0]), u, np.eye(2))
 
+    def test_large_rank_one_weights_are_positive_semidefinite(self):
+        # outer(v, v) is positive semidefinite; the computed smallest
+        # eigenvalue is round-off on the scale of its largest entry
+        rng = np.random.default_rng(67)
+        for v in rng.normal(0.0, 1e5, size=(2000, 2)):
+            check_weight(np.outer(v, v))
+
     def test_stack_matches_single_points(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(6, 2, 2))
@@ -287,9 +295,8 @@ def test_reparametrization_congruence():
     a = np.array([[0.5, 0.5], [0.5, -0.5]])
     new_jet = ModelJet(
         state=jet.state,
-        generators=tuple(
-            a[0, j] * jet.generators[0] + a[1, j] * jet.generators[1] for j in range(2)
-        ),
+        forms=tuple(a[0, j] * jet.forms[0] + a[1, j] * jet.forms[1] for j in range(2)),
+        shifts=tuple(a[0, j] * jet.shifts[0] + a[1, j] * jet.shifts[1] for j in range(2)),
         symplectic=jet.symplectic,
     )
     q_new = qfi_matrix(new_jet)
@@ -305,9 +312,8 @@ def test_spectrum_invariant_under_orthogonal_reparametrization():
     o = np.array([[c, s], [-s, c]])
     rotated = ModelJet(
         state=jet.state,
-        generators=tuple(
-            o[0, j] * jet.generators[0] + o[1, j] * jet.generators[1] for j in range(2)
-        ),
+        forms=tuple(o[0, j] * jet.forms[0] + o[1, j] * jet.forms[1] for j in range(2)),
+        shifts=tuple(o[0, j] * jet.shifts[0] + o[1, j] * jet.shifts[1] for j in range(2)),
         symplectic=jet.symplectic,
     )
     q_rot = qfi_matrix(rotated)
@@ -337,12 +343,14 @@ def test_optimal_configuration_is_phase_covariant():
 
 
 def _reference_tensor(jet):
-    """Per-matrix loop form of the Wick formula of G, one config at a time:
-    G_jk = 1/2 Tr[A_j C A_k C^T] + m^T A_j C A_k m, A_j = -Omega K_j."""
+    """Per-matrix loop form of the Wick formula of G in the output frame, one
+    config at a time: G_jk = 1/2 Tr[A_j C A_k C^T] + m^T A_j C A_k m, with
+    A_j = S^-T F_j S^-1 phase j's generator pushed forward by the circuit."""
     Om = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0.0]])
     C = jet.state.cov + 0.5j * Om
     m = jet.state.mean
-    A = [-Om @ k for k in jet.generators]
+    S_inv = -Om @ jet.symplectic.T @ Om
+    A = [S_inv.T @ f @ S_inv for f in jet.forms]
     return np.array([
         [0.5 * np.trace(A[j] @ C @ A[k] @ C.T) + m @ A[j] @ C @ A[k] @ m for k in range(2)]
         for j in range(2)
@@ -523,9 +531,9 @@ def test_information_and_curvature_form_a_gram_matrix(**fields):
     # Q + iU = 4 conj(G) is positive semidefinite and R <= 1 at every
     # setting, and no point is refused: the output state is pure however
     # large the squeezing, and nothing gates on its symplectic spectrum
-    Q, U, errors = information_and_curvature(jacobian_analytic([ModelConfig(**fields)]))
+    Q, U, det, errors = information_and_curvature(jacobian_analytic([ModelConfig(**fields)]))
     assert errors == {}
-    assert np.isfinite(Q).all() and np.isfinite(U).all()
+    assert np.isfinite(Q).all() and np.isfinite(U).all() and det[0] >= 0.0
     assert np.linalg.eigvalsh(Q[0] + 1j * U[0])[0] >= -1e-9 * np.trace(Q[0])
     R, r_errors = quantumness_general(Q, U)
     if r_errors:

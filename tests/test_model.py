@@ -236,6 +236,24 @@ class TestJacobianAnalytic:
                 for got, want in ((dcov, om @ a @ cov - cov @ a @ om), (dmean, om @ a @ mean)):
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
 
+    def test_forms_and_shifts_pull_each_phase_generator_back_to_the_input(self):
+        # the output-frame generators A_j of the test above, read on the
+        # input vacuum: F_j = S^T A_j S and u_j = S^T A_j mean
+        om = symplectic_form(2)
+        p0 = np.diag([1.0, 1.0, 0.0, 0.0])
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            cfg = random_config(rng, q_max=2.0)
+            cfg = dataclasses.replace(cfg, r=rng.uniform(0, 2), x=rng.uniform(0, 2))
+            squeezer, rotation = build_mz_model(cfg)[-2:]
+            s_t = gate_symplectic(rotation, 2)[0] @ gate_symplectic(squeezer, 2)[0]
+            s_t_inv = -om @ s_t.T @ om
+            jet = jacobian_analytic(cfg)
+            S, mean = jet.symplectic, jet.state.mean
+            for a, form, shift in zip((s_t_inv.T @ p0 @ s_t_inv, p0), jet.forms, jet.shifts):
+                for got, want in ((form, S.T @ a @ S), (shift, S.T @ a @ mean)):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
     def test_dcov_symmetric(self):
         rng = np.random.default_rng(29)
         for _ in range(5):
@@ -377,7 +395,8 @@ def test_stacked_jet_is_bitwise_its_single_jets(configs):
         assert np.array_equal(jet.state.mean[i], single.state.mean)
         assert np.array_equal(jet.symplectic[i], single.symplectic)
         for k in range(2):
-            assert np.array_equal(jet.generators[k][i], single.generators[k])
+            assert np.array_equal(jet.forms[k][i], single.forms[k])
+            assert np.array_equal(jet.shifts[k][i], single.shifts[k])
             assert np.array_equal(jet.dcov[k][i], single.dcov[k])
             assert np.array_equal(jet.dmean[k][i], single.dmean[k])
         assert jet_distance(single, jacobian_fd(cfg)) < 1e-6

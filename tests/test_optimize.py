@@ -668,14 +668,29 @@ def test_non_finite_value_is_a_point_error(kind):
 
 @pytest.mark.parametrize("layer, shown", [("numeric", "inf"), ("closed_form", "inf")])
 def test_non_finite_objective_of_finite_matrices_is_a_point_error(layer, shown):
-    # Q is finite at q = 1e152, its determinant is not (positive on both
-    # layers: the numeric Q + iU is a Gram matrix)
+    # Q is finite at q = 1e152, its determinant is not, on either layer. On
+    # the numeric layer the true det Q is finite (2.005e304), but the one
+    # minor of the Gram vectors that vanishes exactly there is round-off of
+    # the q^2 scale, and its square overflows
     config = ModelConfig(r=0.5, x=0.5, q=1e152, theta=0.3, phi=0.4)
     objective = Objective(kind="detQ", layer=layer)
     result = grid_scan(SearchSpec(base=config, axes=()), objective)
     assert result.errors[0] == f"objective detQ is {shown}, not a finite number"
     with pytest.raises(ValueError, match="not a finite number"):
         objective_value(config, objective)
+
+
+@pytest.mark.parametrize("angles, want", [
+    ({}, 2.0323100144840245e20),
+    ({"theta": 0.3, "phi": 0.4}, 2.0050050713742524e20),
+])
+def test_numeric_det_q_does_not_cancel_at_large_displacement(angles, want):
+    # Q's entries are about q^2 = 1e20, so its det is 1e-20 of their
+    # products, below their round-off; want is a 400-digit evaluation of
+    # the same circuit
+    config = ModelConfig(r=0.5, x=0.5, q=1e10, **angles)
+    got = objective_value(config, Objective(kind="detQ", layer="numeric"))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_refine_rejects_steps_to_non_finite_values(recwarn):
