@@ -55,10 +55,10 @@ def information_and_curvature(jet: ModelJet):
     w_j / sqrt 2). With B B^H = (I + i Omega)/2 the vacuum's, B's column on
     mode m being (e_q - i e_p)/sqrt 2, Y_j = 2 B^H F_j conj(B) and
     w_j = 2 B^H u_j are sums of the q and p blocks of phase j's form and
-    shift. Q + iU is positive semidefinite to round-off, which is squared
-    at vacuum. Q = 4 X X^T with X = [Re V | Im V], so det Q is 16 times the
-    sum of the squared 2x2 minors of X (Cauchy-Binet): it does not cancel
-    where the det of the rounded Q loses every digit (entries about q^2)."""
+    shift. Q + iU is positive semidefinite to round-off (squared at vacuum).
+    Q = 4 X X^T with X = [Re V | Im V], so det Q is 16 times the sum of the
+    squared 2x2 minors of X (Cauchy-Binet), which does not cancel where the
+    det of the rounded Q loses every digit (entries about q^2)."""
     F, u = np.stack(jet.forms, axis=-3), np.stack(jet.shifts, axis=-2)
     if F.ndim == 3:
         F, u = F[None], u[None]
@@ -70,9 +70,9 @@ def information_and_curvature(jet: ModelJet):
         V[list(errors)] = np.nan
         G = V.conj() @ V.transpose(0, 2, 1)
         G = (G + G.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
-        # take keeps each point's entries contiguous: the sum below runs the
-        # same pairwise summation on every point, whatever the stack
-        Xa, Xb = (np.take(np.concatenate([V.real, V.imag], -1), i, axis=-1) for i in _MINORS)
+        X = np.concatenate([V.real, V.imag], axis=-1)
+        # take keeps each point's pairs contiguous, so each is summed alike in any stack
+        Xa, Xb = np.take(X, _MINORS[0], axis=-1), np.take(X, _MINORS[1], axis=-1)
         minors = Xa[:, 0] * Xb[:, 1] - Xb[:, 0] * Xa[:, 1]
         det = 16.0 * (minors * minors).sum(axis=-1)
     # -Im G is read as the transpose of Im G (G is Hermitian): U's diagonal stays +0.0
