@@ -133,7 +133,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
 
     jet = jacobian_analytic(config)
     phys = physicality_check(jet.state)
-    (q,), (u,), (det,), _ = metrology.information_and_curvature(jet)  # a stack of one, no errors
+    (q,), (u,), (det,), _ = metrology.information_and_curvature(jet, determinant=True)  # one point
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise OverflowError("math range error")
 

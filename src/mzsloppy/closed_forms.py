@@ -13,7 +13,7 @@ functions: `xp` is math for a ModelConfig, which gives a float and raises
 on overflow, and numpy for columns, which gives an (N,) array with inf or
 NaN where a row overflows (the caller checks). One point stays on math,
 which costs microseconds where a numpy pass costs hundreds.
-`layer_matrices` is the one evaluator of (Q, U, det Q, errors) on either layer,
+`layer_matrices` is the one evaluator of (Q, U, errors) on either layer,
 for the search and for `compare`, which reads each layer as one stack.
 `compare` reports differences between the two layers and never asserts
 agreement; the known tensions are documented in the report notes and in the
@@ -184,7 +184,7 @@ def closed_q_matrix(inp: Inputs) -> np.ndarray:
     return np.moveaxis(np.array([[q11, q12], [q12, q22]]), (0, 1), (-2, -1))
 
 
-def _point_matrices(config: ModelConfig):
+def _point_matrices(config: ModelConfig, determinant: bool):
     """layer_matrices on the closed-form layer for one ModelConfig, the
     entries and their checks in math: numpy's per-call cost on a 2x2 stack
     is larger than the closed forms' own (a simplex polish makes hundreds
@@ -200,41 +200,41 @@ def _point_matrices(config: ModelConfig):
         errors[0] = OverflowError("math range error") if gamma_ok else ValueError(GAMMA_MESSAGE)
     q = np.array([[[q11, q12], [q12, q22]]])
     u = np.array([[[0.0, u12], [-u12, 0.0]]])
-    return q, u, np.linalg.det(q), errors
+    return (q, u, np.linalg.det(q), errors) if determinant else (q, u, errors)
 
 
-@np.errstate(all="ignore")  # a det that overflows is the caller's error, not a warning
-def layer_matrices(points, layer: str):
-    """Stacked (Q, U, det Q, errors) on a layer, for one ModelConfig (a
-    stack of one) or an (N, 9) parameter array of rows ModelConfig accepts.
+def layer_matrices(points, layer: str, determinant: bool = False):
+    """Stacked (Q, U, errors) on a layer, or (Q, U, det Q, errors) with
+    determinant, for one ModelConfig (a stack of one) or an (N, 9)
+    parameter array of rows ModelConfig accepts.
 
-    The numeric layer propagates all points in one pass and takes det Q
-    from its kernel. The closed-form layer takes the det of its Q, and
-    evaluates one ModelConfig with math (_point_matrices), where an error
-    of math is a NaN, and an array as columns with numpy in one pass.
+    The numeric layer propagates all points in one pass; its det Q is the
+    kernel's, the closed-form layer's the det of its Q. The closed-form
+    layer evaluates one ModelConfig with math (_point_matrices), where an
+    error of math is a NaN, and an array as columns with numpy in one pass.
     On either layer a point with no error yet whose matrices are not finite
     fails with the overflow math raises, or on the closed-form layer, where
     its gamma is not finite, with the ModelConfig.gamma error.
     """
     if layer == "numeric":
         jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
-        q, u, det, errors = metrology.information_and_curvature(jet)
+        q, u, *det, errors = metrology.information_and_curvature(jet, determinant)
         gamma = np.zeros(len(q))  # the numeric layer never reads gamma
     elif isinstance(points, ModelConfig):
-        return _point_matrices(points)
+        return _point_matrices(points, determinant)
     else:
         columns = ModelColumns(points)
         q, u12, gamma = closed_q_matrix(columns), u12_closed(columns), columns.gamma
         u = np.zeros_like(q)
         u[:, 0, 1], u[:, 1, 0] = u12, -u12
-        det, errors = np.linalg.det(q), {}
+        det, errors = [np.linalg.det(q)] if determinant else [], {}
     finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
     gamma_ok = np.isfinite(gamma)
     for i in (~finite).nonzero()[0].tolist():
         errors.setdefault(
             i, OverflowError("math range error") if gamma_ok[i] else ValueError(GAMMA_MESSAGE)
         )
-    return q, u, det, errors
+    return (q, u, *det, errors)
 
 
 def det_ratio(r: float, x: float) -> float:
@@ -292,8 +292,8 @@ def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
     """
     single = isinstance(config, ModelConfig)
     params = parameters([config] if single else config)
-    Q, U, _, errors = layer_matrices(params, "numeric")
-    Qc, Uc, _, closed_errors = layer_matrices(params, "closed_form")
+    Q, U, errors = layer_matrices(params, "numeric")
+    Qc, Uc, closed_errors = layer_matrices(params, "closed_form")
     reports = []
     for i in range(len(params)):
         if i in errors or i in closed_errors:

@@ -44,21 +44,18 @@ _SINGULAR_MESSAGE = (
 # Stacked products go through matmul, the same BLAS call on every point as
 # on one matrix, so a point's value does not depend on its stack.
 
-# the pairs a < b of the 12 entries of a row of X = [Re V | Im V], for det Q
-_MINORS = np.triu_indices(12, 1)
-
-
-def information_and_curvature(jet: ModelJet):
-    """(Q, U, det Q, errors), stacked (a single jet is a stack of one), NaN
-    at each point of errors: Q = 4 Re G and U = -4 Im G of the geometric
-    tensor G = V^* V^T, the Gram matrix of the rows V_j = (Y_j / sqrt 8,
-    w_j / sqrt 2). With B B^H = (I + i Omega)/2 the vacuum's, B's column on
-    mode m being (e_q - i e_p)/sqrt 2, Y_j = 2 B^H F_j conj(B) and
-    w_j = 2 B^H u_j are sums of the q and p blocks of phase j's form and
-    shift. Q + iU is positive semidefinite to round-off (squared at vacuum).
-    Q = 4 X X^T with X = [Re V | Im V], so det Q is 16 times the sum of the
-    squared 2x2 minors of X (Cauchy-Binet), which does not cancel where the
-    det of the rounded Q loses every digit (entries about q^2)."""
+def information_and_curvature(jet: ModelJet, determinant: bool = False):
+    """(Q, U, errors), or (Q, U, det Q, errors) with determinant, stacked (a
+    single jet is a stack of one), NaN at each point of errors: Q = 4 Re G
+    and U = -4 Im G of G = V^* V^T, the Gram matrix of the rows
+    V_j = (Y_j / sqrt 8, w_j / sqrt 2). With B B^H = (I + i Omega)/2 the
+    vacuum's, B's column on mode m being (e_q - i e_p)/sqrt 2,
+    Y_j = 2 B^H F_j conj(B) and w_j = 2 B^H u_j are sums of the q and p
+    blocks of phase j's form and shift. Q + iU is positive semidefinite to
+    round-off (squared at vacuum). Q = 4 X X^T with X = [Re V | Im V], so
+    det Q is 16 times the sum of the squared 2x2 minors of X (Cauchy-Binet),
+    which does not cancel where the det of the rounded Q does (entries about
+    q^2); its 66 minors cost more than G, so it is computed on request."""
     F, u = np.stack(jet.forms, axis=-3), np.stack(jet.shifts, axis=-2)
     if F.ndim == 3:
         F, u = F[None], u[None]
@@ -70,24 +67,27 @@ def information_and_curvature(jet: ModelJet):
         V[list(errors)] = np.nan
         G = V.conj() @ V.transpose(0, 2, 1)
         G = (G + G.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
-        X = np.concatenate([V.real, V.imag], axis=-1)
-        # take keeps each point's pairs contiguous, so each is summed alike in any stack
-        Xa, Xb = np.take(X, _MINORS[0], axis=-1), np.take(X, _MINORS[1], axis=-1)
-        minors = Xa[:, 0] * Xb[:, 1] - Xb[:, 0] * Xa[:, 1]
-        det = 16.0 * (minors * minors).sum(axis=-1)
     # -Im G is read as the transpose of Im G (G is Hermitian): U's diagonal stays +0.0
-    return 4.0 * G.real, 4.0 * G.imag.transpose(0, 2, 1), det, errors
+    Q, U = 4.0 * G.real, 4.0 * G.imag.transpose(0, 2, 1)
+    if not determinant:
+        return Q, U, errors
+    # X[:, j, 0] and X[:, j, 1]: row j at the pairs' a and b, per point contiguous, so
+    # each point is summed alike in any stack
+    X = np.take(np.concatenate([V.real, V.imag], -1), np.triu_indices(12, 1), axis=-1)
+    with np.errstate(all="ignore"):
+        minors = X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]
+        return Q, U, 16.0 * (minors * minors).sum(axis=-1), errors
 
 
 def qfi_matrix(jet: ModelJet):
     """Quantum Fisher information matrix Q = 4 Re G, symmetric."""
-    Q, _, _, errors = information_and_curvature(jet)
+    Q, _, errors = information_and_curvature(jet)
     return unstack(Q, errors, jet.state.cov.ndim == 3)
 
 
 def uhlmann_matrix(jet: ModelJet):
     """Uhlmann curvature U = -4 Im G, antisymmetric."""
-    _, U, _, errors = information_and_curvature(jet)
+    _, U, errors = information_and_curvature(jet)
     return unstack(U, errors, jet.state.cov.ndim == 3)
 
 

@@ -163,12 +163,11 @@ def _propagate(params: np.ndarray):
     """(cov, mean, forms, shifts, symplectic) of the output for an (N, 9)
     parameter array; symplectic is the product of all gates.
 
-    The only rotations of the circuit are the estimated phases, lam1 then
-    lam2, both generated by mode 0's number operator, whose quadratic form
-    right after the rotation is P0, the projector on mode 0. Pulled back to
-    the input vacuum through the product so far, S_j, it is
-    S_j^T P0 S_j = R^T R with R the mode-0 rows of S_j, and its linear part
-    is R^T mean_0, which stays valid because no later gate shifts the mean.
+    The only rotations are the estimated phases, lam1 then lam2, both
+    generated by mode 0's number operator, whose quadratic form right after
+    the rotation is P0, the projector on mode 0. Pulled back to the input
+    vacuum through the product so far S_j, it is S_j^T P0 S_j = R^T R, R the
+    mode-0 rows of S_j, with linear part R^T mean_0 (no later gate shifts it).
     """
     total = np.broadcast_to(np.eye(4), (len(params), 4, 4))
     mean = np.zeros((len(params), 4, 1))  # means are carried as columns

@@ -531,7 +531,8 @@ def test_information_and_curvature_form_a_gram_matrix(**fields):
     # Q + iU = 4 conj(G) is positive semidefinite and R <= 1 at every
     # setting, and no point is refused: the output state is pure however
     # large the squeezing, and nothing gates on its symplectic spectrum
-    Q, U, det, errors = information_and_curvature(jacobian_analytic([ModelConfig(**fields)]))
+    jet = jacobian_analytic([ModelConfig(**fields)])
+    Q, U, det, errors = information_and_curvature(jet, determinant=True)
     assert errors == {}
     assert np.isfinite(Q).all() and np.isfinite(U).all() and det[0] >= 0.0
     assert np.linalg.eigvalsh(Q[0] + 1j * U[0])[0] >= -1e-9 * np.trace(Q[0])
