@@ -44,6 +44,7 @@ _SINGULAR_MESSAGE = (
 # Stacked products go through matmul, the same BLAS call on every point as
 # on one matrix, so a point's value does not depend on its stack.
 
+
 def information_and_curvature(jet: ModelJet, determinant: bool = False):
     """(Q, U, errors), or (Q, U, det Q, errors) with determinant, stacked (a
     single jet is a stack of one), NaN at each point of errors: Q = 4 Re G
@@ -56,9 +57,8 @@ def information_and_curvature(jet: ModelJet, determinant: bool = False):
     det Q is 16 times the sum of the squared 2x2 minors of X (Cauchy-Binet),
     which does not cancel where the det of the rounded Q does (entries about
     q^2); its 66 minors cost more than G, so it is computed on request."""
-    F, u = np.stack(jet.forms, axis=-3), np.stack(jet.shifts, axis=-2)
-    if F.ndim == 3:
-        F, u = F[None], u[None]
+    F = np.stack(jet.forms, axis=-3).reshape(-1, 2, 4, 4)  # a single jet is a stack of one
+    u = np.stack(jet.shifts, axis=-2).reshape(-1, 2, 4)
     errors = dict(jet.state.errors)
     with np.errstate(all="ignore"):  # an overflow is the caller's error
         Y = F[..., ::2, ::2] - F[..., 1::2, 1::2] + 1j * (F[..., ::2, 1::2] + F[..., 1::2, ::2])

@@ -92,14 +92,14 @@ _ALPHA, _LAM1 = MODEL_FIELDS.index("alpha"), MODEL_FIELDS.index("lam1")
 
 
 def _kind_values(points, objective: Objective):
-    detq = objective.kind == "detQ"  # only it pays for det Q on the numeric layer
-    q, u, *det, errors = closed_forms.layer_matrices(points, objective.layer, detq)
+    if objective.kind == "detQ":  # only it pays for det Q on the numeric layer
+        _, _, det, errors = closed_forms.layer_matrices(points, objective.layer, determinant=True)
+        return det, errors
+    q, u, errors = closed_forms.layer_matrices(points, objective.layer)
     if objective.kind == "Q11":
         return q[:, 0, 0], errors
     if objective.kind == "Q22":
         return q[:, 1, 1], errors
-    if objective.kind == "detQ":
-        return det[0], errors
     if objective.kind == "minus_R":
         r, r_errors = metrology.quantumness_general(q, u)
         return -r, {**r_errors, **errors}
