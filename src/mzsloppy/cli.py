@@ -9,11 +9,13 @@ Four subcommands, all driven by a JSON config file:
 
 Data goes to stdout (or --out), diagnostics to stderr. Exit code 0 means
 success, 1 a usage or config error or a config the engine cannot evaluate
-(say, squeezing so large that the state moments overflow), 2 a detected
-degenerate condition (eval: the model is sloppy at the requested
-threshold). Output is deterministic: keys are sorted and floats are written
-with full precision, so identical inputs give byte-identical output. The
-csv format is only available for scan, whose rows form a rectangular table.
+(say, squeezing so large that the state moments overflow, or any result
+that is not a finite number: the JSON writer refuses Infinity and NaN for
+every command), 2 a detected degenerate condition (eval: the model is
+sloppy at the requested threshold). Output is deterministic: keys are
+sorted and floats are written with full precision, so identical inputs give
+byte-identical output. The csv format is only available for scan, whose
+rows form a rectangular table.
 """
 
 from __future__ import annotations
@@ -99,10 +101,6 @@ def _model_dict(config: ModelConfig) -> dict:
     return {name: getattr(config, name) for name in MODEL_FIELDS}
 
 
-def _matrix_list(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m)]
-
-
 def _parse_weight(obj) -> np.ndarray:
     if (
         not isinstance(obj, list)
@@ -134,7 +132,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
     jet = jacobian_analytic(config)
     phys = physicality_check(jet.state)
     (q,), (u,), (det,), _ = metrology.information_and_curvature(jet, determinant=True)  # one point
-    if not (np.isfinite(q).all() and np.isfinite(u).all()):
+    if not (np.isfinite(q).all() and np.isfinite(u).all()):  # keeps eigh away from inf
         raise OverflowError("math range error")
 
     try:
@@ -155,19 +153,17 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
         "model": _model_dict(config),
         "physicality": {
             "classification": phys.classification,
-            "symplectic_eigenvalues": [float(v) for v in phys.symplectic_eigenvalues],
+            "symplectic_eigenvalues": phys.symplectic_eigenvalues.tolist(),
         },
-        "information_matrix": _matrix_list(q),
-        "information_determinant": float(det),
-        "curvature_matrix": _matrix_list(u),
+        "information_matrix": q.tolist(),
+        "information_determinant": det,
+        "curvature_matrix": u.tolist(),
         "quantumness": quantumness,
         "sloppiness": {
-            "eigenvalues": [float(v) for v in report.eigenvalues],
-            "threshold": float(report.threshold),
-            "sloppy": bool(report.sloppy),
-            "null_directions": [
-                [float(v) for v in d] for d in report.null_directions
-            ],
+            "eigenvalues": report.eigenvalues.tolist(),
+            "threshold": report.threshold,
+            "sloppy": report.sloppy,
+            "null_directions": [d.tolist() for d in report.null_directions],
         },
     }
     if "weight" in config_obj:
@@ -176,33 +172,19 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
         try:
             bounds = metrology.scalar_crb(q, u, weight, repetitions=reps)
             payload["scalar_bounds"] = {
-                "weight": _matrix_list(weight),
+                "weight": weight.tolist(),
                 "repetitions": reps,
-                "c_q": float(bounds.c_q),
-                "bracket_upper": float(bounds.bracket_upper),
+                "c_q": bounds.c_q,
+                "bracket_upper": bounds.bracket_upper,
             }
         except SloppyModelError as exc:
             payload["scalar_bounds"] = {"error": str(exc)}
     elif "repetitions" in config_obj:
         raise ConfigError("config field 'repetitions' requires 'weight'")
 
-    if not _all_finite(payload):
-        # a finite Q can still overflow its determinant, eigenvalues or bounds
-        raise OverflowError("math range error")
-    exit_code = 2 if payload["sloppiness"]["sloppy"] else 0
-    return payload, exit_code
-
-
-def _all_finite(obj) -> bool:
-    """False when a float anywhere in the nested dicts and lists of obj is
-    not finite, which JSON output would write as Infinity or NaN."""
-    if isinstance(obj, float):
-        return math.isfinite(obj)
-    if isinstance(obj, dict):
-        return all(_all_finite(v) for v in obj.values())
-    if isinstance(obj, list):
-        return all(_all_finite(v) for v in obj)
-    return True
+    # a finite Q can still overflow its determinant, eigenvalues or bounds:
+    # the JSON writer refuses those
+    return payload, 2 if report.sloppy else 0
 
 
 # -- scan ----------------------------------------------------------------
@@ -284,15 +266,8 @@ def run_scan(config_obj: dict) -> tuple[dict, int]:
     payload = {
         "schema": _SCHEMAS["scan"],
         "model": _model_dict(spec.base),
-        "objective": {
-            "kind": objective.kind,
-            "layer": objective.layer,
-            "repetitions": objective.repetitions,
-            "weight": None
-            if objective.weight is None
-            else [list(row) for row in objective.weight],
-        },
-        "axes": [{"name": a.name, "values": list(a.values)} for a in spec.axes],
+        "objective": dataclasses.asdict(objective),
+        "axes": [{"name": a.name, "values": a.values} for a in spec.axes],
         "workers": workers,
         "rows": result,
         "best": None
@@ -332,17 +307,30 @@ def _scan_rows_text(scan: optimize.ScanResult) -> str:
     )
 
 
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), which refuses Infinity and
+    NaN with the OverflowError of an engine value that overflows."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        if not str(exc).startswith("Out of range float values are not JSON compliant"):
+            raise
+        raise OverflowError("math range error") from exc
+
+
 def _json_text(payload: dict) -> str:
     """payload as json.dumps writes it with sort_keys=True, indent=2, plus a
     newline, a scan's ScanResult under "rows" written as its list of
     {"error", "point", "value"} rows. Those rows come from _scan_rows_text,
     spliced into the dump of the rest: json.dumps writes indented output in
-    pure Python, which costs more than the scan itself."""
+    pure Python, which costs more than the scan itself. A float that is not
+    finite raises OverflowError; the rows of a scan are finite once its
+    axes, which the rest holds, are."""
     if "rows" not in payload:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _dumps(payload) + "\n"
     # a newline never occurs inside a JSON string, so the slot of the
     # top-level "rows" key is the only match
-    head = json.dumps({**payload, "rows": [None]}, sort_keys=True, indent=2)
+    head = _dumps({**payload, "rows": [None]})
     body = '\n  "rows": [\n' + _scan_rows_text(payload["rows"]) + "\n  ]"
     return head.replace('\n  "rows": [\n    null\n  ]', body, 1) + "\n"
 
@@ -386,10 +374,8 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
                 "layer": objective.layer,
                 "repetitions": objective.repetitions,
             },
-            "point": optimize.fold_angles(
-                {k: float(v) for k, v in refined.point.items()}
-            ),
-            "value": float(refined.value),
+            "point": optimize.fold_angles(refined.point),
+            "value": refined.value,
             "scan_best_value": scan.values[scan.best],
             "refine_iterations": refined.iterations,
             "refine_capped": refined.capped,
@@ -438,59 +424,28 @@ def run_compare(
     finally:  # the configs before one that ModelConfig rejects fail first
         reports = closed_forms.compare(configs)
     records = []
-    offsets_q0 = {}
     for config, report in zip(configs, reports):
-        for rec in report.records:
-            records.append(
-                {
-                    "model": _model_dict(config),
-                    "entry": rec.entry,
-                    "closed_form": rec.closed_form,
-                    "numeric": rec.numeric,
-                    "abs_difference": rec.abs_difference,
-                    "rel_difference": rec.rel_difference,
-                }
-            )
-            if rec.entry == "Q11" and config.q == 0.0:
-                offsets_q0[(config.phi, config.x)] = rec.closed_form - rec.numeric
+        model = _model_dict(config)
+        records += ({"model": model, **vars(rec)} for rec in report.records)
 
-    calibration = []
-    for record in records:
-        model = record["model"]
-        key = (model["phi"], model["x"])
-        if (
-            record["entry"] == "Q11"
-            and model["q"] > 0.0
-            and model["phi"] == 0.0
-            and key in offsets_q0
-        ):
-            offset = record["closed_form"] - record["numeric"]
-            calibration.append(
-                {
-                    "q": model["q"],
-                    "x": model["x"],
-                    "entry": "Q11",
-                    "residual": abs(offset - offsets_q0[key]),
-                }
-            )
-
+    # records[0] is Q11; a later duplicate of a q = 0 config wins its key
+    offsets = [report.records[0].closed_form - report.records[0].numeric for report in reports]
+    offsets_q0 = {(c.phi, c.x): offset for c, offset in zip(configs, offsets) if c.q == 0.0}
+    calibration = [
+        {"q": c.q, "x": c.x, "entry": "Q11", "residual": abs(offset - offsets_q0[c.phi, c.x])}
+        for c, offset in zip(configs, offsets)
+        if c.q > 0.0 and c.phi == 0.0 and (c.phi, c.x) in offsets_q0
+    ]
     summary = {
         "record_count": len(records),
-        "max_abs_difference": max(r_["abs_difference"] for r_ in records),
+        "max_abs_difference": max(report.flags["max_abs_difference"] for report in reports),
         "calibration": calibration,
-        "calibration_max_residual": max(
-            (c["residual"] for c in calibration), default=None
-        ),
-        "notes": list(COMPARE_NOTES),
+        "calibration_max_residual": max((c["residual"] for c in calibration), default=None),
+        "notes": COMPARE_NOTES,
     }
     return {
         "schema": _SCHEMAS["compare"],
-        "grid": {
-            "r": r,
-            "q_values": list(q_values),
-            "phi_values": list(phi_values),
-            "x_values": list(x_values),
-        },
+        "grid": {"r": r, "q_values": q_values, "phi_values": phi_values, "x_values": x_values},
         "records": records,
         "summary": summary,
     }
@@ -559,22 +514,19 @@ def main(argv=None) -> int:
         if not isinstance(config_obj, dict):
             raise ConfigError("config file must hold a JSON object")
         payload, exit_code = _RUNNERS[args.command](config_obj)
+        text = _scan_csv(payload["rows"]) if args.format == "csv" else _json_text(payload)
     except ConfigError as exc:
         print(f"mzsloppy: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
-        # a config the engine cannot evaluate, or a field value the model
-        # or search types reject
+        # a config the engine cannot evaluate, a result the JSON writer
+        # refuses, or a field value the model or search types reject
         print(f"mzsloppy: error: {optimize.error_message(exc)}", file=sys.stderr)
         return 1
     except SloppyModelError as exc:
         print(f"mzsloppy: degenerate model: {exc}", file=sys.stderr)
         return 2
 
-    if args.format == "csv":
-        text = _scan_csv(payload["rows"])
-    else:
-        text = _json_text(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

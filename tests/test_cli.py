@@ -1,6 +1,7 @@
 """Command-line driver: config handling, output formats, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzsloppy
-from mzsloppy import cli
+from mzsloppy import cli, closed_forms
 from mzsloppy.cli import THREADS_ENV_VAR, main
 from mzsloppy.model import ModelConfig
 from mzsloppy.optimize import Axis, Objective, ScanResult, objective_value
@@ -750,9 +751,7 @@ def test_every_finite_config_exits_zero_one_or_two(command_config, fmt):
     # model without one (optimize: every grid point failed, row 0 as sloppy)
     assert (out.getvalue() == "") == (code == 1 or (code == 2 and command == "optimize"))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    # compare can still write a difference that overflows (CHANGES.md)
-    if command != "compare":
-        assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
+    assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
 
 
 # Scan results for the row writers: json.dumps is the byte oracle of the JSON
@@ -815,5 +814,62 @@ def listed_rows(scan):
 @settings(deadline=None, max_examples=500)
 @given(payload=scan_payloads())
 def test_scan_json_writer_matches_json_dumps(payload):
+    # outside "rows", only the model's r and the weight can be non-finite
+    weight = payload["objective"]["weight"] or []
+    if not all(map(math.isfinite, [payload["model"]["r"], *itertools.chain(*weight)])):
+        with pytest.raises(OverflowError, match="^math range error$"):
+            cli._json_text(payload)
+        return
     listed = {**payload, "rows": listed_rows(payload["rows"])}
     assert cli._json_text(payload) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_writer_passes_other_value_errors_through():
+    looped = {"schema": "mzsloppy.eval/1"}
+    looped["model"] = looped
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        cli._json_text(looped)
+
+
+# -- property: compare's payload is read off closed_forms.compare -------------
+
+# small pools, so that grids repeat values, both signed zeros among them
+GRID_POOLS = {
+    "q_values": st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    "phi_values": st.sampled_from([0.0, -0.0, 0.3, PI / 4]),
+    "x_values": st.sampled_from([0.0, -0.0, 0.5]),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(r=st.sampled_from([0.0, 0.5, 1.0]),
+       grid=st.fixed_dictionaries({name: st.lists(pool, min_size=1, max_size=4)
+                                   for name, pool in GRID_POOLS.items()}))
+def test_compare_payload_matches_its_reports(r, grid):
+    grid = {name: tuple(values) for name, values in grid.items()}
+    payload = cli.run_compare(r, **grid)
+    configs = [ModelConfig(r=r, q=q, phi=phi, x=x) for q, phi, x in itertools.product(
+        grid["q_values"], grid["phi_values"], grid["x_values"])]
+    reports = closed_forms.compare(configs)
+    records = [
+        {"model": model_dict(r=c.r, q=c.q, phi=c.phi, x=c.x), **dataclasses.asdict(rec)}
+        for c, report in zip(configs, reports) for rec in report.records
+    ]
+    # each q > 0 config on the phi = 0 slice against the last q = 0 config
+    # with its phi and x, compared with ==, so 0.0 and -0.0 match
+    offset = [report.records[0].closed_form - report.records[0].numeric for report in reports]
+    calibration = []
+    for i, c in enumerate(configs):
+        zeros = [j for j, z in enumerate(configs) if z.q == 0 and (z.phi, z.x) == (c.phi, c.x)]
+        if c.q > 0 and c.phi == 0 and zeros:
+            calibration.append({"q": c.q, "x": c.x, "entry": "Q11",
+                                "residual": abs(offset[i] - offset[zeros[-1]])})
+    # the JSON text tells 0.0 from -0.0, which == does not
+    assert json.dumps(payload["records"]) == json.dumps(records)
+    assert payload["grid"] == {"r": r, **grid}  # the values lists are the grid's own
+    summary = payload["summary"]
+    assert summary["record_count"] == 4 * len(configs) == len(records)
+    assert summary["max_abs_difference"] == max(rec["abs_difference"] for rec in records)
+    assert json.dumps(summary["calibration"]) == json.dumps(calibration)
+    assert summary["calibration_max_residual"] == max(
+        (c["residual"] for c in calibration), default=None)

@@ -1,6 +1,7 @@
 """Reference expressions: values, identities, parities, cross-check engine."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +284,16 @@ class TestCompare:
         for theta, x in [(0.0, 0.0), (1.1, 0.5), (2.3, 1.0)]:
             report = compare(ModelConfig(r=0.7, theta=theta, phi=0.0, x=x, alpha=0.3))
             assert report.flags["q_offset_value"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_offset_value_of_huge_finite_differences_is_finite(self):
+        # the three Q differences are finite, 5.7e307 to 8.6e307, but their
+        # sum is not: the mean must be taken without forming it
+        report = compare(ModelConfig(r=0.9, q=4.6e153, beta=-2.7, theta=-2.2, phi=-1.1, x=0.4))
+        diffs = [rec.closed_form - rec.numeric for rec in report.records[:3]]
+        assert all(math.isfinite(d) for d in diffs) and not math.isfinite(sum(diffs))
+        exact = float(sum(map(Fraction, diffs)) / 3)
+        assert report.flags["q_offset_value"] == pytest.approx(exact, rel=1e-15)
+        assert exact == pytest.approx(7.14e307, rel=1e-3)
 
     def test_displacement_calibration_at_transmissive_angles(self):
         # q-dependent part of Q11 at theta = phi = 0 agrees between layers
