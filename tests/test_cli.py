@@ -866,7 +866,7 @@ def test_compare_payload_matches_its_reports(r, grid):
                                 "residual": abs(offset[i] - offset[zeros[-1]])})
     # the JSON text tells 0.0 from -0.0, which == does not
     assert json.dumps(payload["records"]) == json.dumps(records)
-    assert payload["grid"] == {"r": r, **grid}  # the values lists are the grid's own
+    assert payload["grid"] == {"r": r, **grid}  # the grid goes out as given
     summary = payload["summary"]
     assert summary["record_count"] == 4 * len(configs) == len(records)
     assert summary["max_abs_difference"] == max(rec["abs_difference"] for rec in records)
