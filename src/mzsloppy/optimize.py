@@ -290,17 +290,35 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
 def _supremum(spec: SearchSpec, objective: Objective) -> float | None:
     """An a-priori upper bound on the objective over the spec, or None (also
     where it does not fit in a float): 0 for minus_R, since R >= 0; for
-    closed-form Q22 with q = 0, r and x fixed, landmarks' q22_max, since
-    |_mix_trig| <= 1 (Cauchy-Schwarz) gives q22_closed = 2 base^2 with
-    base <= cosh 2(r + x) at every angle."""
+    closed-form Q22 with r, x and q fixed, landmarks' q22_max plus, at
+    q > 0, 2 q^2 e^(2r + 4x). Both terms are reached at
+    theta = phi = gamma = beta = 0, so the bound is the supremum.
+
+    q22_closed = 2 base^2 + 2 q^2 f22. |_mix_trig| <= 1 (Cauchy-Schwarz)
+    gives base <= cosh 2(r + x) at every angle, so 2 base^2 <= q22_max.
+    For f22 write C = cosh 2x, S = sinh 2x, c = cos^2 phi, s = sin^2 phi,
+    E = C sin beta + S sin(gamma - beta) and
+    H = C cos beta + S cos(gamma - beta). The printed f22 is
+    cosh(2r) K + sinh(2r) P, P the bracket after sinh(2r) and
+    K = 1 + c (cosh 4x + cos(gamma - 2 beta) sinh 4x - 1)
+      = s + c |C + S e^(i (gamma - 2 beta))|^2,
+    and an identity in the angles gives
+    K - P = 2 (s cos beta + c E)^2
+            + 2 c s ((cos beta - E) cos theta - (sin beta + H) sin theta)^2.
+    So with r >= 0, f22 = e^(2r) K - sinh(2r) (K - P) <= e^(2r) K, and
+    K <= s + c (C + S)^2 <= e^(4x).
+    """
     if objective.kind == "minus_R":
         return 0.0
-    if (objective.kind, objective.layer) != ("Q22", "closed_form") or spec.base.q != 0.0:
-        return None  # at q > 0 no bound on the displacement term f22 is known
+    if (objective.kind, objective.layer) != ("Q22", "closed_form"):
+        return None
     if {"r", "x", "q"} & {axis.name for axis in spec.axes}:
         return None
+    r, x, q = spec.base.r, spec.base.x, spec.base.q
     try:
-        bound = closed_forms.landmarks(spec.base.r, spec.base.x)["q22_max"]
+        bound = closed_forms.landmarks(r, x)["q22_max"]
+        if q > 0:  # so that every q = 0 bound is q22_max itself
+            bound += 2 * q**2 * math.exp(2 * r + 4 * x)
     except OverflowError:
         return None
     return bound if math.isfinite(bound) else None
@@ -329,8 +347,8 @@ def refine_local(
     it (otherwise a flat optimum manifold would let round-off walk the
     point arbitrarily far from the scanned maximum). capped reports
     whether the iteration budget cut the polish short. A start already at
-    the objective's a-priori bound (_supremum: R = 0 for minus_R, the
-    landmark q22_max for closed-form Q22 at q = 0), to within that noise,
+    the objective's a-priori bound (_supremum: R = 0 for minus_R,
+    q22_max + 2 q^2 e^(2r + 4x) for closed-form Q22), to within that noise,
     cannot be beaten and runs no simplex: 0 iterations.
 
     Accepted candidates are canonicalized along flat directions: when
@@ -473,7 +491,7 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     scan, polish, fold and flatness probe, from the best grid point that
     can be evaluated; the polish runs no simplex from a start at the
     objective's bound (_supremum), as the quantumness-free start at R = 0
-    and, at q = 0, the maximum's start at q22_max usually are. Landmark
+    and the maximum's start at theta = phi = gamma = 0 usually are. Landmark
     values ride along for context. Degenerate (flat) axes are reported,
     not hidden.
     """

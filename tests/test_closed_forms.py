@@ -1,12 +1,15 @@
 """Reference expressions: values, identities, parities, cross-check engine."""
 
+import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzsloppy import closed_forms
 from mzsloppy.closed_forms import (
     closed_q_matrix,
     compare,
@@ -22,7 +25,7 @@ from mzsloppy.closed_forms import (
     u12_closed,
 )
 from mzsloppy.model import ModelColumns, ModelConfig, parameters
-from mzsloppy.optimize import Objective, SearchSpec, error_message, grid_scan
+from mzsloppy.optimize import Objective, SearchSpec, _supremum, error_message, grid_scan
 
 OPT = {"theta": math.pi / 2, "phi": math.pi / 4}
 GRID = [0.25 * k for k in range(9)]  # 0 .. 2
@@ -427,6 +430,86 @@ def test_q22_without_displacement_never_exceeds_its_landmark_maximum(configs):
     columns = q22_closed(ModelColumns(parameters(configs)))
     for values in (single, columns):
         assert np.all(values <= bounds * (1 + 1e-12))
+
+
+# two periods of every angle, with the landmark angles drawn often
+PERIODS = st.one_of(st.sampled_from((0.0, math.pi / 2, math.pi)),
+                    st.floats(-4 * math.pi, 4 * math.pi))
+
+
+def _q22_supremum(config):
+    return _supremum(SearchSpec(base=config, axes=()), Objective(kind="Q22"))
+
+
+@settings(deadline=None, max_examples=200)
+@given(configs=st.lists(
+    st.builds(ModelConfig, r=st.floats(0, 3), q=st.floats(0, 2), x=st.floats(0, 3),
+              beta=PERIODS, theta=PERIODS, phi=PERIODS, alpha=PERIODS, lam1=PERIODS,
+              lam2=PERIODS),
+    min_size=1, max_size=8))
+def test_displaced_q22_never_exceeds_its_supremum(configs):
+    # 2 base^2 <= q22_max and f22 <= e^(2r + 4x) at every angle (the proof
+    # is _supremum's): the bound the search's Q22 polish stops at for any q,
+    # on one config (math) and on columns (numpy) alike
+    bounds = np.array([_q22_supremum(c) for c in configs])
+    single = np.array([q22_closed(c) for c in configs])
+    columns = q22_closed(ModelColumns(parameters(configs)))
+    for values in (single, columns):
+        assert np.all(values <= bounds * (1 + 1e-12))
+
+
+@settings(deadline=None, max_examples=200)
+@given(r=st.floats(0, 3), x=st.floats(0, 3), q=st.floats(0, 2))
+def test_q22_supremum_is_reached_at_the_transmissive_setting(r, x, q):
+    # theta = phi = gamma = beta = 0, a point of the find-known grid
+    config = ModelConfig(r=r, x=x, q=q)
+    assert math.isclose(q22_closed(config), _q22_supremum(config), rel_tol=2**-48)
+
+
+def _lemma_squares(config, xp=math):
+    """The two squares of _supremum's lemma, K - P = 2 (w1^2 + w2^2)."""
+    C, S = xp.cosh(2 * config.x), xp.sinh(2 * config.x)
+    b, t, f, g = config.beta, config.theta, config.phi, config.gamma
+    E = C * xp.sin(b) + S * xp.sin(g - b)
+    H = C * xp.cos(b) + S * xp.cos(g - b)
+    w1 = xp.sin(f) ** 2 * xp.cos(b) + xp.cos(f) ** 2 * E
+    w2 = xp.sin(f) * xp.cos(f) * ((xp.cos(b) - E) * xp.cos(t) - (xp.sin(b) + H) * xp.sin(t))
+    return w1, w2
+
+
+@settings(deadline=None, max_examples=300)
+@given(config=st.builds(ModelConfig, x=st.floats(0, 3), beta=PERIODS, theta=PERIODS,
+                        phi=PERIODS, alpha=PERIODS, lam1=PERIODS, lam2=PERIODS))
+def test_displacement_coefficient_lemma(config):
+    # f22 = cosh(2r) K + sinh(2r) P with K and P free of r, read off the
+    # printed f22 at r = 0 and r = 1/2; then P <= K <= e^(4x), the
+    # lemma behind f22 <= e^(2r) K <= e^(2r + 4x)
+    k = f22(config)
+    p = (f22(dataclasses.replace(config, r=0.5)) - math.cosh(1.0) * k) / math.sinh(1.0)
+    w1, w2 = _lemma_squares(config)
+    scale = math.exp(4 * config.x)
+    assert k - p == pytest.approx(2 * (w1**2 + w2**2), abs=1e-12 * scale)
+    assert p <= k + 1e-12 * scale
+    assert k <= scale * (1 + 1e-12)
+
+
+def test_displacement_coefficient_lemma_is_an_identity(monkeypatch):
+    # the printed f22, evaluated in sympy, is e^(2r) K - 2 sinh(2r) (w1^2 + w2^2)
+    # with K = s + c |C + S e^(i (gamma - 2 beta))|^2, exactly; cosh 2r and
+    # sinh 2r stand as the symbols ch and sh, e^(2r) = ch + sh
+    sympy = pytest.importorskip("sympy")
+    r, beta, theta, phi, x, gamma, ch, sh = sympy.symbols(
+        "r beta theta phi x gamma ch sh", real=True)
+    inp = types.SimpleNamespace(r=r, beta=beta, theta=theta, phi=phi, x=x, gamma=gamma)
+    monkeypatch.setattr(closed_forms, "_xp", lambda inp: sympy)
+    printed = f22(inp).subs({sympy.cosh(2 * r): ch, sympy.sinh(2 * r): sh})
+    C, S, c, s = sympy.cosh(2 * x), sympy.sinh(2 * x), sympy.cos(phi) ** 2, sympy.sin(phi) ** 2
+    delta = gamma - 2 * beta
+    k = s + c * ((C + S * sympy.cos(delta)) ** 2 + (S * sympy.sin(delta)) ** 2)
+    w1, w2 = _lemma_squares(inp, sympy)
+    proof = (ch + sh) * k - 2 * sh * (w1**2 + w2**2)
+    assert r not in printed.free_symbols
+    assert sympy.expand((printed - proof).rewrite(sympy.exp)) == 0
 
 
 def test_one_config_reads_the_math_closed_forms():

@@ -270,38 +270,61 @@ class TestRefine:
         assert refined.point == start
         assert refined.value == pytest.approx(2 * math.cosh(2.0) ** 2, rel=1e-15)
 
-    @pytest.mark.parametrize("variant", ["displaced", "numeric", "r_axis", "x_axis",
-                                         "q_axis", "Q11"])
-    def test_q22_bound_only_where_it_holds(self, variant):
-        # from the landmark angles, where a closed-form Q22 at q = 0 would skip
-        spec, obj = q22_spec(), Objective(kind="Q22")
-        if variant == "displaced":
-            spec = q22_spec(q=0.3)
-        elif variant == "numeric":
-            obj = Objective(kind="Q22", layer="numeric")
-        elif variant == "Q11":
-            obj = Objective(kind="Q11")
-        elif variant.endswith("_axis"):
-            spec = SearchSpec(base=spec.base,
-                              axes=spec.axes + (Axis(variant[0], (0.0, 0.25, 0.5)),))
-        start = {axis.name: 0.0 for axis in spec.axes}
-        start.update({n: getattr(spec.base, n) for n in ("r", "x", "q") if n in start})
-        assert optimize._supremum(spec, obj) is None
-        assert refine_local(spec, obj, start).iterations > 0
+    def test_start_at_the_displaced_q22_bound_runs_no_simplex(self):
+        # closed-form Q22 at q > 0 never exceeds q22_max + 2 q^2 e^(2r + 4x),
+        # which the transmissive setting reaches
+        spec, obj = q22_spec(q=0.3), Objective(kind="Q22")
+        bound = optimize._supremum(spec, obj)
+        assert bound == 2 * math.cosh(2.0) ** 2 + 2 * 0.3**2 * math.exp(3.0)
+        start = {"theta": 0.0, "phi": 0.0, "alpha": 0.0}
+        refined = refine_local(spec, obj, start)
+        assert refined.iterations == 0
+        assert not refined.capped and not refined.improved
+        assert refined.point == start
+        assert refined.value == pytest.approx(bound, rel=1e-15)
 
-    @pytest.mark.parametrize("r, x", [(177.0, 0.5), (176.0, 2.0), (400.0, 0.5),
-                                      (1e300, 0.5), (1e308, 1e308)])
-    def test_q22_bound_near_overflow_never_raises(self, r, x, monkeypatch):
+    @pytest.mark.parametrize("variant", ["numeric", "r_axis", "x_axis", "q_axis", "Q11"])
+    def test_q22_bound_only_where_it_holds(self, variant):
+        # from the landmark angles, where a closed-form Q22 would skip
+        for q in (0.0, 0.3):
+            spec, obj = q22_spec(q=q), Objective(kind="Q22")
+            if variant == "numeric":
+                obj = Objective(kind="Q22", layer="numeric")
+            elif variant == "Q11":
+                obj = Objective(kind="Q11")
+            elif variant.endswith("_axis"):
+                spec = SearchSpec(base=spec.base,
+                                  axes=spec.axes + (Axis(variant[0], (0.0, 0.25, 0.5)),))
+            start = {axis.name: 0.0 for axis in spec.axes}
+            start.update({n: getattr(spec.base, n) for n in ("r", "x", "q") if n in start})
+            assert optimize._supremum(spec, obj) is None
+            assert refine_local(spec, obj, start).iterations > 0
+
+    @pytest.mark.parametrize("r, x, q, bounded, finite", [
+        pytest.param(177.0, 0.5, 0.0, True, True, id="177.0-0.5"),
+        pytest.param(176.0, 2.0, 0.0, False, True, id="176.0-2.0"),
+        pytest.param(400.0, 0.5, 0.0, False, False, id="400.0-0.5"),
+        pytest.param(1e300, 0.5, 0.0, False, False, id="1e+300-0.5"),
+        pytest.param(1e308, 1e308, 0.0, False, False, id="1e+308-1e+308"),
+        pytest.param(0.0, 177.0, 0.5, True, True, id="0.0-177.0-0.5"),
+        pytest.param(0.0, 177.5, 0.5, False, True, id="0.0-177.5-0.5"),
+        pytest.param(0.0, 178.0, 0.5, False, False, id="0.0-178.0-0.5"),
+        pytest.param(1.0, 1.0, 1e200, False, False, id="1.0-1.0-1e+200"),
+    ])
+    def test_q22_bound_near_overflow_never_raises(self, r, x, q, bounded, finite, monkeypatch):
         # q22_max = 2 cosh^2(2(r + x)) stops fitting in a float at r + x of
-        # about 177.7, where the bound is unknown; a start whose value is
+        # about 177.7; at q > 0, 2 q^2 e^(2r + 4x) can stop fitting while
+        # q22_max still fits (e^(2r + 4x) above 709.78, q^2 above about
+        # 1e154). There the bound is unknown, and a start whose value is
         # finite polishes as it does with no bound at all
-        spec, obj = q22_spec(r=r, x=x), Objective(kind="Q22")
-        assert (optimize._supremum(spec, obj) is None) == (r + x > 177.7)
+        spec, obj = q22_spec(r=r, x=x, q=q), Objective(kind="Q22")
+        assert (optimize._supremum(spec, obj) is not None) == bounded
         results = []
-        for bounded in (True, False):
-            if not bounded:
+        for with_bound in (True, False):
+            if not with_bound:
                 monkeypatch.setattr(optimize, "_supremum", lambda *args: None)
-            for alpha in (0.0, PI):  # base = cosh 2(r + x), then cosh 2(r - x)
+            # the supremum, then base = cosh 2(r - x) and f22 = e^(2r - 4x)
+            for alpha in (0.0, PI):
                 try:
                     refined = refine_local(spec, obj, {"theta": 0.0, "phi": 0.0,
                                                        "alpha": alpha})
@@ -310,7 +333,7 @@ class TestRefine:
                 else:
                     results.append((refined.point, refined.value, refined.improved))
         assert results[:2] == results[2:]
-        assert any(isinstance(result, tuple) for result in results) == (r < 400.0)
+        assert any(isinstance(result, tuple) for result in results) == finite
 
 
 class TestFoldAngles:
