@@ -91,11 +91,11 @@ GAMMA_GRID = tuple(i * math.pi / 8 for i in range(16))
 _ALPHA, _LAM1 = MODEL_FIELDS.index("alpha"), MODEL_FIELDS.index("lam1")
 
 
-def _kind_values(points, objective: Objective):
+def _kind_values(points, objective: Objective, matrices=None):
     if objective.kind == "detQ":  # only it pays for det Q on the numeric layer
         _, _, det, errors = closed_forms.layer_matrices(points, objective.layer, determinant=True)
         return det, errors
-    q, u, errors = closed_forms.layer_matrices(points, objective.layer)
+    q, u, errors = matrices or closed_forms.layer_matrices(points, objective.layer)
     if objective.kind == "Q11":
         return q[:, 0, 0], errors
     if objective.kind == "Q22":
@@ -111,31 +111,39 @@ def _kind_values(points, objective: Objective):
     return 1.0 / bounds.c_q, {**zero, **crb_errors, **errors}
 
 
-def _worst_over_phase(points, layer: str):
+def _phased(params: np.ndarray) -> np.ndarray:
+    """Each parameter row at every phase of GAMMA_GRID (alpha = gamma,
+    lam1 = 0), a row's phases consecutive."""
+    phased = np.repeat(params, len(GAMMA_GRID), axis=0)
+    phased[:, _ALPHA] = np.tile(GAMMA_GRID, len(params))
+    phased[:, _LAM1] = 0.0
+    return phased
+
+
+def _worst_over_phase(points, layer: str, matrices=None):
     """All phases of all points as one minus_R batch on `layer`; a point
     fails with its first phase's error."""
     params = points if isinstance(points, np.ndarray) else parameters([points])
     n = len(GAMMA_GRID)
-    phased = np.repeat(params, n, axis=0)
-    phased[:, _ALPHA] = np.tile(GAMMA_GRID, len(params))
-    phased[:, _LAM1] = 0.0
-    values, errors = _objective_values(phased, Objective(kind="minus_R", layer=layer))
+    values, errors = _objective_values(_phased(params), Objective("minus_R", layer), matrices)
     r_max = (-values).reshape(-1, n).max(axis=1)
     worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
     # the lowest phase of a point is written last, so its error stays
     return -worst, {k // n: errors[k] for k in sorted(errors, reverse=True)}
 
 
-def _objective_values(points, objective: Objective):
+def _objective_values(points, objective: Objective, matrices=None):
     """The figure of merit at one ModelConfig, or at each row of an (N, 9)
     parameter array: (values, errors), NaN where the point failed, one
     batch. A non-finite value is the point's error. Extreme settings
-    overflow; the error says so, no warning is printed."""
+    overflow; the error says so, no warning is printed. Given `matrices`,
+    the layer's (Q, U, errors) at the rows (at their _phased rows for
+    _WorstOverPhase), the values are read off them."""
     with np.errstate(all="ignore"):
         if isinstance(objective, _WorstOverPhase):
-            values, errors = _worst_over_phase(points, objective.layer)
+            values, errors = _worst_over_phase(points, objective.layer, matrices)
         else:
-            values, errors = _kind_values(points, objective)
+            values, errors = _kind_values(points, objective, matrices)
     nonfinite = {
         i: ValueError(f"objective {objective.kind} is {float(values[i])}, not a finite number")
         for i in (~np.isfinite(values)).nonzero()[0].tolist()
@@ -234,26 +242,49 @@ def _chunks(n: int, count: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
+def _grid(spec: SearchSpec) -> np.ndarray:
+    """The grid product of the spec's axes as (N, 9) parameter rows in
+    lexicographic order, every other field at its base value."""
+    size = math.prod(len(axis.values) for axis in spec.axes)
+    params = np.repeat(parameters([spec.base]), size, axis=0)
+    grids = np.meshgrid(*[axis.values for axis in spec.axes], indexing="ij")
+    for axis, grid in zip(spec.axes, grids):
+        params[:, MODEL_FIELDS.index(axis.name)] = grid.ravel()
+    return params
+
+
+def _scan_result(spec: SearchSpec, params, values, messages: dict) -> ScanResult:
+    """The ScanResult of the grid rows `params`: `values`, NaN exactly at
+    the rows `messages` holds an error message for."""
+    scored = ~np.isnan(values)
+    best = None
+    if scored.any():
+        columns = [MODEL_FIELDS.index(axis.name) for axis in spec.axes]
+        ties = (values == values[scored].max()).nonzero()[0].tolist()
+        best = min(ties, key=lambda i: params[i, columns].tolist())
+    rows = values.tolist()
+    for i in messages:
+        rows[i] = None
+    errors = dict(sorted(messages.items()))  # in row order, whatever the split
+    return ScanResult(axes=spec.axes, values=tuple(rows), errors=errors, best=best)
+
+
 def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanResult:
     """Exhaustive scan over the grid product, rows in lexicographic order.
 
-    The grid is one (N, 9) parameter array, checked column by column: a
-    row ModelConfig would reject carries ModelConfig's message. Pointwise
-    failures are captured in the row's error field instead of aborting the
-    scan. The best row maximizes the value; exact ties go to the
-    numerically smallest value tuple. The rows are split into at most
-    `workers` contiguous chunks, each evaluated as one batch (on a thread
-    pool of at most os.cpu_count() threads when workers > 1); the rows do
-    not depend on the split.
+    The grid is one (N, 9) parameter array (_grid), checked column by
+    column: a row ModelConfig would reject carries ModelConfig's message.
+    Pointwise failures are captured in the row's error field instead of
+    aborting the scan. The best row maximizes the value; exact ties go to
+    the numerically smallest value tuple (_scan_result). The rows are split
+    into at most `workers` contiguous chunks, each evaluated as one batch
+    (on a thread pool of at most os.cpu_count() threads when workers > 1);
+    the rows do not depend on the split.
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    size = math.prod(len(axis.values) for axis in spec.axes)
-    params = np.repeat(parameters([spec.base]), size, axis=0)
-    columns = [MODEL_FIELDS.index(axis.name) for axis in spec.axes]
-    grids = np.meshgrid(*[axis.values for axis in spec.axes], indexing="ij")
-    for column, grid in zip(columns, grids):
-        params[:, column] = grid.ravel()
+    params = _grid(spec)
+    size = len(params)
     messages = row_errors(params)
     valid = np.ones(size, dtype=bool)
     valid[list(messages)] = False
@@ -274,17 +305,15 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     for where, part, errors in parts:
         values[where] = part
         messages.update((int(where[k]), error_message(e)) for k, e in errors.items())
+    return _scan_result(spec, params, values, messages)
 
-    scored = ~np.isnan(values)  # NaN exactly at the rows with an error
-    best = None
-    if scored.any():
-        ties = (values == values[scored].max()).nonzero()[0].tolist()
-        best = min(ties, key=lambda i: params[i, columns].tolist())
-    rows = values.tolist()
-    for i in messages:
-        rows[i] = None
-    errors = dict(sorted(messages.items()))  # in row order, whatever the split
-    return ScanResult(axes=spec.axes, values=tuple(rows), errors=errors, best=best)
+
+def _read_scan(spec: SearchSpec, params, objective: Objective, matrices) -> ScanResult:
+    """grid_scan of the spec's grid rows `params`, none of which
+    ModelConfig rejects, in one batch read off the layer's `matrices` (see
+    _objective_values)."""
+    values, errors = _objective_values(params, objective, matrices)
+    return _scan_result(spec, params, values, {i: error_message(e) for i, e in errors.items()})
 
 
 def _supremum(spec: SearchSpec, objective: Objective) -> float | None:
@@ -429,39 +458,38 @@ def fold_angles(point: dict) -> dict:
     return folded
 
 
-def _axis_flat(
-    spec: SearchSpec, objective: Objective, axis: Axis, anchor: dict, offset: float
-) -> bool:
-    """True when the objective is constant along this axis at the anchor
-    slice shifted by `offset` on every other axis, all probes one batch."""
-    probes = np.repeat(parameters([spec.base]), len(axis.values), axis=0)
-    for other in spec.axes:
-        if other.name != axis.name:
-            probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
-    probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
-    if row_errors(probes):
-        return False
-    values, errors = _objective_values(probes, objective)
-    if errors:
-        return False
-    spread = values.max() - values.min()
-    return bool(spread <= 1e-9 * max(1.0, np.abs(values).max()))
-
-
 def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> list[str]:
     """Axes along which the objective is globally flat near the anchor.
 
     A ridge that is flat only through the anchor itself (a one-slice
     accident) is not reported: the axis must also be flat on a slice with
-    every other axis shifted off the anchor.
+    every other axis shifted off the anchor. Each axis's two slices, the
+    anchor's and the one shifted by 0.4 on every other axis, probe all its
+    values, and all slices of all axes are one batch. A slice with a row
+    ModelConfig rejects stays out of the batch; it, and a slice with a
+    probe that fails, is not flat.
     """
-    flat = []
+    slices = []
     for axis in spec.axes:
-        if _axis_flat(spec, objective, axis, anchor, 0.0) and _axis_flat(
-            spec, objective, axis, anchor, 0.4
-        ):
-            flat.append(axis.name)
-    return flat
+        for offset in (0.0, 0.4):
+            probes = np.repeat(parameters([spec.base]), len(axis.values), axis=0)
+            for other in spec.axes:
+                if other.name != axis.name:
+                    probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
+            probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
+            slices.append(probes)
+    kept = [not row_errors(probes) for probes in slices]
+    batch = [probes for probes, keep in zip(slices, kept) if keep]
+    if not batch:
+        return []
+    values, _ = _objective_values(np.concatenate(batch), objective)
+    parts = iter(np.split(values, np.cumsum([len(probes) for probes in batch])[:-1]))
+
+    def constant(part: np.ndarray) -> bool:  # a failed probe's NaN fails the bound
+        return bool(part.max() - part.min() <= 1e-9 * max(1.0, np.abs(part).max()))
+
+    flat = [keep and constant(next(parts)) for keep in kept]
+    return [axis.name for k, axis in enumerate(spec.axes) if flat[2 * k] and flat[2 * k + 1]]
 
 
 def _polish(
@@ -489,7 +517,9 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     when that worst case is numerically zero at the reference angles, and
     "undefined" when no grid point can be evaluated. Both run the same
     scan, polish, fold and flatness probe, from the best grid point that
-    can be evaluated; the polish runs no simplex from a start at the
+    can be evaluated. Both scans read one closed-form pass: the maximum's
+    (theta, phi, alpha) grid is the optimal's _phased (theta, phi) grid,
+    row for row. The polish runs no simplex from a start at the
     objective's bound (_supremum), as the quantumness-free start at R = 0
     and the maximum's start at theta = phi = gamma = 0 usually are. Landmark
     values ride along for context. Degenerate (flat) axes are reported,
@@ -510,8 +540,13 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
             Axis("alpha", GAMMA_GRID),
         ),
     )
+    # the worst-case scan below reads the same pass: these rows are its
+    # _phased (theta, phi) rows
+    grid = _grid(spec)
+    with np.errstate(all="ignore"):
+        matrices = closed_forms.layer_matrices(grid, "closed_form")
     objective = Objective(kind="Q22")
-    scan = grid_scan(spec, objective)
+    scan = _read_scan(spec, grid, objective, matrices)
     if scan.best is None:
         raise SloppyModelError("no grid point yielded a finite information entry")
     point, refined, maximum = _polish(
@@ -532,7 +567,7 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     # phase, since a setting is only useful if no phase choice spoils it
     spec = SearchSpec(base=base, axes=spec.axes[:2])
     objective = _WorstOverPhase(kind="minus_R")
-    scan = grid_scan(spec, objective)
+    scan = _read_scan(spec, _grid(spec), objective, matrices)
     if scan.best is None:
         # e.g. x = 0: both layers' information matrices are singular, so
         # the quantumness measure is undefined everywhere

@@ -13,13 +13,18 @@ they must be the json.dumps of their own parsed values. To refreeze after a
 deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files whose case no longer matches them.
 """
 
 import contextlib
+import copy
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -127,12 +132,55 @@ def test_scan_out_file_bytes_are_its_stdout(name, tmp_path, monkeypatch):
 
 
 def refreeze() -> None:
+    """Write each case's output as its golden file, except where the file
+    still matches it (the same exit code, no mismatches): round-off within
+    the tolerances leaves a file as it is."""
     os.environ.pop(THREADS_ENV_VAR, None)
     with tempfile.TemporaryDirectory() as work:
         for name, case in CASES.items():
-            case["exit_code"], text = run_case(case, Path(work))
-            (GOLDEN / f"{name}.{case['format']}").write_text(text)
+            code, text = run_case(case, Path(work))
+            path = GOLDEN / f"{name}.{case['format']}"
+            if code == case.get("exit_code") and path.exists() and not mismatches(
+                parse(text, case["format"]), parse(path.read_text(), case["format"])
+            ):
+                continue
+            case["exit_code"] = code
+            path.write_text(text)
     (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
+
+
+def _scaled(text: str, path: tuple, factor: float) -> str:
+    """A JSON output with the float at path scaled by factor."""
+    values = json.loads(text)
+    *keys, last = path
+    inner = functools.reduce(operator.getitem, keys, values)
+    inner[last] *= factor
+    return json.dumps(values, sort_keys=True, indent=2) + "\n"
+
+
+def test_refreeze_rewrites_only_the_cases_that_no_longer_match(tmp_path, monkeypatch):
+    names = ("eval_balanced", "eval_sloppy_weighted", "optimize_r0.5_x0.5_q0.0")
+    cases = {name: copy.deepcopy(CASES[name]) for name in names}
+    frozen = {name: (GOLDEN / f"{name}.json").read_text() for name in names}
+    edits = {
+        "eval_balanced": (("information_determinant",), 1 + 1e-14),
+        "eval_sloppy_weighted": (("information_matrix", 0, 0), 1 + 1e-14),
+        "optimize_r0.5_x0.5_q0.0": (("landmarks", "q22_max"), 1 + 1e-6),
+    }
+    for name, (path, factor) in edits.items():
+        (tmp_path / f"{name}.json").write_text(_scaled(frozen[name], path, factor))
+    edited = {name: (tmp_path / f"{name}.json").read_text() for name in names}
+    assert all(edited[name] != frozen[name] for name in names)
+    cases["eval_sloppy_weighted"]["exit_code"] = 0  # it exits 2
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    monkeypatch.setitem(globals(), "CASES", cases)
+    refreeze()
+    # round-off within the tolerance stays; a changed value or exit code is rewritten
+    assert (tmp_path / "eval_balanced.json").read_text() == edited["eval_balanced"]
+    for name in ("eval_sloppy_weighted", "optimize_r0.5_x0.5_q0.0"):
+        assert (tmp_path / f"{name}.json").read_text() == run_case(CASES[name], tmp_path)[1]
+    assert json.loads((tmp_path / "cases.json").read_text()) == {
+        name: CASES[name] for name in names}
 
 
 if __name__ == "__main__":

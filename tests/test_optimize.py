@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mzsloppy import optimize
 from mzsloppy.exceptions import SloppyModelError
-from mzsloppy.model import MODEL_FIELDS, ModelConfig
+from mzsloppy.model import MODEL_FIELDS, ModelConfig, parameters, row_errors
 from mzsloppy.optimize import (
     OBJECTIVE_KINDS,
     OBJECTIVE_LAYERS,
@@ -19,6 +19,7 @@ from mzsloppy.optimize import (
     Axis,
     Objective,
     SearchSpec,
+    _objective_values,
     _WorstOverPhase,
     degenerate_axes,
     error_message,
@@ -856,3 +857,125 @@ def flatness_probes(draw):
 def test_batched_flatness_is_the_per_probe_loop(probe):
     spec, objective, anchor = probe
     assert degenerate_axes(spec, objective, anchor) == flat_axes_per_probe(spec, objective, anchor)
+
+
+# -- property: all flatness slices are one batch, each the slice's own batch --
+
+
+def flat_axes_per_slice(spec, objective, anchor):
+    """degenerate_axes with each slice its own _objective_values batch, the
+    shifted slice probed only where the anchor's slice is flat: a slice with
+    a row ModelConfig rejects, or with a failed probe, is not flat."""
+    flat = []
+    for axis in spec.axes:
+        for offset in (0.0, 0.4):
+            probes = np.repeat(parameters([spec.base]), len(axis.values), axis=0)
+            for other in spec.axes:
+                if other.name != axis.name:
+                    probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
+            probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
+            if row_errors(probes):
+                break
+            values, errors = _objective_values(probes, objective)
+            if errors or not values.max() - values.min() <= 1e-9 * max(1.0, np.abs(values).max()):
+                break
+        else:
+            flat.append(axis.name)
+    return flat
+
+
+@st.composite
+def flatness_slices(draw):
+    spec, objective, anchor = draw(flatness_probes())
+    # no axes at all, an r or x axis with negative values, an anchor at x = 0
+    names = draw(st.sampled_from(((), ("r", "theta"), ("x", "phi"), ("x", "alpha", "lam1"),
+                                  tuple(a.name for a in spec.axes))))
+    axes = tuple(
+        Axis(n, (-0.3, 0.0, 0.6) if n in ("r", "x") and draw(st.booleans())
+             else next((a.values for a in spec.axes if a.name == n), HALF_GRID[:4]))
+        for n in names
+    )
+    anchor = {n: draw(st.sampled_from((0.0, 0.5))) if n == "x" else anchor.get(n, draw(PROBE_VALUES))
+              for n in names}
+    return SearchSpec(base=spec.base, axes=axes), objective, anchor
+
+
+@settings(deadline=None, max_examples=80)
+@given(probe=flatness_slices())
+def test_one_flatness_batch_is_the_per_slice_batches(probe):
+    spec, objective, anchor = probe
+    assert degenerate_axes(spec, objective, anchor) == flat_axes_per_slice(spec, objective, anchor)
+
+
+TWO_ANGLES = (Axis("theta", HALF_GRID), Axis("phi", (0.0, 0.3, 0.7)))
+
+
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
+@pytest.mark.parametrize(
+    "base, axes, anchor, objective, flat",
+    [
+        # Q22 is flat in theta at phi = 0 and in phi at theta = 0, and in
+        # neither on the slices shifted by 0.4
+        (ModelConfig(r=0.5, x=0.5), TWO_ANGLES, {"theta": 0.0, "phi": 0.0}, "Q22", []),
+        (ModelConfig(r=0.0, x=0.5), TWO_ANGLES, {"theta": 0.0, "phi": 0.0}, "Q22",
+         ["theta", "phi"]),
+        # the r slices hold a negative r, and the other axis's slices do not
+        (ModelConfig(r=0.0, x=0.5), (Axis("r", (-0.5, 0.5)), Axis("theta", HALF_GRID)),
+         {"r": 0.0, "theta": 0.0}, "Q22", ["theta"]),
+        # the anchor's alpha slice is at x = 0, where every probe fails
+        (ModelConfig(r=0.5, x=0.5, q=0.3), (Axis("x", (0.5,)), Axis("alpha", HALF_GRID)),
+         {"x": 0.0, "alpha": 0.0}, "worst", ["x"]),
+        (ModelConfig(r=0.5, x=0.5, q=0.3), (Axis("x", (0.5,)), Axis("alpha", HALF_GRID)),
+         {"x": 0.5, "alpha": 0.0}, "worst", ["x", "alpha"]),
+        (ModelConfig(r=0.5, x=0.5), (), {}, "worst", []),
+    ],
+    ids=["first_slice_flat_only", "r0_flat", "negative_r", "x0_anchor", "worst_alpha", "no_axes"],
+)
+def test_flatness_batch_cases(layer, base, axes, anchor, objective, flat):
+    spec = SearchSpec(base=base, axes=axes)
+    objective = (Objective(kind="Q22", layer=layer) if objective == "Q22"
+                 else _WorstOverPhase(kind="minus_R", layer=layer))
+    assert degenerate_axes(spec, objective, anchor) == flat
+    assert flat_axes_per_slice(spec, objective, anchor) == flat
+
+
+# -- one closed-form pass serves both find-known scans ------------------------
+
+
+def test_find_known_grid_is_the_phased_worst_case_grid():
+    from mzsloppy.optimize import GAMMA_GRID, PHI_GRID, THETA_GRID
+
+    base = ModelConfig(r=0.7, x=0.4, q=0.5)
+    angles = (Axis("theta", THETA_GRID), Axis("phi", PHI_GRID))
+    grid = optimize._grid(SearchSpec(base=base, axes=(*angles, Axis("alpha", GAMMA_GRID))))
+    phased = optimize._phased(optimize._grid(SearchSpec(base=base, axes=angles)))
+    assert grid.shape == phased.shape == (640, len(MODEL_FIELDS))
+    assert grid.tobytes() == phased.tobytes()
+
+
+@pytest.mark.parametrize("r, x, q", [(0.5, 0.5, 0.0), (0.3, 0.8, 0.5), (0.5, 0.0, 0.0)])
+def test_find_known_makes_one_640_row_pass(monkeypatch, r, x, q):
+    from mzsloppy import closed_forms
+
+    rows = []
+    layer_matrices = closed_forms.layer_matrices
+
+    def spy(points, *args, **kwargs):
+        rows.append(len(points) if isinstance(points, np.ndarray) else 1)
+        return layer_matrices(points, *args, **kwargs)
+
+    monkeypatch.setattr(closed_forms, "layer_matrices", spy)
+    found = find_known_configurations(r, x, q)
+    assert rows.count(640) == 1
+    if x == 0.0:
+        # the worst-case scan's row 0 fails, and its message is the reason
+        monkeypatch.undo()
+        scan = grid_scan(SearchSpec(base=ModelConfig(r=r, x=x, q=q),
+                                    axes=(Axis("theta", optimize.THETA_GRID),
+                                          Axis("phi", optimize.PHI_GRID))),
+                         _WorstOverPhase(kind="minus_R"))
+        assert found["optimal"] == {"label": "undefined", "reason": scan.errors[0]}
+    else:
+        # the shared scan pass, the two refine starts (Q22's one point with
+        # math) and the two flatness batches
+        assert len(rows) == 5 and rows.count(1) == 1
