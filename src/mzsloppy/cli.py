@@ -360,11 +360,8 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
     if "model" in config_obj or "objective" in config_obj or "axes" in config_obj:
         spec, objective, workers = _parse_search(config_obj, "optimize")
         scan = optimize.grid_scan(spec, objective, workers=workers)
-        if scan.best is None:
-            # every row failed: the command fails as row 0 does (exit 1 or 2)
-            optimize.objective_value(dataclasses.replace(spec.base, **scan.point(0)), objective)
-            raise SloppyModelError("objective failed at every grid point")
-        refined = optimize.refine_local(spec, objective, scan.point(scan.best))
+        start = optimize.best_point(spec, objective, scan)
+        refined = optimize.refine_local(spec, objective, start)
         payload = {
             "schema": _SCHEMAS["optimize"],
             "mode": "custom",

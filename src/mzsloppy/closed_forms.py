@@ -206,7 +206,7 @@ def _point_matrices(config: ModelConfig, determinant: bool):
 def layer_matrices(points, layer: str, determinant: bool = False):
     """Stacked (Q, U, errors) on a layer, or (Q, U, det Q, errors) with
     determinant, for one ModelConfig (a stack of one) or an (N, 9)
-    parameter array of rows ModelConfig accepts.
+    parameter array of finite rows.
 
     The numeric layer propagates all points in one pass; its det Q is the
     kernel's, the closed-form layer's the det of its Q. The closed-form

@@ -58,36 +58,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def guarded_call(fn, errors: dict, *stacks: np.ndarray):
-    """Apply a stacked numpy function to the points without an error yet.
-
-    `errors` has an entry for each point that already failed. numpy raises
-    LinAlgError for a whole stack when one matrix fails; such a point is
-    retried alone and, if it fails again, takes the error.
-    Returns (out, errors): out has NaN at every point with an error.
-    """
-    if not errors:
-        try:
-            return fn(*stacks), {}
-        except np.linalg.LinAlgError:
-            pass
-    errors = dict(errors)
-    ok = np.ones(len(stacks[0]), dtype=bool)
-    ok[list(errors)] = False
-    try:
-        sub = fn(*(s[ok] for s in stacks))
-    except np.linalg.LinAlgError:
-        for i in np.flatnonzero(ok).tolist():
-            try:
-                fn(*(s[i : i + 1] for s in stacks))
-            except np.linalg.LinAlgError as exc:
-                errors[i], ok[i] = exc, False
-        sub = fn(*(s[ok] for s in stacks))
-    out = np.full(ok.shape + sub.shape[1:], np.nan, dtype=sub.dtype)
-    out[ok] = sub
-    return out, errors
-
-
 def unstack(values, errors: dict, stacked: bool):
     """(values, errors) for a stack; for one point its value, or its error raised."""
     if stacked:
@@ -314,13 +284,22 @@ def physicality_check(state: GaussianState) -> Physicality:
     model's states); near cond(cov) = 1/eps the label says little. On a
     stack, classification is a tuple of labels and the eigenvalues gain a
     leading axis; a state whose spectrum cannot be computed (non-finite
-    moments) is unphysical, with NaN eigenvalues. So is a singular cov.
+    moments, a LinAlgError) is unphysical, with NaN eigenvalues. So is a
+    singular cov.
     """
     stacked = state.cov.ndim == 3
     cov = state.cov if stacked else state.cov[None]
-    nonfinite = dict.fromkeys((~np.isfinite(cov).all(axis=(1, 2))).nonzero()[0].tolist())
-    nus, _ = guarded_call(symplectic_eigenvalues, nonfinite, cov)
-    cond, _ = guarded_call(np.linalg.cond, nonfinite, cov)
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    nus, cond = np.full((len(cov), state.modes), np.nan), np.full(len(cov), np.nan)
+    for out, fn in ((nus, symplectic_eigenvalues), (cond, np.linalg.cond)):
+        try:
+            out[finite] = fn(cov[finite])
+        except np.linalg.LinAlgError:  # numpy fails a stack for one matrix: retry each
+            for i in finite.nonzero()[0].tolist():
+                try:
+                    out[i] = fn(cov[i])
+                except np.linalg.LinAlgError:
+                    pass  # this state's value stays NaN
     nu_min, deviation = np.min(nus, axis=1), np.max(np.abs(nus - 0.5), axis=1)
     labels = tuple(map(_label, nu_min.tolist(), deviation.tolist(), cond.tolist()))
     if stacked:

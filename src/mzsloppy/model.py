@@ -189,11 +189,11 @@ def jacobian_analytic(
 ) -> ModelJet:
     """Exact jet along (lam1, lam2): each phase's generator on the input vacuum.
 
-    Given a sequence of configs, or their (N, 9) parameter array with rows
-    that ModelConfig accepts, propagates all of them in one pass and
-    returns a stacked jet; a config whose output moments fail validation
-    has its ValueError in jet.state.errors. A single config raises it.
-    Overflow at extreme squeezing surfaces as that error, not as a warning.
+    Given a sequence of configs, or an (N, 9) parameter array of finite
+    rows, propagates all of them in one pass and returns a stacked jet; a
+    config whose output moments fail validation has its ValueError in
+    jet.state.errors. A single config raises it. Overflow at extreme
+    squeezing surfaces as that error, not as a warning.
     """
     single = isinstance(config, ModelConfig)
     if not isinstance(config, np.ndarray):

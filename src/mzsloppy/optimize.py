@@ -125,20 +125,15 @@ def _worst_over_phase(points, layer: str, matrices=None):
     fails with its first phase's error."""
     params = points if isinstance(points, np.ndarray) else parameters([points])
     n = len(GAMMA_GRID)
-    values, errors = _objective_values(_phased(params), Objective("minus_R", layer), matrices)
+    values, errors = _point_values(_phased(params), Objective("minus_R", layer), matrices)
     r_max = (-values).reshape(-1, n).max(axis=1)
     worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
     # the lowest phase of a point is written last, so its error stays
     return -worst, {k // n: errors[k] for k in sorted(errors, reverse=True)}
 
 
-def _objective_values(points, objective: Objective, matrices=None):
-    """The figure of merit at one ModelConfig, or at each row of an (N, 9)
-    parameter array: (values, errors), NaN where the point failed, one
-    batch. A non-finite value is the point's error. Extreme settings
-    overflow; the error says so, no warning is printed. Given `matrices`,
-    the layer's (Q, U, errors) at the rows (at their _phased rows for
-    _WorstOverPhase), the values are read off them."""
+def _point_values(points, objective: Objective, matrices=None):
+    """_objective_values without its row check."""
     with np.errstate(all="ignore"):
         if isinstance(objective, _WorstOverPhase):
             values, errors = _worst_over_phase(points, objective.layer, matrices)
@@ -149,7 +144,21 @@ def _objective_values(points, objective: Objective, matrices=None):
         for i in (~np.isfinite(values)).nonzero()[0].tolist()
         if i not in errors
     }
-    errors = {**errors, **nonfinite}
+    return values, {**errors, **nonfinite}
+
+
+def _objective_values(points, objective: Objective, matrices=None):
+    """The figure of merit at one ModelConfig, or at each row of a finite
+    (N, 9) parameter array: (values, errors), NaN where the point failed,
+    one batch. A row ModelConfig rejects fails with its message (row_errors);
+    it is evaluated with the rest and its value dropped. A non-finite value
+    is the point's error. Extreme settings overflow; the error says so, no
+    warning is printed. Given `matrices`, the layer's (Q, U, errors) at the
+    rows (at their _phased rows for _WorstOverPhase), the values are read
+    off them."""
+    values, errors = _point_values(points, objective, matrices)
+    if isinstance(points, np.ndarray):
+        errors.update((i, ValueError(m)) for i, m in row_errors(points).items())
     if errors:
         values = np.array(values, dtype=float)
         values[list(errors)] = np.nan
@@ -253,9 +262,9 @@ def _grid(spec: SearchSpec) -> np.ndarray:
     return params
 
 
-def _scan_result(spec: SearchSpec, params, values, messages: dict) -> ScanResult:
-    """The ScanResult of the grid rows `params`: `values`, NaN exactly at
-    the rows `messages` holds an error message for."""
+def _scan_result(spec: SearchSpec, params, values, errors: dict) -> ScanResult:
+    """The ScanResult of the grid rows `params` from their _objective_values
+    (values, errors)."""
     scored = ~np.isnan(values)
     best = None
     if scored.any():
@@ -263,17 +272,17 @@ def _scan_result(spec: SearchSpec, params, values, messages: dict) -> ScanResult
         ties = (values == values[scored].max()).nonzero()[0].tolist()
         best = min(ties, key=lambda i: params[i, columns].tolist())
     rows = values.tolist()
-    for i in messages:
+    for i in errors:
         rows[i] = None
-    errors = dict(sorted(messages.items()))  # in row order, whatever the split
-    return ScanResult(axes=spec.axes, values=tuple(rows), errors=errors, best=best)
+    messages = {i: error_message(e) for i, e in sorted(errors.items())}  # in row order
+    return ScanResult(axes=spec.axes, values=tuple(rows), errors=messages, best=best)
 
 
 def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanResult:
     """Exhaustive scan over the grid product, rows in lexicographic order.
 
-    The grid is one (N, 9) parameter array (_grid), checked column by
-    column: a row ModelConfig would reject carries ModelConfig's message.
+    The grid is one (N, 9) parameter array (_grid): a row ModelConfig
+    would reject carries ModelConfig's message (_objective_values).
     Pointwise failures are captured in the row's error field instead of
     aborting the scan. The best row maximizes the value; exact ties go to
     the numerically smallest value tuple (_scan_result). The rows are split
@@ -284,36 +293,29 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     if workers < 1:
         raise ValueError("workers must be a positive integer")
     params = _grid(spec)
-    size = len(params)
-    messages = row_errors(params)
-    valid = np.ones(size, dtype=bool)
-    valid[list(messages)] = False
+    chunks = _chunks(len(params), workers)
 
-    def _eval(rows: slice) -> tuple[np.ndarray, np.ndarray, dict]:
-        where = rows.start + valid[rows].nonzero()[0]
-        values, errors = _objective_values(params[where], objective)
-        return where, values, errors
+    def _eval(rows: slice) -> tuple[np.ndarray, dict]:
+        return _objective_values(params[rows], objective)
 
-    chunks = _chunks(size, workers)
     if workers == 1:
         parts = [_eval(chunk) for chunk in chunks]
     else:
         threads = min(len(chunks), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_eval, chunks))
-    values = np.full(size, np.nan)
-    for where, part, errors in parts:
-        values[where] = part
-        messages.update((int(where[k]), error_message(e)) for k, e in errors.items())
-    return _scan_result(spec, params, values, messages)
+    values = np.concatenate([part for part, _ in parts])
+    errors = {c.start + k: e for c, (_, part) in zip(chunks, parts) for k, e in part.items()}
+    return _scan_result(spec, params, values, errors)
 
 
-def _read_scan(spec: SearchSpec, params, objective: Objective, matrices) -> ScanResult:
-    """grid_scan of the spec's grid rows `params`, none of which
-    ModelConfig rejects, in one batch read off the layer's `matrices` (see
-    _objective_values)."""
-    values, errors = _objective_values(params, objective, matrices)
-    return _scan_result(spec, params, values, {i: error_message(e) for i, e in errors.items()})
+def best_point(spec: SearchSpec, objective: Objective, scan: ScanResult) -> dict:
+    """The point of the scan's best row. Where every row failed, the search
+    fails as row 0 does: objective_value raises its error."""
+    if scan.best is None:
+        objective_value(_point_config(spec, tuple(scan.point(0).values())), objective)
+        raise SloppyModelError("objective failed at every grid point")  # math and numpy disagree
+    return scan.point(scan.best)
 
 
 def _supremum(spec: SearchSpec, objective: Objective) -> float | None:
@@ -465,9 +467,8 @@ def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> lis
     accident) is not reported: the axis must also be flat on a slice with
     every other axis shifted off the anchor. Each axis's two slices, the
     anchor's and the one shifted by 0.4 on every other axis, probe all its
-    values, and all slices of all axes are one batch. A slice with a row
-    ModelConfig rejects stays out of the batch; it, and a slice with a
-    probe that fails, is not flat.
+    values, and all slices of all axes are one batch. A probe that fails,
+    a row ModelConfig rejects among them, leaves its slice not flat.
     """
     slices = []
     for axis in spec.axes:
@@ -478,17 +479,15 @@ def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> lis
                     probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
             probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
             slices.append(probes)
-    kept = [not row_errors(probes) for probes in slices]
-    batch = [probes for probes, keep in zip(slices, kept) if keep]
-    if not batch:
+    if not slices:
         return []
-    values, _ = _objective_values(np.concatenate(batch), objective)
-    parts = iter(np.split(values, np.cumsum([len(probes) for probes in batch])[:-1]))
+    values, _ = _objective_values(np.concatenate(slices), objective)
+    parts = np.split(values, np.cumsum([len(probes) for probes in slices])[:-1])
 
     def constant(part: np.ndarray) -> bool:  # a failed probe's NaN fails the bound
         return bool(part.max() - part.min() <= 1e-9 * max(1.0, np.abs(part).max()))
 
-    flat = [keep and constant(next(parts)) for keep in kept]
+    flat = [constant(part) for part in parts]
     return [axis.name for k, axis in enumerate(spec.axes) if flat[2 * k] and flat[2 * k + 1]]
 
 
@@ -517,13 +516,14 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     when that worst case is numerically zero at the reference angles, and
     "undefined" when no grid point can be evaluated. Both run the same
     scan, polish, fold and flatness probe, from the best grid point that
-    can be evaluated. Both scans read one closed-form pass: the maximum's
-    (theta, phi, alpha) grid is the optimal's _phased (theta, phi) grid,
-    row for row. The polish runs no simplex from a start at the
-    objective's bound (_supremum), as the quantumness-free start at R = 0
-    and the maximum's start at theta = phi = gamma = 0 usually are. Landmark
-    values ride along for context. Degenerate (flat) axes are reported,
-    not hidden.
+    can be evaluated; with none on the maximum's grid, the search fails
+    as its row 0 does (best_point). Both scans read one closed-form pass:
+    the maximum's (theta, phi, alpha) grid is the optimal's _phased
+    (theta, phi) grid, row for row. The polish runs no simplex from a
+    start at the objective's bound (_supremum), as the quantumness-free
+    start at R = 0 and the maximum's start at theta = phi = gamma = 0
+    usually are. Landmark values ride along for context. Degenerate (flat)
+    axes are reported, not hidden.
     """
     if r < 0 or x < 0 or q < 0:
         raise ValueError("r, x and q must be non-negative")
@@ -546,11 +546,9 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     with np.errstate(all="ignore"):
         matrices = closed_forms.layer_matrices(grid, "closed_form")
     objective = Objective(kind="Q22")
-    scan = _read_scan(spec, grid, objective, matrices)
-    if scan.best is None:
-        raise SloppyModelError("no grid point yielded a finite information entry")
+    scan = _scan_result(spec, grid, *_objective_values(grid, objective, matrices))
     point, refined, maximum = _polish(
-        spec, objective, scan.point(scan.best), closed_forms.MAXIMUM_CONFIGURATION, 400
+        spec, objective, best_point(spec, objective, scan), closed_forms.MAXIMUM_CONFIGURATION, 400
     )
     value_ok = abs(refined.value - lm["q22_max"]) <= VALUE_MATCH_RTOL * abs(lm["q22_max"])
     maximum.update(
@@ -567,7 +565,8 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     # phase, since a setting is only useful if no phase choice spoils it
     spec = SearchSpec(base=base, axes=spec.axes[:2])
     objective = _WorstOverPhase(kind="minus_R")
-    scan = _read_scan(spec, _grid(spec), objective, matrices)
+    params = _grid(spec)
+    scan = _scan_result(spec, params, *_objective_values(params, objective, matrices))
     if scan.best is None:
         # e.g. x = 0: both layers' information matrices are singular, so
         # the quantumness measure is undefined everywhere

@@ -519,6 +519,45 @@ class TestDriver:
             assert err.startswith(want_err) and err.count("\n") == int(bool(want_err)), argv
             assert (json.loads(out)["schema"] if out else "") == want_schema, argv
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("eval", {"model": [0.5]}, "config field 'model' must be an object"),
+            ("eval", {"model": model_dict(r=0.5), "weight": [[1.0, 0.0]]},
+             "config field 'weight' must be a 2x2 array of numbers"),
+            ("eval", {"model": model_dict(r=0.5), "weight": [[1.0, 0.0], [0.0, 1.0]],
+                      "repetitions": 0},
+             "config field 'repetitions' must be a positive integer"),
+            ("scan", dict(SCAN_CFG, objective="Q22"),
+             "config field 'objective' must be an object"),
+            ("scan", dict(SCAN_CFG, objective={"kind": "Q22", "layer": 1}),
+             "config field 'objective.layer' must be a string"),
+            ("scan", dict(SCAN_CFG, axes=[]), "config field 'axes' must be a non-empty array"),
+            ("optimize", dict(SCAN_CFG, axes={"name": "theta"}),
+             "config field 'axes' must be a non-empty array"),
+            ("scan", dict(SCAN_CFG, axes=["theta"]), "each axis must be an object"),
+            ("scan", dict(SCAN_CFG, workers=1.5),
+             "config field 'workers' must be a positive integer"),
+            ("compare", {"phi_values": []}, "config field 'phi_values' must be a non-empty array"),
+        ],
+        ids=["model_not_object", "weight_not_2x2", "repetitions_zero", "objective_not_object",
+             "layer_not_string", "axes_empty", "axes_not_array", "axis_not_object",
+             "workers_not_integer", "compare_values_empty"],
+    )
+    def test_config_error_line(self, tmp_path, capsys, command, config, message):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == f"mzsloppy: error: {message}\n"
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": model_dict(r=0.5)})
+        out_path = tmp_path / "absent" / "result.json"
+        code, out, err = run_cli(capsys, ["eval", "--config", cfg, "--out", str(out_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("mzsloppy: error: cannot write output file: ")
+        assert err.count("\n") == 1 and not out_path.exists()
+
     def test_out_file_keeps_stdout_quiet(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": model_dict(r=0.5)})
         out_path = tmp_path / "result.json"
@@ -614,6 +653,9 @@ class TestEngineErrors:
         "command, config, reason",
         [
             ("optimize", {"r": 400, "x": 1}, "OverflowError: math range error"),
+            # 2 q^2 overflows Q22 at every point of the maximum's grid: the
+            # command fails as row 0 does, not as a degenerate model
+            ("optimize", {"r": 0.5, "x": 0.5, "q": 1e154}, "OverflowError: math range error"),
             ("eval", {"model": model_dict(r=400.0, x=0.5)}, "state moments must be finite"),
             # a malformed weight is the objective's error, not every row's
             (
@@ -670,7 +712,7 @@ class TestEngineErrors:
             # an angle whose closed forms leave math's domain is worded as in a scan row
             ("compare", {"phi_values": [1e308]}, "OverflowError: math range error"),
         ],
-        ids=["optimize_r400", "eval_r400", "scan_asymmetric_weight",
+        ids=["optimize_r400", "optimize_q1e154", "eval_r400", "scan_asymmetric_weight",
              "optimize_indefinite_weight", "eval_nan_weight", "eval_nan_threshold",
              "scan_nan_weight", "optimize_inf_weight", "eval_information_overflow",
              "compare_information_overflow", "compare_engine_overflow", "compare_x400", "compare_overflow_before_negative_x",

@@ -15,7 +15,6 @@ from mzsloppy.gaussian import (
     apply_circuit,
     apply_gate,
     gate_symplectic,
-    guarded_call,
     physicality_check,
     symplectic_eigenvalues,
     symplectic_form,
@@ -335,12 +334,30 @@ class TestStacks:
         assert phys.symplectic_eigenvalues.shape == (4, 1)
         assert np.isnan(phys.symplectic_eigenvalues[3, 0])
 
-    def test_linalg_failure_stays_with_its_point(self):
-        a = np.stack([2 * np.eye(2), np.zeros((2, 2)), np.eye(2)])
-        b = np.ones((3, 2, 1))
-        out, errors = guarded_call(np.linalg.solve, {}, a, b)
-        assert list(errors) == [1]
-        assert isinstance(errors[1], np.linalg.LinAlgError)
-        np.testing.assert_array_equal(out[0], np.linalg.solve(a[:1], b[:1])[0])
-        assert np.isnan(out[1]).all()
-        np.testing.assert_array_equal(out[2], b[2])
+    @pytest.mark.parametrize("fn", ["eigvals", "cond"])
+    def test_linalg_failure_stays_with_its_state(self, monkeypatch, fn):
+        # numpy raises LinAlgError for a whole stack when one matrix fails;
+        # the state is retried alone, and only it reads unphysical
+        cov = np.stack([np.eye(2) / 2, np.eye(2), np.diag([2.0, 1.0])])
+        state = GaussianState(modes=1, mean=np.zeros((3, 2)), cov=cov)
+        clean = physicality_check(state)
+        original = getattr(np.linalg, fn)
+
+        def failing(a, *args, **kwargs):
+            # the third state's cov, and Omega cov, are the only ones with a 2
+            if (np.abs(np.asarray(a)) == 2.0).any():
+                raise np.linalg.LinAlgError("fails on the third state")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, failing)
+        phys = physicality_check(state)
+        assert clean.classification == ("pure", "mixed", "mixed")
+        assert phys.classification == ("pure", "mixed", "unphysical")
+        nus = phys.symplectic_eigenvalues
+        np.testing.assert_array_equal(nus[:2], clean.symplectic_eigenvalues[:2])
+        if fn == "eigvals":  # no spectrum: NaN eigenvalues
+            assert np.isnan(nus[2]).all()
+        else:  # the spectrum stands, the unknown cond makes it unphysical
+            np.testing.assert_array_equal(nus[2], clean.symplectic_eigenvalues[2])
+        single = physicality_check(GaussianState(modes=1, mean=np.zeros(2), cov=cov[2]))
+        assert single.classification == "unphysical"

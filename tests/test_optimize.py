@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import os
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzsloppy import optimize
+from mzsloppy import cli, optimize
 from mzsloppy.exceptions import SloppyModelError
 from mzsloppy.model import MODEL_FIELDS, ModelConfig, parameters, row_errors
 from mzsloppy.optimize import (
@@ -18,9 +19,11 @@ from mzsloppy.optimize import (
     POINT_ERRORS,
     Axis,
     Objective,
+    ScanResult,
     SearchSpec,
     _objective_values,
     _WorstOverPhase,
+    best_point,
     degenerate_axes,
     error_message,
     find_known_configurations,
@@ -418,6 +421,11 @@ class TestFindKnownConfigurations:
         assert opt["point"]["theta"] == pytest.approx(PI / 2, abs=1e-3)
         assert opt["point"]["phi"] == pytest.approx(PI / 4, abs=1e-3)
         assert opt["worst_case_quantumness"] <= 1e-6
+
+    def test_maximum_scan_with_no_scored_row_fails_as_row_zero_does(self):
+        # 2 q^2 overflows Q22 at every grid point
+        with pytest.raises(OverflowError, match="^math range error$"):
+            find_known_configurations(0.5, 0.5, 1e154)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -979,3 +987,50 @@ def test_find_known_makes_one_640_row_pass(monkeypatch, r, x, q):
         # the shared scan pass, the two refine starts (Q22's one point with
         # math) and the two flatness batches
         assert len(rows) == 5 and rows.count(1) == 1
+
+
+# -- a scan with no scored row fails as its row 0 does ------------------------
+
+ZERO_BOUND = "weighted scalar bound is zero, its reciprocal objective is undefined"
+
+
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
+def test_zero_weight_fails_every_row_and_the_search(layer, tmp_path, capsys):
+    objective = Objective("weighted_CQ_inverse", layer, weight=((0.0, 0.0), (0.0, 0.0)))
+    base = ModelConfig(r=0.5, x=0.5, theta=PI / 2, phi=PI / 4)
+    with pytest.raises(SloppyModelError, match=f"^{ZERO_BOUND}$"):
+        objective_value(base, objective)
+    spec = SearchSpec(base=base, axes=(Axis("theta", (1.0, PI / 2)),))
+    scan = grid_scan(spec, objective)
+    assert scan.values == (None, None) and scan.best is None
+    assert scan.errors == {0: ZERO_BOUND, 1: ZERO_BOUND}
+    with pytest.raises(SloppyModelError, match=f"^{ZERO_BOUND}$"):
+        best_point(spec, objective, scan)
+    # the custom optimize mode fails the same way: a degenerate model, exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {name: getattr(base, name) for name in MODEL_FIELDS},
+        "objective": {"kind": objective.kind, "layer": layer, "weight": [[0, 0], [0, 0]]},
+        "axes": [{"name": "theta", "values": [1.0, PI / 2]}],
+    }))
+    assert cli.main(["optimize", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"mzsloppy: degenerate model: {ZERO_BOUND}\n")
+
+
+def test_best_point_of_a_scan_whose_row_zero_evaluates():
+    # where row 0 evaluates alone but the scan scored no row, the search
+    # still fails, as a degenerate model
+    spec = q22_spec()
+    size = math.prod(len(axis.values) for axis in spec.axes)
+    errors = dict.fromkeys(range(size), "OverflowError: math range error")
+    scan = ScanResult(axes=spec.axes, values=(None,) * size, errors=errors, best=None)
+    with pytest.raises(SloppyModelError, match="^objective failed at every grid point$"):
+        best_point(spec, Objective(kind="Q22"), scan)
+    scan = grid_scan(spec, Objective(kind="Q22"))
+    assert best_point(spec, Objective(kind="Q22"), scan) == scan.point(scan.best)
+
+
+def test_error_message_names_an_arithmetic_error():
+    assert error_message(ZeroDivisionError("float division by zero")) == (
+        "ZeroDivisionError: float division by zero"
+    )
