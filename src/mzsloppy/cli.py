@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -320,19 +321,20 @@ def _dumps(obj) -> str:
 
 def _json_text(payload: dict) -> str:
     """payload as json.dumps writes it with sort_keys=True, indent=2, plus a
-    newline, a scan's ScanResult under "rows" written as its list of
-    {"error", "point", "value"} rows. Those rows come from _scan_rows_text,
+    newline. The table under "rows" (a scan's ScanResult) or "records"
+    (compare's configs and reports) comes from its writer in _TABLES,
     spliced into the dump of the rest: json.dumps writes indented output in
-    pure Python, which costs more than the scan itself. A float that is not
-    finite raises OverflowError; the rows of a scan are finite once its
-    axes, which the rest holds, are."""
-    if "rows" not in payload:
-        return _dumps(payload) + "\n"
-    # a newline never occurs inside a JSON string, so the slot of the
-    # top-level "rows" key is the only match
-    head = _dumps({**payload, "rows": [None]})
-    body = '\n  "rows": [\n' + _scan_rows_text(payload["rows"]) + "\n  ]"
-    return head.replace('\n  "rows": [\n    null\n  ]', body, 1) + "\n"
+    pure Python, which costs more than the scan or comparison itself. A
+    float that is not finite raises OverflowError, from either part (a
+    scan's rows are finite once its axes, which the rest holds, are)."""
+    for key, table_text in _TABLES.items():
+        if key in payload:
+            # a newline never occurs inside a JSON string, so the slot of the
+            # top-level key is the only match
+            head = _dumps({**payload, key: [None]})
+            body = f'\n  "{key}": [\n' + table_text(payload[key]) + "\n  ]"
+            return head.replace(f'\n  "{key}": [\n    null\n  ]', body, 1) + "\n"
+    return _dumps(payload) + "\n"
 
 
 def _scan_csv(scan: optimize.ScanResult) -> str:
@@ -409,10 +411,10 @@ def run_compare(
 ) -> dict:
     """Closed-form vs engine comparison over a displacement/mixer/squeezer grid.
 
-    Returns the full payload: one record per config and matrix entry, plus a
-    summary with the calibration residuals (the q-dependent part of Q11 on
-    the phi = 0 slice, where the two layers genuinely agree) and the
-    standing discrepancy notes.
+    Returns the full payload: each config with its report (written as one
+    record per matrix entry), plus a summary with the calibration residuals
+    (the q-dependent part of Q11 on the phi = 0 slice, where the two layers
+    genuinely agree) and the standing discrepancy notes.
     """
     configs = []
     try:
@@ -420,10 +422,6 @@ def run_compare(
             configs.append(ModelConfig(r=r, q=q, phi=phi, x=x))
     finally:  # the configs before one that ModelConfig rejects fail first
         reports = closed_forms.compare(configs)
-    records = []
-    for config, report in zip(configs, reports):
-        model = _model_dict(config)
-        records += ({"model": model, **vars(rec)} for rec in report.records)
 
     # records[0] is Q11; a later duplicate of a q = 0 config wins its key
     offsets = [report.records[0].closed_form - report.records[0].numeric for report in reports]
@@ -434,7 +432,7 @@ def run_compare(
         if c.q > 0.0 and c.phi == 0.0 and (c.phi, c.x) in offsets_q0
     ]
     summary = {
-        "record_count": len(records),
+        "record_count": sum(len(report.records) for report in reports),
         "max_abs_difference": max(report.flags["max_abs_difference"] for report in reports),
         "calibration": calibration,
         "calibration_max_residual": max((c["residual"] for c in calibration), default=None),
@@ -443,9 +441,44 @@ def run_compare(
     return {
         "schema": _SCHEMAS["compare"],
         "grid": {"r": r, "q_values": q_values, "phi_values": phi_values, "x_values": x_values},
-        "records": records,
+        "records": list(zip(configs, reports)),
         "summary": summary,
     }
+
+
+_RECORD_TEMPLATE = (
+    '    {{\n      "abs_difference": {3},\n      "closed_form": {1},\n      "entry": {0},\n'
+    '      "model": {{\n{model}\n      }},\n      "numeric": {2},\n'
+    '      "rel_difference": {4}\n    }}'
+)
+_MODEL_KEYS = [f'        "{name}": ' for name in sorted(MODEL_FIELDS)]
+_model_values = operator.attrgetter(*sorted(MODEL_FIELDS))
+
+
+def _compare_records_text(records) -> str:
+    """compare's (config, report) pairs as json.dumps(sort_keys=True,
+    indent=2) writes their records inside the payload, each one
+    {"model": config fields, **DiscrepancyRecord fields}: one string
+    template, each config's "model" block formatted once. float.__repr__
+    and encode_basestring_ascii give the text json.dumps writes, -0.0
+    included; a float that is not finite raises the OverflowError that
+    _dumps raises for one."""
+    texts = []
+    for config, report in records:
+        values = _model_values(config)
+        floats = [(rec.closed_form, rec.numeric, rec.abs_difference, rec.rel_difference)
+                  for rec in report.records]
+        if not all(map(math.isfinite, itertools.chain(values, *floats))):
+            raise OverflowError("math range error")
+        model = ",\n".join(key + float.__repr__(v) for key, v in zip(_MODEL_KEYS, values))
+        for rec, f in zip(report.records, floats):
+            entry = encode_basestring_ascii(rec.entry)
+            texts.append(_RECORD_TEMPLATE.format(entry, *map(float.__repr__, f), model=model))
+    return ",\n".join(texts)
+
+
+# the tables _json_text writes itself, each by its own row writer
+_TABLES = {"rows": _scan_rows_text, "records": _compare_records_text}
 
 
 def _parse_value_list(obj, name: str) -> tuple[float, ...]:

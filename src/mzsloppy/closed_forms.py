@@ -294,15 +294,16 @@ def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
     params = parameters([config] if single else config)
     Q, U, errors = layer_matrices(params, "numeric")
     Qc, Uc, closed_errors = layer_matrices(params, "closed_form")
+    Q, U, Qc, Uc = Q.tolist(), U.tolist(), Qc.tolist(), Uc.tolist()  # numpy scalars are slow
     reports = []
     for i in range(len(params)):
         if i in errors or i in closed_errors:
             raise errors[i] if i in errors else closed_errors[i]
         records = (
-            _record("Q11", Qc[i, 0, 0], Q[i, 0, 0]),
-            _record("Q22", Qc[i, 1, 1], Q[i, 1, 1]),
-            _record("Q12", Qc[i, 0, 1], Q[i, 0, 1]),
-            _record("U12", Uc[i, 0, 1], U[i, 0, 1]),
+            _record("Q11", Qc[i][0][0], Q[i][0][0]),
+            _record("Q22", Qc[i][1][1], Q[i][1][1]),
+            _record("Q12", Qc[i][0][1], Q[i][0][1]),
+            _record("U12", Uc[i][0][1], U[i][0][1]),
         )
         diffs = [rec.closed_form - rec.numeric for rec in records[:3]]
         spread = max(diffs) - min(diffs)

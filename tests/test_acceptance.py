@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from listing import listed_records
 from mzsloppy import cli
 from mzsloppy.closed_forms import det_ratio, f22, landmarks
 from mzsloppy.gaussian import gate_symplectic, symplectic_form
@@ -217,7 +218,7 @@ def test_criterion_10_discrepancy_documentation():
     apart (their agreement is never asserted, here or anywhere). The notes
     name the offset and the reference layer's curvature defect."""
     payload = cli.run_compare()
-    records = payload["records"]
+    records = listed_records(payload["records"])
     summary = payload["summary"]
     assert summary["record_count"] == len(records) == 3 * 3 * 3 * 4
 

@@ -19,9 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzsloppy
+from listing import listed_payload, listed_records
 from mzsloppy import cli, closed_forms
 from mzsloppy.cli import THREADS_ENV_VAR, main
-from mzsloppy.model import ModelConfig
+from mzsloppy.closed_forms import DiscrepancyRecord, DiscrepancyReport
+from mzsloppy.model import MODEL_FIELDS, ModelConfig
 from mzsloppy.optimize import Axis, Objective, ScanResult, objective_value
 
 PI = math.pi
@@ -843,16 +845,6 @@ def scan_payloads(draw):
     }
 
 
-def listed_rows(scan):
-    """A ScanResult's rows as the dicts json.dumps would write."""
-    names = [axis.name for axis in scan.axes]
-    grid = itertools.product(*(axis.values for axis in scan.axes))
-    return [
-        {"point": dict(zip(names, point)), "value": value, "error": scan.errors.get(i)}
-        for i, (point, value) in enumerate(zip(grid, scan.values))
-    ]
-
-
 @settings(deadline=None, max_examples=500)
 @given(payload=scan_payloads())
 def test_scan_json_writer_matches_json_dumps(payload):
@@ -862,7 +854,7 @@ def test_scan_json_writer_matches_json_dumps(payload):
         with pytest.raises(OverflowError, match="^math range error$"):
             cli._json_text(payload)
         return
-    listed = {**payload, "rows": listed_rows(payload["rows"])}
+    listed = listed_payload(payload)
     assert cli._json_text(payload) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
 
 
@@ -883,10 +875,13 @@ GRID_POOLS = {
 }
 
 
+COMPARE_R = st.sampled_from([0.0, 0.5, 1.0])
+COMPARE_GRIDS = st.fixed_dictionaries({name: st.lists(pool, min_size=1, max_size=4)
+                                       for name, pool in GRID_POOLS.items()})
+
+
 @settings(deadline=None, max_examples=60)
-@given(r=st.sampled_from([0.0, 0.5, 1.0]),
-       grid=st.fixed_dictionaries({name: st.lists(pool, min_size=1, max_size=4)
-                                   for name, pool in GRID_POOLS.items()}))
+@given(r=COMPARE_R, grid=COMPARE_GRIDS)
 def test_compare_payload_matches_its_reports(r, grid):
     grid = {name: tuple(values) for name, values in grid.items()}
     payload = cli.run_compare(r, **grid)
@@ -907,7 +902,7 @@ def test_compare_payload_matches_its_reports(r, grid):
             calibration.append({"q": c.q, "x": c.x, "entry": "Q11",
                                 "residual": abs(offset[i] - offset[zeros[-1]])})
     # the JSON text tells 0.0 from -0.0, which == does not
-    assert json.dumps(payload["records"]) == json.dumps(records)
+    assert json.dumps(listed_records(payload["records"])) == json.dumps(records)
     assert payload["grid"] == {"r": r, **grid}  # the grid goes out as given
     summary = payload["summary"]
     assert summary["record_count"] == 4 * len(configs) == len(records)
@@ -915,3 +910,64 @@ def test_compare_payload_matches_its_reports(r, grid):
     assert json.dumps(summary["calibration"]) == json.dumps(calibration)
     assert summary["calibration_max_residual"] == max(
         (c["residual"] for c in calibration), default=None)
+
+
+# -- property: compare's records writer is json.dumps of the records as dicts --
+
+
+@settings(deadline=None, max_examples=60)
+@given(r=COMPARE_R, grid=COMPARE_GRIDS)
+def test_compare_json_writer_matches_json_dumps(r, grid):
+    payload = cli.run_compare(r, **{name: tuple(values) for name, values in grid.items()})
+    listed = listed_payload(payload)
+    assert cli._json_text(payload) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
+
+
+NON_NEGATIVE_FLOATS = FINITE_FLOATS.filter(lambda v: not v < 0)  # -0.0 stays
+
+
+@st.composite
+def compare_records(draw):
+    """(config, report) pairs as closed_forms.compare returns them, holding
+    any finite values and any entry text."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        config = ModelConfig(**{
+            name: draw(NON_NEGATIVE_FLOATS if name in ("r", "q", "x") else FINITE_FLOATS)
+            for name in MODEL_FIELDS
+        })
+        records = tuple(
+            DiscrepancyRecord(draw(ROW_ERRORS), *draw(st.tuples(*[FINITE_FLOATS] * 4)))
+            for _ in range(draw(st.integers(1, 4)))
+        )
+        pairs.append((config, DiscrepancyReport(records=records, flags={})))
+    return pairs
+
+
+@settings(deadline=None, max_examples=300)
+@given(records=compare_records())
+def test_compare_json_writer_matches_json_dumps_on_any_finite_record(records):
+    payload = {"schema": "mzsloppy.compare/1", "records": records,
+               "summary": {"record_count": sum(len(rep.records) for _, rep in records)}}
+    listed = listed_payload(payload)
+    assert cli._json_text(payload) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "field", ["closed_form", "numeric", "abs_difference", "rel_difference", "alpha"])
+def test_compare_json_writer_refuses_a_non_finite_record(field, value):
+    # the value is in the records alone, so the writer, not the dump of the
+    # rest of the payload, must refuse it
+    payload = cli.run_compare(0.5, (0.0, 0.5), (0.3,), (0.5,))
+    first, (config, report) = payload["records"]
+    cli._json_text(payload)  # finite as built
+    if field in MODEL_FIELDS:
+        config = dataclasses.replace(config)
+        object.__setattr__(config, field, value)  # past ModelConfig's own check
+    else:
+        last = dataclasses.replace(report.records[-1], **{field: value})
+        report = DiscrepancyReport(records=(*report.records[:-1], last), flags=report.flags)
+    payload["records"] = [first, (config, report)]
+    with pytest.raises(OverflowError, match="^math range error$"):
+        cli._json_text(payload)

@@ -9,7 +9,9 @@ numbers count as floats). A float within 1e-13 of its golden value also
 matches: several outputs are round-off around zero (a worst-case
 quantumness of 3e-17, the determinant of a singular matrix), whose digits
 change with the BLAS build. The bytes of each JSON output are also pinned:
-they must be the json.dumps of their own parsed values. To refreeze after a
+they must be the json.dumps of their own parsed values, and the CLI's JSON
+writer must give the json.dumps of each JSON case's payload with its table
+(scan rows, compare records) listed as dicts. To refreeze after a
 deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -32,7 +34,8 @@ from pathlib import Path
 
 import pytest
 
-from mzsloppy.cli import THREADS_ENV_VAR, main
+from listing import listed_payload
+from mzsloppy.cli import _RUNNERS, THREADS_ENV_VAR, _json_text, main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -117,6 +120,19 @@ def test_golden_json_bytes_are_the_json_dumps_of_their_values(name, tmp_path, mo
     monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
     _, text = run_case(CASES[name], tmp_path)
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, case in CASES.items() if case["format"] == "json")
+)
+def test_json_writer_is_json_dumps_of_the_listed_payload(name, monkeypatch):
+    # the tables _json_text writes itself (scan rows, compare records) against
+    # json.dumps of the same payload with them listed as dicts
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    case = CASES[name]
+    payload, _ = _RUNNERS[case["command"]](copy.deepcopy(case["config"]))
+    listed = listed_payload(payload)
+    assert _json_text(payload) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
