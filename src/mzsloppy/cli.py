@@ -416,6 +416,9 @@ def run_compare(
     (the q-dependent part of Q11 on the phi = 0 slice, where the two layers
     genuinely agree) and the standing discrepancy notes.
     """
+    for name, given in (("q_values", q_values), ("phi_values", phi_values), ("x_values", x_values)):
+        if len(given) == 0:
+            raise ValueError(f"compare grid {name!r} is empty: it needs at least one value")
     configs = []
     try:
         for q, phi, x in itertools.product(q_values, phi_values, x_values):

@@ -57,11 +57,12 @@ def information_and_curvature(jet: ModelJet, determinant: bool = False):
     det Q is 16 times the sum of the squared 2x2 minors of X (Cauchy-Binet),
     which does not cancel where the det of the rounded Q does (entries about
     q^2); its 66 minors cost more than G, so it is computed on request."""
-    F = np.stack(jet.forms, axis=-3).reshape(-1, 2, 4, 4)  # a single jet is a stack of one
-    u = np.stack(jet.shifts, axis=-2).reshape(-1, 2, 4)
+    u = np.stack(jet.shifts, axis=-2).reshape(-1, 2, 4)  # a single jet is a stack of one
     errors = dict(jet.state.errors)
     with np.errstate(all="ignore"):  # an overflow is the caller's error
-        Y = F[..., ::2, ::2] - F[..., 1::2, 1::2] + 1j * (F[..., ::2, 1::2] + F[..., 1::2, ::2])
+        Y = [F[..., ::2, ::2] - F[..., 1::2, 1::2] + 1j * (F[..., ::2, 1::2] + F[..., 1::2, ::2])
+             for F in jet.forms]  # per phase: the forms are not restacked (see _propagate)
+        Y = np.stack(Y, axis=-3).reshape(-1, 2, 2, 2)
         w = u[..., ::2] + 1j * u[..., 1::2]
         V = np.concatenate([Y.reshape(Y.shape[:2] + (4,)) / math.sqrt(8), w / math.sqrt(2)], -1)
         V[list(errors)] = np.nan

@@ -181,7 +181,8 @@ def _propagate(params: np.ndarray):
             forms.append(Rt @ total[:, :2])
             shifts.append((Rt @ mean[:, :2])[..., 0])
     cov = total @ total.transpose(0, 2, 1) / 2
-    return cov, mean[..., 0], np.array(forms), np.array(shifts), total
+    # not restacked: at 512 points a stack of forms is 128 KiB, the default mmap threshold
+    return cov, mean[..., 0], tuple(forms), tuple(shifts), total
 
 
 def jacobian_analytic(
@@ -201,8 +202,9 @@ def jacobian_analytic(
     with np.errstate(all="ignore"):
         cov, mean, forms, shifts, total = _propagate(config)
     if single:
-        cov, mean, total, forms, shifts = cov[0], mean[0], total[0], forms[:, 0], shifts[:, 0]
-    return ModelJet(GaussianState(modes=2, mean=mean, cov=cov), tuple(forms), tuple(shifts), total)
+        cov, mean, total = cov[0], mean[0], total[0]
+        forms, shifts = tuple(f[0] for f in forms), tuple(u[0] for u in shifts)
+    return ModelJet(GaussianState(modes=2, mean=mean, cov=cov), forms, shifts, total)
 
 
 def evaluate_state(config: Union[ModelConfig, Sequence[ModelConfig]]) -> GaussianState:

@@ -22,7 +22,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy.optimize
 
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
@@ -380,7 +379,7 @@ def refine_local(
     whether the iteration budget cut the polish short. A start already at
     the objective's a-priori bound (_supremum: R = 0 for minus_R,
     q22_max + 2 q^2 e^(2r + 4x) for closed-form Q22), to within that noise,
-    cannot be beaten and runs no simplex: 0 iterations.
+    cannot be beaten, runs no simplex and never imports scipy: 0 iterations.
 
     Accepted candidates are canonicalized along flat directions: when
     resetting one coordinate to its value in the base configuration leaves
@@ -407,6 +406,7 @@ def refine_local(
         except POINT_ERRORS:
             return math.inf  # out-of-domain probe, reject the step
 
+    import scipy.optimize  # loaded by the first simplex that runs, not at import
     # Nelder-Mead's own simplex arithmetic overflows on huge coordinates;
     # negated already rejects every probe it cannot evaluate
     with np.errstate(all="ignore"):

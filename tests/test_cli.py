@@ -446,6 +446,17 @@ class TestCompare:
         assert code == 1
         assert "r_values" in err
 
+    @pytest.mark.parametrize("name", ["q_values", "phi_values", "x_values"])
+    def test_library_call_with_an_empty_value_list_names_it(self, monkeypatch, name):
+        # the CLI refuses [] in _parse_value_list; a library call is refused
+        # before any configuration is built or compared
+        def no_work(configs):
+            raise AssertionError("compared an empty grid")
+
+        monkeypatch.setattr(closed_forms, "compare", no_work)
+        with pytest.raises(ValueError, match=f"^compare grid '{name}' is empty"):
+            cli.run_compare(0.5, **{name: ()})
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -610,6 +621,58 @@ class TestDriver:
         proc = run_python(["-c", wrapper, "eval", "--config", cfg])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["schema"] == "mzsloppy.eval/1"
+
+
+# Runs in a fresh interpreter, since other test modules load scipy into this
+# one: the commands in argv[1] one after another, then the custom optimize
+# config in argv[2]; prints the scipy modules loaded before and after it.
+COLD_START = """
+import json, sys
+from mzsloppy import cli
+
+def run(command, path):
+    assert cli.main([command, "--config", path, "--out", path + ".out"]) == 0
+    with open(path + ".out") as fh:
+        return json.load(fh)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for command, path in json.loads(sys.argv[1]):
+    run(command, path)
+before = scipy_modules()
+custom = run("optimize", sys.argv[2])
+print(json.dumps({"before": before, "iterations": custom["refine_iterations"],
+                  "after": scipy_modules()}))
+"""
+
+
+class TestColdStart:
+    def test_scipy_is_loaded_only_by_a_simplex_that_runs(self, tmp_path):
+        model = model_dict(r=0.5, x=0.5, theta=PI / 2, phi=PI / 4)
+        commands = [
+            ("eval", {"model": model}),
+            ("scan", {
+                "model": model,
+                "objective": {"kind": "minus_R", "layer": "numeric"},
+                "axes": [{"name": "theta", "values": [0.0, PI / 4, PI / 2]}],
+            }),
+            ("compare", {}),
+            # both find-known polishes start at their bounds here: no simplex
+            ("optimize", {"r": 0.5, "x": 0.5, "q": 0.0}),
+        ]
+        paths = [
+            (command, write_config(tmp_path, config, f"{command}.json"))
+            for command, config in commands
+        ]
+        cases = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+        custom = write_config(tmp_path, cases["optimize_custom_Q11"]["config"], "custom.json")
+        proc = run_python(["-c", COLD_START, json.dumps(paths), custom])
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert loaded["before"] == []
+        assert loaded["iterations"] > 0
+        assert "scipy.optimize" in loaded["after"]
 
 
 class TestSinglePropagation:
