@@ -282,30 +282,39 @@ def run_scan(config_obj: dict) -> tuple[dict, int]:
     return payload, 0
 
 
+_ROW_HEAD = '    {\n      "error": '
+_ROW_POINT = ',\n      "point": {\n'
+_ROW_VALUE = '\n      },\n      "value": '
+_ROW_SEP = "\n    },\n" + _ROW_HEAD
+_ROW_END = "\n    }"
+
+
 def _scan_rows_text(scan: optimize.ScanResult) -> str:
     """The rows of a scan as json.dumps(sort_keys=True, indent=2) writes
-    them inside the payload: one string template, its point keys sorted.
-    Axis values and row values are finite, so float.__repr__ is the text
-    json.dumps writes; each axis value is formatted once."""
+    them inside the payload, built from C-level joins: each axis line
+    ("name": value) is formatted once, a row's point block joins its lines
+    in sorted key order, and one join over the row pieces writes the table.
+    Axis values and row values are finite, so repr is the text json.dumps
+    writes."""
     names = [axis.name for axis in scan.axes]
-    points = ",\n".join(
-        f"        {encode_basestring_ascii(n)}: {{{2 + names.index(n)}}}" for n in sorted(names)
-    )
-    template = (
-        '    {{\n      "error": {0},\n      "point": {{\n'
-        + points
-        + '\n      }},\n      "value": {1}\n    }}'
-    )
-    axis_texts = [[float.__repr__(v) for v in axis.values] for axis in scan.axes]
-    errors = scan.errors
-    return ",\n".join(
-        template.format(
-            encode_basestring_ascii(errors[i]) if i in errors else "null",
-            "null" if value is None else float.__repr__(value),
-            *point,
-        )
-        for i, (point, value) in enumerate(zip(itertools.product(*axis_texts), scan.values))
-    )
+    lines = [
+        [f"        {encode_basestring_ascii(axis.name)}: {float.__repr__(v)}" for v in axis.values]
+        for axis in scan.axes
+    ]
+    if len(lines) == 1:  # itemgetter of one index returns the line, not a tuple
+        points = lines[0]
+    else:
+        in_key_order = operator.itemgetter(*sorted(range(len(names)), key=names.__getitem__))
+        points = map(",\n".join, map(in_key_order, itertools.product(*lines)))
+    values = list(map(repr, scan.values))
+    errors = ["null"] * len(values)
+    for i, message in scan.errors.items():
+        values[i] = "null"
+        errors[i] = encode_basestring_ascii(message)
+    seps = itertools.chain(itertools.repeat(_ROW_SEP, len(values) - 1), (_ROW_END,))
+    pieces = zip(errors, itertools.repeat(_ROW_POINT), points,
+                 itertools.repeat(_ROW_VALUE), values, seps)
+    return "".join(itertools.chain((_ROW_HEAD,), itertools.chain.from_iterable(pieces)))
 
 
 def _dumps(obj) -> str:
@@ -324,16 +333,19 @@ def _json_text(payload: dict) -> str:
     newline. The table under "rows" (a scan's ScanResult) or "records"
     (compare's configs and reports) comes from its writer in _TABLES,
     spliced into the dump of the rest: json.dumps writes indented output in
-    pure Python, which costs more than the scan or comparison itself. A
-    float that is not finite raises OverflowError, from either part (a
-    scan's rows are finite once its axes, which the rest holds, are)."""
+    pure Python, which costs more than the scan or comparison itself. One
+    join writes the output, so the table text and the output are its only
+    full-size strings. A float that is not finite raises OverflowError,
+    from either part (a scan's rows are finite once its axes, which the
+    rest holds, are)."""
     for key, table_text in _TABLES.items():
         if key in payload:
             # a newline never occurs inside a JSON string, so the slot of the
             # top-level key is the only match
+            opening = f'\n  "{key}": [\n'
             head = _dumps({**payload, key: [None]})
-            body = f'\n  "{key}": [\n' + table_text(payload[key]) + "\n  ]"
-            return head.replace(f'\n  "{key}": [\n    null\n  ]', body, 1) + "\n"
+            before, _, after = head.partition(opening + "    null\n  ]")
+            return "".join((before, opening, table_text(payload[key]), "\n  ]", after, "\n"))
     return _dumps(payload) + "\n"
 
 

@@ -241,10 +241,19 @@ def error_message(exc: Exception) -> str:
     return str(exc)
 
 
+# the fewest rows a chunk of a split scan gets (the README's size table): on
+# 2 cores with BLAS on one thread, splitting a minus_R scan in two took an
+# 8192-row numeric scan from 41.9 to 30.2 ms; closed-form splits paid only
+# from 16384 rows, and below 4096 rows the threads cost more than they saved
+# on either layer
+_MIN_CHUNK_ROWS = 4096
+
+
 def _chunks(n: int, count: int) -> list[slice]:
     """Split range(n) into at most `count` contiguous, non-empty slices of
-    near-equal size."""
-    count = max(1, min(count, n))
+    near-equal size, none shorter than _MIN_CHUNK_ROWS unless it is the
+    only one."""
+    count = max(1, min(count, n // _MIN_CHUNK_ROWS))
     size, extra = divmod(n, count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
@@ -285,9 +294,13 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     Pointwise failures are captured in the row's error field instead of
     aborting the scan. The best row maximizes the value; exact ties go to
     the numerically smallest value tuple (_scan_result). The rows are split
-    into at most `workers` contiguous chunks, each evaluated as one batch
-    (on a thread pool of at most os.cpu_count() threads when workers > 1);
-    the rows do not depend on the split.
+    into at most `workers` contiguous chunks of at least _MIN_CHUNK_ROWS
+    rows (a smaller grid is one chunk), each evaluated as one batch; the
+    rows do not depend on the split. When workers > 1 the chunks run on a
+    thread pool of at most os.cpu_count() threads, even a single chunk: a
+    scan that asks for workers evaluates off the calling thread at every
+    size, which benchmarks/selftest.py checks (worker-thread spans under
+    grid_scan on scan_closed_form).
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")

@@ -524,8 +524,10 @@ CHUNKING_CASES = [pytest.param("numeric", kind, id=kind) for kind in OBJECTIVE_K
 
 
 @pytest.mark.parametrize("layer, kind", CHUNKING_CASES)
-def test_numeric_scan_independent_of_chunking(layer, kind):
-    # 40 points: three workers get ragged chunks of 14, 13 and 13
+def test_numeric_scan_independent_of_chunking(layer, kind, monkeypatch):
+    # 40 points: with no chunk floor, three workers get ragged chunks of 14,
+    # 13 and 13
+    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 1)
     spec = SearchSpec(
         base=ModelConfig(r=0.6, q=0.4, beta=0.3, lam1=0.2, lam2=0.5),
         axes=(Axis("x", (0.0, 0.4, 0.9, 1.3)), Axis("theta", HALF_GRID[:5]),
@@ -643,6 +645,7 @@ def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
 
     monkeypatch.setattr(optimize, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 1)  # 64 rows, 64 chunks
     spec = SearchSpec(
         base=ModelConfig(r=0.5, x=0.5),
         axes=(Axis("theta", tuple(0.1 * k for k in range(8))),
@@ -651,6 +654,29 @@ def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
     obj = Objective(kind="Q22")
     assert repr(grid_scan(spec, obj, workers=64)) == repr(grid_scan(spec, obj))
     assert pools == [2]
+
+
+@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+def test_scan_chunks_are_no_smaller_than_the_floor(layer, monkeypatch):
+    # two workers split a grid only when each chunk gets _MIN_CHUNK_ROWS rows
+    floor = optimize._MIN_CHUNK_ROWS
+    splits = []
+    chunks = optimize._chunks
+
+    def recorded_chunks(n, count):
+        slices = chunks(n, count)
+        splits.append([c.stop - c.start for c in slices])
+        return slices
+
+    monkeypatch.setattr(optimize, "_chunks", recorded_chunks)
+    obj = Objective(kind="minus_R", layer=layer)
+    for sizes in ([floor - 1], [floor], [floor, floor]):
+        spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.4, beta=0.3),
+                          axes=(Axis("theta", tuple(np.linspace(0.0, PI, sum(sizes)))),))
+        splits.clear()
+        results = [repr(grid_scan(spec, obj, workers=w)) for w in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        assert splits[1] == sizes  # the split of workers=2
 
 
 def test_zero_intermediate_squeezing_rows_are_errors_up_to_large_squeezing():
