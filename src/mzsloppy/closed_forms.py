@@ -6,7 +6,8 @@ entries, curvature entry, landmark values, ratio identities, displacement
 coefficients f22/f12). They are kept as written, typos and all: no symbolic
 simplification, no re-derivation, no reconciliation with the numeric layer.
 Each expression takes `inp`, one ModelConfig or N configurations as
-ModelColumns, and reads the squeezer phase and lam1 only through
+ModelColumns (or its grid form, to which each expression broadcasts), and
+reads the squeezer phase and lam1 only through
 inp.gamma = alpha + 2*lam1; lam2 enters only the displacement term of
 u12_closed. The one edit to the transcription is the prefix of its
 functions: `xp` is math for a ModelConfig, which gives a float and raises
@@ -177,11 +178,13 @@ def landmarks(r: float, x: float, q: float = 0.0) -> dict[str, float]:
 
 def closed_q_matrix(inp: Inputs) -> np.ndarray:
     """Reference-layer 2x2 information matrix (displacement terms included);
-    (N, 2, 2) for N configurations as columns."""
-    q11 = q11_closed(inp)
-    q22 = q22_closed(inp)
-    q12 = q12_closed(inp)
-    return np.moveaxis(np.array([[q11, q12], [q12, q22]]), (0, 1), (-2, -1))
+    (N, 2, 2) for N configurations as columns, (*shape, 2, 2) for a grid
+    form (ModelColumns.grid), whose entries each span only the axes they
+    read until broadcast here."""
+    q11, q22, q12 = q11_closed(inp), q22_closed(inp), q12_closed(inp)
+    q = np.empty((2, 2) + np.broadcast(q11, q22, q12).shape)
+    q[0, 0], q[0, 1], q[1, 0], q[1, 1] = q11, q12, q12, q22
+    return np.moveaxis(q, (0, 1), (-2, -1))
 
 
 def _point_matrices(config: ModelConfig, determinant: bool):
@@ -206,7 +209,9 @@ def _point_matrices(config: ModelConfig, determinant: bool):
 def layer_matrices(points, layer: str, determinant: bool = False):
     """Stacked (Q, U, errors) on a layer, or (Q, U, det Q, errors) with
     determinant, for one ModelConfig (a stack of one) or an (N, 9)
-    parameter array of finite rows.
+    parameter array of finite rows, or on the closed-form layer a grid form
+    ModelColumns.grid, whose stack is its grid product's rows in
+    lexicographic order, bit for bit those of its (N, 9) array.
 
     The numeric layer propagates all points in one pass; its det Q is the
     kernel's, the closed-form layer's the det of its Q. The closed-form
@@ -223,10 +228,16 @@ def layer_matrices(points, layer: str, determinant: bool = False):
     elif isinstance(points, ModelConfig):
         return _point_matrices(points, determinant)
     else:
-        columns = ModelColumns(points)
-        q, u12, gamma = closed_q_matrix(columns), u12_closed(columns), columns.gamma
-        u = np.zeros_like(q)
-        u[:, 0, 1], u[:, 1, 0] = u12, -u12
+        columns = points if isinstance(points, ModelColumns) else ModelColumns(points)
+        q, u12 = closed_q_matrix(columns), u12_closed(columns)
+        # (2, 2, *shape) underneath, like q: the isfinite reductions below run faster on it
+        u = np.zeros((2, 2) + np.broadcast(q[..., 0, 0], u12).shape)
+        u[0, 1], u[1, 0] = u12, -u12
+        u = np.moveaxis(u, (0, 1), (-2, -1))
+        if q.shape != u.shape:  # a grid form with a lam2 axis, which u12 alone reads
+            q = np.array(np.broadcast_to(q, u.shape))
+        gamma = np.broadcast_to(columns.gamma, u.shape[:-2]).reshape(-1)
+        q, u = q.reshape(-1, 2, 2), u.reshape(-1, 2, 2)
         det, errors = [np.linalg.det(q)] if determinant else [], {}
     finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
     gamma_ok = np.isfinite(gamma)

@@ -103,12 +103,37 @@ class ModelColumns:
     """N configurations as read-only columns: one (N,) array per model
     field, plus gamma, which is not checked here (a row whose gamma is not
     finite is the caller's error). The closed forms and build_mz_model read
-    it in place of a ModelConfig and evaluate all rows at once."""
+    it in place of a ModelConfig and evaluate all rows at once.
+
+    ModelColumns.grid holds a grid product in broadcastable form instead
+    (see there); the closed forms read it unedited, build_mz_model does
+    not."""
 
     def __init__(self, params: np.ndarray):
         columns = np.asarray(params, dtype=float).T.view()
         columns.flags.writeable = False
-        for name, column in zip(MODEL_FIELDS, columns):
+        self._set(zip(MODEL_FIELDS, columns))
+
+    @classmethod
+    def grid(cls, base: ModelConfig, axes: Sequence[tuple[str, Sequence[float]]]) -> ModelColumns:
+        """The grid product of `axes`, (field, values) pairs naming distinct
+        fields, at `base`: axis k's field holds its values along dimension
+        k, every other field its base value with size-1 dimensions. An
+        expression of the fields broadcasts to the grid's shape, and its
+        C-order elements are the grid product's rows in lexicographic
+        order; transcendentals run on the axis values alone."""
+        shape = [1] * len(axes)
+        fields = {name: np.full(shape, getattr(base, name)) for name in MODEL_FIELDS}
+        for k, (name, values) in enumerate(axes):
+            fields[name] = np.asarray(values, dtype=float).reshape(shape[:k] + [-1] + shape[k + 1:])
+        for column in fields.values():
+            column.flags.writeable = False
+        columns = cls.__new__(cls)
+        columns._set((name, fields[name]) for name in MODEL_FIELDS)
+        return columns
+
+    def _set(self, columns) -> None:
+        for name, column in columns:
             setattr(self, name, column)
         self.gamma = self.alpha + 2.0 * self.lam1
         self.gamma.flags.writeable = False

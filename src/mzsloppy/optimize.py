@@ -19,14 +19,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
 from .gaussian import unstack
-from .model import MODEL_FIELDS, ModelConfig, parameters, row_errors
+from .model import MODEL_FIELDS, ModelColumns, ModelConfig, parameters, row_errors
 
 OBJECTIVE_KINDS = ("Q11", "Q22", "detQ", "minus_R", "weighted_CQ_inverse")
 OBJECTIVE_LAYERS = ("closed_form", "numeric")
@@ -313,6 +312,8 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     if workers == 1:
         parts = [_eval(chunk) for chunk in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only where a pool runs
+
         threads = min(len(chunks), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_eval, chunks))
@@ -382,6 +383,7 @@ def refine_local(
     objective: Objective,
     start_point: dict,
     max_iterations: int = 400,
+    start_value: float | None = None,
 ) -> RefineResult:
     """Simplex polish of a scan point over the spec axes.
 
@@ -393,6 +395,8 @@ def refine_local(
     the objective's a-priori bound (_supremum: R = 0 for minus_R,
     q22_max + 2 q^2 e^(2r + 4x) for closed-form Q22), to within that noise,
     cannot be beaten, runs no simplex and never imports scipy: 0 iterations.
+    Given start_value, the objective's value at start_point (its scan
+    row's, say), the start is not evaluated again.
 
     Accepted candidates are canonicalized along flat directions: when
     resetting one coordinate to its value in the base configuration leaves
@@ -406,7 +410,8 @@ def refine_local(
     if missing:
         raise ValueError(f"start point is missing axes {missing}")
     x0 = np.array([float(start_point[n]) for n in names])
-    start_value = objective_value(_point_config(spec, tuple(x0)), objective)
+    if start_value is None:
+        start_value = objective_value(_point_config(spec, tuple(x0)), objective)
     margin = 1e-12 * max(1.0, abs(start_value))
     bound = _supremum(spec, objective)
     if bound is not None and start_value + margin >= bound:
@@ -473,16 +478,10 @@ def fold_angles(point: dict) -> dict:
     return folded
 
 
-def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> list[str]:
-    """Axes along which the objective is globally flat near the anchor.
-
-    A ridge that is flat only through the anchor itself (a one-slice
-    accident) is not reported: the axis must also be flat on a slice with
-    every other axis shifted off the anchor. Each axis's two slices, the
-    anchor's and the one shifted by 0.4 on every other axis, probe all its
-    values, and all slices of all axes are one batch. A probe that fails,
-    a row ModelConfig rejects among them, leaves its slice not flat.
-    """
+def _flatness_probes(spec: SearchSpec, anchor: dict) -> list[np.ndarray]:
+    """degenerate_axes' probe slices, two per axis in axis order: all the
+    axis's values on the anchor's slice, then on the one shifted by 0.4 on
+    every other axis."""
     slices = []
     for axis in spec.axes:
         for offset in (0.0, 0.4):
@@ -492,9 +491,12 @@ def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> lis
                     probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
             probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
             slices.append(probes)
-    if not slices:
-        return []
-    values, _ = _objective_values(np.concatenate(slices), objective)
+    return slices
+
+
+def _flat_axes(spec: SearchSpec, slices: list[np.ndarray], values: np.ndarray) -> list[str]:
+    """The axes flat on both their slices (_flatness_probes), given the
+    objective's values on the slices concatenated."""
     parts = np.split(values, np.cumsum([len(probes) for probes in slices])[:-1])
 
     def constant(part: np.ndarray) -> bool:  # a failed probe's NaN fails the bound
@@ -504,18 +506,57 @@ def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> lis
     return [axis.name for k, axis in enumerate(spec.axes) if flat[2 * k] and flat[2 * k + 1]]
 
 
-def _polish(
-    spec: SearchSpec, objective: Objective, start: dict, reference: dict, max_iterations: int
-):
-    """Refine a scan point, fold it and probe its flat axes: (folded point,
-    refine result, the report fields both recovered settings share)."""
-    refined = refine_local(spec, objective, start, max_iterations)
+def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> list[str]:
+    """Axes along which the objective is globally flat near the anchor.
+
+    A ridge that is flat only through the anchor itself (a one-slice
+    accident) is not reported: the axis must also be flat on a slice with
+    every other axis shifted off the anchor. Each axis's two slices, the
+    anchor's and the one shifted by 0.4 on every other axis, probe all its
+    values, and all slices of all axes are one batch. A probe that fails,
+    a row ModelConfig rejects among them, leaves its slice not flat.
+    find_known_configurations reads the same flags off one batch that
+    holds both of its settings' probes (_degenerate_axes_together).
+    """
+    slices = _flatness_probes(spec, anchor)
+    if not slices:
+        return []
+    values, _ = _objective_values(np.concatenate(slices), objective)
+    return _flat_axes(spec, slices, values)
+
+
+def _degenerate_axes_together(settings: list) -> list[list[str]]:
+    """degenerate_axes(spec, objective, anchor) of each setting, for
+    closed-form objectives over at least one axis, from one layer_matrices
+    pass over all their probes (the _phased probes for _WorstOverPhase):
+    each objective reads its own slice of the pass."""
+    probes = [_flatness_probes(spec, anchor) for spec, _, anchor in settings]
+    points = [np.concatenate(slices) for slices in probes]
+    rows = [
+        _phased(p) if isinstance(objective, _WorstOverPhase) else p
+        for p, (_, objective, _) in zip(points, settings)
+    ]
+    with np.errstate(all="ignore"):
+        q, u, errors = closed_forms.layer_matrices(np.concatenate(rows), "closed_form")
+    flags, start = [], 0
+    for (spec, objective, _), slices, p, n in zip(settings, probes, points, map(len, rows)):
+        end = start + n
+        mine = {i - start: e for i, e in errors.items() if start <= i < end}
+        values, _ = _objective_values(p, objective, (q[start:end], u[start:end], mine))
+        flags.append(_flat_axes(spec, slices, values))
+        start = end
+    return flags
+
+
+def _report(refined: RefineResult, reference: dict, flat: list[str]):
+    """A polished setting's folded point and the report fields both
+    recovered settings share."""
     point = fold_angles(refined.point)
-    return point, refined, {
+    return point, {
         "angles_match_reference": all(
             abs(point[k] - v) <= ANGLE_MATCH_TOL for k, v in reference.items()
         ),
-        "degenerate_axes": degenerate_axes(spec, objective, refined.point),
+        "degenerate_axes": flat,
     }
 
 
@@ -530,13 +571,20 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     "undefined" when no grid point can be evaluated. Both run the same
     scan, polish, fold and flatness probe, from the best grid point that
     can be evaluated; with none on the maximum's grid, the search fails
-    as its row 0 does (best_point). Both scans read one closed-form pass:
-    the maximum's (theta, phi, alpha) grid is the optimal's _phased
-    (theta, phi) grid, row for row. The polish runs no simplex from a
+    as its row 0 does (best_point). The polish runs no simplex from a
     start at the objective's bound (_supremum), as the quantumness-free
     start at R = 0 and the maximum's start at theta = phi = gamma = 0
     usually are. Landmark values ride along for context. Degenerate (flat)
     axes are reported, not hidden.
+
+    Without a simplex, one call makes two closed-form passes and one
+    point with math. Pass 1 is the maximum's (theta, phi, alpha) grid on
+    its axis columns (ModelColumns.grid); both scans read it, since that
+    grid is the optimal's _phased (theta, phi) grid, row for row. The
+    maximum's polish evaluates its start with math, so its value is
+    math's; the optimal's reads its start value off its scan row. Pass 2
+    comes after both polishes: both settings' flatness probes, as one
+    batch (_degenerate_axes_together).
     """
     if r < 0 or x < 0 or q < 0:
         raise ValueError("r, x and q must be non-negative")
@@ -553,42 +601,48 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
             Axis("alpha", GAMMA_GRID),
         ),
     )
-    # the worst-case scan below reads the same pass: these rows are its
-    # _phased (theta, phi) rows
     grid = _grid(spec)
     with np.errstate(all="ignore"):
-        matrices = closed_forms.layer_matrices(grid, "closed_form")
-    objective = Objective(kind="Q22")
-    scan = _scan_result(spec, grid, *_objective_values(grid, objective, matrices))
-    point, refined, maximum = _polish(
-        spec, objective, best_point(spec, objective, scan), closed_forms.MAXIMUM_CONFIGURATION, 400
-    )
-    value_ok = abs(refined.value - lm["q22_max"]) <= VALUE_MATCH_RTOL * abs(lm["q22_max"])
-    maximum.update(
-        point={"theta": point["theta"], "phi": point["phi"], "gamma": point["alpha"]},
-        value=refined.value,
-        landmark_value=lm["q22_max"],
-        label="maximum" if (maximum["angles_match_reference"] and value_ok) else "unlabeled",
-        value_matches_landmark=value_ok,
-        refine_iterations=refined.iterations,
-        refine_capped=refined.capped,
-    )
+        matrices = closed_forms.layer_matrices(
+            ModelColumns.grid(base, [(axis.name, axis.values) for axis in spec.axes]),
+            "closed_form",
+        )
+    q22 = Objective(kind="Q22")
+    scan = _scan_result(spec, grid, *_objective_values(grid, q22, matrices))
+    top = refine_local(spec, q22, best_point(spec, q22, scan), 400)
+    settings = [(spec, q22, top.point)]
 
     # -- quantumness-free setting: minimize the worst case over the squeezer
     # phase, since a setting is only useful if no phase choice spoils it
     spec = SearchSpec(base=base, axes=spec.axes[:2])
-    objective = _WorstOverPhase(kind="minus_R")
+    worst_case = _WorstOverPhase(kind="minus_R")
     params = _grid(spec)
-    scan = _scan_result(spec, params, *_objective_values(params, objective, matrices))
+    scan = _scan_result(spec, params, *_objective_values(params, worst_case, matrices))
+    if scan.best is not None:
+        free = refine_local(
+            spec, worst_case, scan.point(scan.best), 200, start_value=scan.values[scan.best]
+        )
+        settings.append((spec, worst_case, free.point))
+    flat = _degenerate_axes_together(settings)
+
+    point, maximum = _report(top, closed_forms.MAXIMUM_CONFIGURATION, flat[0])
+    value_ok = abs(top.value - lm["q22_max"]) <= VALUE_MATCH_RTOL * abs(lm["q22_max"])
+    maximum.update(
+        point={"theta": point["theta"], "phi": point["phi"], "gamma": point["alpha"]},
+        value=top.value,
+        landmark_value=lm["q22_max"],
+        label="maximum" if (maximum["angles_match_reference"] and value_ok) else "unlabeled",
+        value_matches_landmark=value_ok,
+        refine_iterations=top.iterations,
+        refine_capped=top.capped,
+    )
     if scan.best is None:
         # e.g. x = 0: both layers' information matrices are singular, so
         # the quantumness measure is undefined everywhere
         optimal = {"label": "undefined", "reason": scan.errors[0]}
     else:
-        point, refined, optimal = _polish(
-            spec, objective, scan.point(scan.best), closed_forms.OPTIMAL_CONFIGURATION, 200
-        )
-        worst = -refined.value
+        point, optimal = _report(free, closed_forms.OPTIMAL_CONFIGURATION, flat[1])
+        worst = -free.value
         vanishes = worst <= 1e-6
         optimal.update(
             point=point,

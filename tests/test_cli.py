@@ -623,56 +623,70 @@ class TestDriver:
         assert json.loads(proc.stdout)["schema"] == "mzsloppy.eval/1"
 
 
-# Runs in a fresh interpreter, since other test modules load scipy into this
-# one: the commands in argv[1] one after another, then the custom optimize
-# config in argv[2]; prints the scipy modules loaded before and after it.
+# Runs in a fresh interpreter, since other test modules load scipy and the
+# thread pool into this one: the (name, command, config path) steps in
+# argv[1] one after another; prints each step's payload and the lazily
+# loaded modules (scipy, and concurrent.futures with logging and queue) in
+# the interpreter after it.
 COLD_START = """
 import json, sys
 from mzsloppy import cli
 
-def run(command, path):
+LAZY = ("scipy", "concurrent", "logging", "queue")
+
+report = {}
+for name, command, path in json.loads(sys.argv[1]):
     assert cli.main([command, "--config", path, "--out", path + ".out"]) == 0
     with open(path + ".out") as fh:
-        return json.load(fh)
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-for command, path in json.loads(sys.argv[1]):
-    run(command, path)
-before = scipy_modules()
-custom = run("optimize", sys.argv[2])
-print(json.dumps({"before": before, "iterations": custom["refine_iterations"],
-                  "after": scipy_modules()}))
+        payload = json.load(fh)
+    report[name] = {"payload": payload,
+                    "loaded": sorted(m for m in sys.modules if m.split(".")[0] in LAZY)}
+print(json.dumps(report))
 """
 
 
+@pytest.fixture(scope="class")
+def cold_start(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("cold_start")
+    model = model_dict(r=0.5, x=0.5, theta=PI / 2, phi=PI / 4)
+    scan = {
+        "model": model,
+        "objective": {"kind": "minus_R", "layer": "numeric"},
+        "axes": [{"name": "theta", "values": [0.0, PI / 4, PI / 2]}],
+    }
+    cases = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+    steps = [
+        ("eval", "eval", {"model": model}),
+        ("scan", "scan", scan),
+        ("compare", "compare", {}),
+        # both find-known polishes start at their bounds here: no simplex
+        ("find_known", "optimize", {"r": 0.5, "x": 0.5, "q": 0.0}),
+        ("pool_scan", "scan", {**scan, "workers": 2}),
+        ("custom", "optimize", cases["optimize_custom_Q11"]["config"]),
+    ]
+    paths = [
+        (name, command, write_config(tmp_path, config, f"{name}.json"))
+        for name, command, config in steps
+    ]
+    proc = run_python(["-c", COLD_START, json.dumps(paths)])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestColdStart:
-    def test_scipy_is_loaded_only_by_a_simplex_that_runs(self, tmp_path):
-        model = model_dict(r=0.5, x=0.5, theta=PI / 2, phi=PI / 4)
-        commands = [
-            ("eval", {"model": model}),
-            ("scan", {
-                "model": model,
-                "objective": {"kind": "minus_R", "layer": "numeric"},
-                "axes": [{"name": "theta", "values": [0.0, PI / 4, PI / 2]}],
-            }),
-            ("compare", {}),
-            # both find-known polishes start at their bounds here: no simplex
-            ("optimize", {"r": 0.5, "x": 0.5, "q": 0.0}),
-        ]
-        paths = [
-            (command, write_config(tmp_path, config, f"{command}.json"))
-            for command, config in commands
-        ]
-        cases = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
-        custom = write_config(tmp_path, cases["optimize_custom_Q11"]["config"], "custom.json")
-        proc = run_python(["-c", COLD_START, json.dumps(paths), custom])
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)
-        assert loaded["before"] == []
-        assert loaded["iterations"] > 0
-        assert "scipy.optimize" in loaded["after"]
+    def test_scipy_is_loaded_only_by_a_simplex_that_runs(self, cold_start):
+        # after eval, a one-worker scan, compare and find-known
+        assert cold_start["find_known"]["loaded"] == []
+        assert not any(m.startswith("scipy") for m in cold_start["pool_scan"]["loaded"])
+        assert cold_start["custom"]["payload"]["refine_iterations"] > 0
+        assert "scipy.optimize" in cold_start["custom"]["loaded"]
+
+    def test_thread_pool_is_loaded_only_by_a_scan_with_workers(self, cold_start):
+        assert cold_start["find_known"]["loaded"] == []
+        assert cold_start["pool_scan"]["payload"]["workers"] == 2
+        assert {"concurrent.futures.thread", "logging", "queue"} <= set(
+            cold_start["pool_scan"]["loaded"]
+        )
 
 
 class TestSinglePropagation:

@@ -1,5 +1,6 @@
 """Grid scan, refinement, angle folding, and landmark recovery."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -643,7 +644,8 @@ def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(optimize, "ThreadPoolExecutor", SerialPool)
+    # grid_scan imports the pool class from concurrent.futures where it runs one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 1)  # 64 rows, 64 chunks
     spec = SearchSpec(
@@ -988,19 +990,19 @@ def test_find_known_grid_is_the_phased_worst_case_grid():
 
 
 @pytest.mark.parametrize("r, x, q", [(0.5, 0.5, 0.0), (0.3, 0.8, 0.5), (0.5, 0.0, 0.0)])
-def test_find_known_makes_one_640_row_pass(monkeypatch, r, x, q):
+def test_find_known_makes_two_closed_form_passes(monkeypatch, r, x, q):
     from mzsloppy import closed_forms
 
-    rows = []
+    calls = []
     layer_matrices = closed_forms.layer_matrices
 
     def spy(points, *args, **kwargs):
-        rows.append(len(points) if isinstance(points, np.ndarray) else 1)
-        return layer_matrices(points, *args, **kwargs)
+        result = layer_matrices(points, *args, **kwargs)
+        calls.append((type(points).__name__, len(result[0])))
+        return result
 
     monkeypatch.setattr(closed_forms, "layer_matrices", spy)
     found = find_known_configurations(r, x, q)
-    assert rows.count(640) == 1
     if x == 0.0:
         # the worst-case scan's row 0 fails, and its message is the reason
         monkeypatch.undo()
@@ -1009,10 +1011,180 @@ def test_find_known_makes_one_640_row_pass(monkeypatch, r, x, q):
                                           Axis("phi", optimize.PHI_GRID))),
                          _WorstOverPhase(kind="minus_R"))
         assert found["optimal"] == {"label": "undefined", "reason": scan.errors[0]}
+    # the grid on its axis columns, the maximum's start as one point with
+    # math, then both settings' flatness probes in one batch: the maximum's
+    # 58 and, unless the optimal is undefined, its 26 at 16 phases each
+    probes = 58 if x == 0.0 else 58 + 26 * 16
+    assert calls == [("ModelColumns", 640), ("ModelConfig", 1), ("ndarray", probes)]
+
+
+# -- property: the axis-column grid is the grid's rows, bit for bit -----------
+
+
+def grid_values(name):
+    """Axis or base values of a field, with values that overflow the closed
+    forms (r and x up to 400, q up to 1e160) and that make gamma non-finite
+    (alpha and lam1 near +-1e308)."""
+    if name in ("r", "x"):
+        return st.floats(0.0, 2.0) | st.floats(0.0, 400.0)
+    if name == "q":
+        return st.floats(0.0, 3.0) | st.floats(0.0, 1e160)
+    if name in ("alpha", "lam1"):
+        return st.floats(-4.0, 4.0) | st.sampled_from((1e308, -1e308, 1.7e308, -1.7e308))
+    return st.floats(-4.0, 4.0)
+
+
+@st.composite
+def axis_grids(draw):
+    base = ModelConfig(**{name: draw(grid_values(name)) for name in MODEL_FIELDS})
+    names = draw(st.lists(st.sampled_from(MODEL_FIELDS), min_size=1, max_size=3, unique=True))
+    axes = tuple(Axis(n, draw(st.lists(grid_values(n), min_size=1, max_size=5))) for n in names)
+    return SearchSpec(base=base, axes=axes)
+
+
+@settings(deadline=None, max_examples=150)
+@given(spec=axis_grids())
+def test_axis_column_grid_is_the_grid_rows(spec):
+    from mzsloppy import closed_forms
+    from mzsloppy.model import ModelColumns
+
+    with np.errstate(all="ignore"):  # gamma overflows here as in the (N, 9) columns
+        columns = ModelColumns.grid(spec.base, [(axis.name, axis.values) for axis in spec.axes])
+        q, u, errors = closed_forms.layer_matrices(columns, "closed_form")
+        q_rows, u_rows, row_errors_ = closed_forms.layer_matrices(optimize._grid(spec), "closed_form")
+    assert q.shape == q_rows.shape and q.tobytes() == q_rows.tobytes()
+    assert u.shape == u_rows.shape and u.tobytes() == u_rows.tobytes()
+    assert [(k, type(e), str(e)) for k, e in errors.items()] == [
+        (k, type(e), str(e)) for k, e in row_errors_.items()
+    ]
+
+
+# -- the merged flatness batch is each setting's degenerate_axes ---------------
+
+
+def find_known_four_passes(r, x, q):
+    """find_known_configurations as it was composed from four closed-form
+    passes: the grid, the optimal's start evaluated again, and each
+    setting's flatness probes as its own degenerate_axes batch. Returns the
+    payload and the (spec, objective, anchor) of each polished setting."""
+    from mzsloppy import closed_forms
+
+    base = ModelConfig(r=r, x=x, q=q)
+    lm = closed_forms.landmarks(r, x, q)
+    spec = SearchSpec(base=base, axes=(Axis("theta", optimize.THETA_GRID),
+                                       Axis("phi", optimize.PHI_GRID),
+                                       Axis("alpha", optimize.GAMMA_GRID)))
+    grid = optimize._grid(spec)
+    with np.errstate(all="ignore"):
+        matrices = closed_forms.layer_matrices(grid, "closed_form")
+
+    def polish(spec, objective, start, reference, max_iterations):
+        refined = refine_local(spec, objective, start, max_iterations)
+        point = fold_angles(refined.point)
+        settings.append((spec, objective, refined.point))
+        return point, refined, {
+            "angles_match_reference": all(
+                abs(point[k] - v) <= optimize.ANGLE_MATCH_TOL for k, v in reference.items()),
+            "degenerate_axes": degenerate_axes(spec, objective, refined.point),
+        }
+
+    settings = []
+    objective = Objective(kind="Q22")
+    scan = optimize._scan_result(spec, grid, *_objective_values(grid, objective, matrices))
+    point, refined, maximum = polish(spec, objective, best_point(spec, objective, scan),
+                                     closed_forms.MAXIMUM_CONFIGURATION, 400)
+    value_ok = abs(refined.value - lm["q22_max"]) <= optimize.VALUE_MATCH_RTOL * abs(lm["q22_max"])
+    maximum.update(
+        point={"theta": point["theta"], "phi": point["phi"], "gamma": point["alpha"]},
+        value=refined.value,
+        landmark_value=lm["q22_max"],
+        label="maximum" if (maximum["angles_match_reference"] and value_ok) else "unlabeled",
+        value_matches_landmark=value_ok,
+        refine_iterations=refined.iterations,
+        refine_capped=refined.capped,
+    )
+    spec = SearchSpec(base=base, axes=spec.axes[:2])
+    objective = _WorstOverPhase(kind="minus_R")
+    params = optimize._grid(spec)
+    scan = optimize._scan_result(spec, params, *_objective_values(params, objective, matrices))
+    if scan.best is None:
+        optimal = {"label": "undefined", "reason": scan.errors[0]}
     else:
-        # the shared scan pass, the two refine starts (Q22's one point with
-        # math) and the two flatness batches
-        assert len(rows) == 5 and rows.count(1) == 1
+        point, refined, optimal = polish(spec, objective, scan.point(scan.best),
+                                         closed_forms.OPTIMAL_CONFIGURATION, 200)
+        worst = -refined.value
+        optimal.update(
+            point=point,
+            worst_case_quantumness=worst,
+            label="optimal" if (optimal["angles_match_reference"] and worst <= 1e-6) else "unlabeled",
+            quantumness_vanishes=worst <= 1e-6,
+        )
+    return {"maximum": maximum, "optimal": optimal, "landmarks": lm}, settings
+
+
+# an r axis whose r = 400 probe overflows, so the batch holds failed rows
+OVERFLOWING_PROBE = (SearchSpec(base=ModelConfig(r=0.5, x=0.5),
+                                axes=(Axis("r", (0.5, 400.0)), Axis("theta", HALF_GRID[:3]))),
+                     {"r": 0.5, "theta": 0.0})
+
+
+@st.composite
+def closed_form_settings(draw):
+    """One to three flatness probes (spec, objective, anchor) on the
+    closed-form layer, each with at least one axis, and maybe the
+    overflowing one among them."""
+    settings_ = [
+        (spec, dataclasses.replace(objective, layer="closed_form"), anchor)
+        for spec, objective, anchor in draw(st.lists(flatness_probes(), min_size=1, max_size=3))
+    ]
+    if draw(st.booleans()):
+        spec, anchor = OVERFLOWING_PROBE
+        objective = draw(st.sampled_from((Objective(kind="Q22"), _WorstOverPhase(kind="minus_R"))))
+        settings_.insert(draw(st.integers(0, len(settings_))), (spec, objective, anchor))
+    return settings_
+
+
+@settings(deadline=None, max_examples=60)
+@given(settings_=closed_form_settings())
+def test_merged_flatness_batch_is_each_probes_degenerate_axes(settings_):
+    assert optimize._degenerate_axes_together(settings_) == [
+        degenerate_axes(spec, objective, anchor) for spec, objective, anchor in settings_
+    ]
+
+
+@pytest.mark.parametrize(
+    "r, x, q, search",
+    [
+        (0.5, 0.5, 0.0, "bounded"),
+        (0.3, 0.8, 0.5, "bounded"),
+        (0.0, 0.5, 0.0, "bounded"),  # r = 0: every axis is flat for both settings
+        (0.5, 0.0, 0.0, "bounded"),  # x = 0: the optimal is "undefined"
+        (0.5, 0.5, 0.0, "unbounded"),  # both simplexes run, neither improves its start
+        (0.3, 0.8, 0.5, "unbounded_off_grid"),  # both simplexes move their anchors
+    ],
+)
+def test_merged_flatness_batch_is_each_settings_degenerate_axes(monkeypatch, r, x, q, search):
+    if search != "bounded":
+        monkeypatch.setattr(optimize, "_supremum", lambda spec, objective: None)
+    if search == "unbounded_off_grid":
+        # no grid point sits on either optimum, so each polish moves off the grid
+        monkeypatch.setattr(optimize, "THETA_GRID", tuple(t + 0.05 for t in optimize.THETA_GRID))
+        monkeypatch.setattr(optimize, "PHI_GRID", tuple(p + 0.05 for p in optimize.PHI_GRID))
+    found = find_known_configurations(r, x, q)
+    oracle, settings = find_known_four_passes(r, x, q)
+    assert repr(found) == repr(oracle)
+    assert len(settings) == (1 if x == 0.0 else 2)
+    assert optimize._degenerate_axes_together(settings) == [
+        degenerate_axes(spec, objective, anchor) for spec, objective, anchor in settings
+    ]
+    iterations = found["maximum"]["refine_iterations"]
+    assert (iterations > 0) == (search != "bounded")
+    if r == 0.0:
+        assert found["maximum"]["degenerate_axes"] == ["theta", "phi", "alpha"]
+        assert found["optimal"]["degenerate_axes"] == ["theta", "phi"]
+    if search == "unbounded_off_grid":
+        for spec, _, anchor in settings:  # not a grid point
+            assert any(anchor[axis.name] not in axis.values for axis in spec.axes)
 
 
 # -- a scan with no scored row fails as its row 0 does ------------------------
