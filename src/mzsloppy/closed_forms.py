@@ -208,8 +208,8 @@ def _point_matrices(config: ModelConfig, determinant: bool):
 
 def layer_matrices(points, layer: str, determinant: bool = False):
     """Stacked (Q, U, errors) on a layer, or (Q, U, det Q, errors) with
-    determinant, for one ModelConfig (a stack of one) or an (N, 9)
-    parameter array of finite rows, or on the closed-form layer a grid form
+    determinant, for one ModelConfig (a stack of one), an (N, 9) parameter
+    array of finite rows, or ModelColumns: rows, or a grid form
     ModelColumns.grid, whose stack is its grid product's rows in
     lexicographic order, bit for bit those of its (N, 9) array.
 
@@ -222,7 +222,7 @@ def layer_matrices(points, layer: str, determinant: bool = False):
     its gamma is not finite, with the ModelConfig.gamma error.
     """
     if layer == "numeric":
-        jet = jacobian_analytic(points if isinstance(points, np.ndarray) else [points])
+        jet = jacobian_analytic([points] if isinstance(points, ModelConfig) else points)
         q, u, *det, errors = metrology.information_and_curvature(jet, determinant)
         gamma = np.zeros(len(q))  # the numeric layer never reads gamma
     elif isinstance(points, ModelConfig):

@@ -172,8 +172,8 @@ def _check_finite(gate: Gate, *values) -> None:
 
 
 def _identity(n: int, *params) -> tuple[np.ndarray, np.ndarray]:
-    """Identity S and zero shift, stacked when a parameter is an array."""
-    lead = max((np.shape(p) for p in params), key=len)
+    """Identity S and zero shift, stacked to the parameters' broadcast shape."""
+    lead = np.broadcast(*params).shape
     S = np.zeros(lead + (n, n))
     S.reshape(lead + (n * n,))[..., :: n + 1] = 1.0
     return S, np.zeros(lead + (n,))
@@ -182,8 +182,8 @@ def _identity(n: int, *params) -> tuple[np.ndarray, np.ndarray]:
 def gate_symplectic(gate: Gate, modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic matrix and mean shift of a gate on an M-mode register.
 
-    Gate parameters given as arrays of N values give a stack: S of shape
-    (N, 2M, 2M) and shift of shape (N, 2M).
+    Gate parameters given as arrays give a stack: S of shape (*lead, 2M, 2M)
+    and shift of shape (*lead, 2M), lead the shape the parameters broadcast to.
     """
     n = 2 * modes
     if isinstance(gate, PhaseRotation):

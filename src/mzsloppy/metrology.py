@@ -68,8 +68,10 @@ def information_and_curvature(jet: ModelJet, determinant: bool = False):
         V[list(errors)] = np.nan
         G = V.conj() @ V.transpose(0, 2, 1)
         G = (G + G.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
-    # -Im G is read as the transpose of Im G (G is Hermitian): U's diagonal stays +0.0
-    Q, U = 4.0 * G.real, 4.0 * G.imag.transpose(0, 2, 1)
+    # -Im G is read as the transpose of Im G (G is Hermitian): U's diagonal stays +0.0.
+    # Both are (2, 2, N) underneath, as on the closed-form layer: per-point reductions run faster
+    Q = np.multiply(4.0, G.real.transpose(1, 2, 0), order="C").transpose(2, 0, 1)
+    U = np.multiply(4.0, G.imag.transpose(2, 1, 0), order="C").transpose(2, 0, 1)
     if not determinant:
         return Q, U, errors
     # X[:, j, 0] and X[:, j, 1]: row j at the pairs' a and b, per point contiguous, so
@@ -107,8 +109,8 @@ def _invariants(Q: np.ndarray, U: np.ndarray):
         regular = det / top > SINGULAR_Q_TOL * np.maximum(1 / s, top)  # the gate over s
     det[~regular] = np.nan
     R = np.abs(U[:, 0, 1]) / (s * np.sqrt(det))  # |U12| / sqrt(det Q)
-    singular = (~regular).nonzero()[0].tolist()
-    return P, s, det, R, {i: SloppyModelError(_SINGULAR_MESSAGE) for i in singular}
+    singular = (~regular).nonzero()[0].tolist()  # these rows share one error
+    return P, s, det, R, dict.fromkeys(singular, SloppyModelError(_SINGULAR_MESSAGE))
 
 
 def quantumness_general(Q: np.ndarray, U: np.ndarray):

@@ -88,26 +88,28 @@ def parameters(configs: Sequence[ModelConfig]) -> np.ndarray:
     return np.array([_fields(c) for c in configs], dtype=float).reshape(-1, len(MODEL_FIELDS))
 
 
-def row_errors(params: np.ndarray) -> dict:
-    """The rows of a finite (N, 9) parameter array that ModelConfig rejects,
-    each with the ValueError message it gives."""
-    negative = params[:, [MODEL_FIELDS.index(n) for n in NON_NEGATIVE_FIELDS]] < 0
-    first = negative.argmax(axis=1)
+def row_errors(points: Union[np.ndarray, ModelColumns]) -> dict:
+    """The rows of a finite (N, 9) parameter array, or of ModelColumns,
+    that ModelConfig rejects, each with the ValueError message it gives."""
+    columns = points if isinstance(points, ModelColumns) else ModelColumns(points)
+    negative = np.empty((len(NON_NEGATIVE_FIELDS),) + columns.shape, dtype=bool)
+    for k, name in enumerate(NON_NEGATIVE_FIELDS):
+        negative[k] = getattr(columns, name) < 0
+    negative = negative.reshape(len(NON_NEGATIVE_FIELDS), -1)
+    first = negative.argmax(axis=0)
     return {
         i: _NEGATIVE_MESSAGE.format(NON_NEGATIVE_FIELDS[first[i]])
-        for i in negative.any(axis=1).nonzero()[0].tolist()
+        for i in negative.any(axis=0).nonzero()[0].tolist()
     }
 
 
 class ModelColumns:
     """N configurations as read-only columns: one (N,) array per model
     field, plus gamma, which is not checked here (a row whose gamma is not
-    finite is the caller's error). The closed forms and build_mz_model read
-    it in place of a ModelConfig and evaluate all rows at once.
-
-    ModelColumns.grid holds a grid product in broadcastable form instead
-    (see there); the closed forms read it unedited, build_mz_model does
-    not."""
+    finite is the caller's error), and shape, (N,). The closed forms and
+    build_mz_model read it in place of a ModelConfig and evaluate all rows
+    at once; ModelColumns.grid holds a grid product in broadcastable form
+    instead (see there), which both read unedited."""
 
     def __init__(self, params: np.ndarray):
         columns = np.asarray(params, dtype=float).T.view()
@@ -121,8 +123,8 @@ class ModelColumns:
         k, every other field its base value with size-1 dimensions. An
         expression of the fields broadcasts to the grid's shape, and its
         C-order elements are the grid product's rows in lexicographic
-        order; transcendentals run on the axis values alone."""
-        shape = [1] * len(axes)
+        order; transcendentals run on the axis values alone. No axes: one row."""
+        shape = [1] * max(1, len(axes))
         fields = {name: np.full(shape, getattr(base, name)) for name in MODEL_FIELDS}
         for k, (name, values) in enumerate(axes):
             fields[name] = np.asarray(values, dtype=float).reshape(shape[:k] + [-1] + shape[k + 1:])
@@ -132,10 +134,17 @@ class ModelColumns:
         columns._set((name, fields[name]) for name in MODEL_FIELDS)
         return columns
 
+    def rows(self) -> np.ndarray:
+        """The (N, 9) parameter rows of the columns, a grid's in C order."""
+        fields = np.broadcast_arrays(*(getattr(self, name) for name in MODEL_FIELDS))
+        return np.stack(fields, axis=-1).reshape(-1, len(MODEL_FIELDS))
+
     def _set(self, columns) -> None:
         for name, column in columns:
             setattr(self, name, column)
-        self.gamma = self.alpha + 2.0 * self.lam1
+        self.shape = np.broadcast(*(getattr(self, name) for name in MODEL_FIELDS)).shape
+        with np.errstate(over="ignore"):  # a gamma that overflows is the caller's error
+            self.gamma = self.alpha + 2.0 * self.lam1
         self.gamma.flags.writeable = False
 
 
@@ -184,9 +193,10 @@ def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
 _OMEGA = symplectic_form(2)
 
 
-def _propagate(params: np.ndarray):
-    """(cov, mean, forms, shifts, symplectic) of the output for an (N, 9)
-    parameter array; symplectic is the product of all gates.
+def _propagate(columns: ModelColumns):
+    """(cov, mean, forms, shifts, symplectic) of the output for ModelColumns,
+    rows or a grid; symplectic is the product of all gates. Each gate spans
+    only the axes its parameters read; the outputs are flattened to rows.
 
     The only rotations are the estimated phases, lam1 then lam2, both
     generated by mode 0's number operator, whose quadratic form right after
@@ -194,38 +204,46 @@ def _propagate(params: np.ndarray):
     vacuum through the product so far S_j, it is S_j^T P0 S_j = R^T R, R the
     mode-0 rows of S_j, with linear part R^T mean_0 (no later gate shifts it).
     """
-    total = np.broadcast_to(np.eye(4), (len(params), 4, 4))
-    mean = np.zeros((len(params), 4, 1))  # means are carried as columns
+    total, mean = np.eye(4), np.zeros((4, 1))  # means are carried as columns
     forms, shifts = [], []
-    for gate in build_mz_model(ModelColumns(params)):
+    for gate in build_mz_model(columns):
         S, shift = gate_symplectic(gate, 2)
         total = S @ total
         mean = S @ mean + shift[..., None]
         if isinstance(gate, PhaseRotation):
-            Rt = total[:, :2].transpose(0, 2, 1)
-            forms.append(Rt @ total[:, :2])
-            shifts.append((Rt @ mean[:, :2])[..., 0])
-    cov = total @ total.transpose(0, 2, 1) / 2
+            Rt = np.swapaxes(total[..., :2, :], -1, -2)
+            forms.append(Rt @ total[..., :2, :])
+            shifts.append(Rt @ mean[..., :2, :])
+    lead = columns.shape
+
+    def flat(a: np.ndarray) -> np.ndarray:
+        if a.shape[:-2] != lead:  # on a grid, the lam1 phase's form and shift
+            a = np.broadcast_to(a, lead + a.shape[-2:])
+        return a.reshape((-1,) + a.shape[-2:])
+
+    cov = total @ np.swapaxes(total, -1, -2) / 2
     # not restacked: at 512 points a stack of forms is 128 KiB, the default mmap threshold
-    return cov, mean[..., 0], tuple(forms), tuple(shifts), total
+    forms, shifts = tuple(map(flat, forms)), tuple(flat(u)[..., 0] for u in shifts)
+    return flat(cov), flat(mean)[..., 0], forms, shifts, flat(total)
 
 
 def jacobian_analytic(
-    config: Union[ModelConfig, Sequence[ModelConfig], np.ndarray]
+    config: Union[ModelConfig, Sequence[ModelConfig], np.ndarray, ModelColumns]
 ) -> ModelJet:
     """Exact jet along (lam1, lam2): each phase's generator on the input vacuum.
 
-    Given a sequence of configs, or an (N, 9) parameter array of finite
-    rows, propagates all of them in one pass and returns a stacked jet; a
-    config whose output moments fail validation has its ValueError in
-    jet.state.errors. A single config raises it. Overflow at extreme
-    squeezing surfaces as that error, not as a warning.
+    Given a sequence of configs, an (N, 9) parameter array of finite rows
+    or ModelColumns, propagates all of them in one pass and returns a
+    stacked jet; a config whose output moments fail validation has its
+    ValueError in jet.state.errors. A single config raises it. Overflow at
+    extreme squeezing surfaces as that error, not as a warning.
     """
     single = isinstance(config, ModelConfig)
-    if not isinstance(config, np.ndarray):
+    if not isinstance(config, (np.ndarray, ModelColumns)):
         config = parameters([config] if single else config)
+    columns = config if isinstance(config, ModelColumns) else ModelColumns(config)
     with np.errstate(all="ignore"):
-        cov, mean, forms, shifts, total = _propagate(config)
+        cov, mean, forms, shifts, total = _propagate(columns)
     if single:
         cov, mean, total = cov[0], mean[0], total[0]
         forms, shifts = tuple(f[0] for f in forms), tuple(u[0] for u in shifts)

@@ -3,9 +3,9 @@
 The search layer treats the model as a black box: an objective maps a full
 ModelConfig to a scalar and the scanner maximizes it over a rectangular grid
 of config fields. A scan never builds a ModelConfig per point: its grid is
-one (N, 9) parameter array, evaluated chunk by chunk in one pass on either
-layer. Objectives evaluate on the closed-form reference layer by default
-(fast, and its optima are the documented landmark settings); the
+evaluated on its axis columns (ModelColumns.grid), one pass per sub-grid,
+on either layer. Objectives evaluate on the closed-form reference layer by
+default (fast, and its optima are the documented landmark settings); the
 first-principles numeric layer is available for validation runs. Local
 refinement is a guarded simplex polish that never returns a point worse
 than its starting value. `find_known_configurations` wires both together to
@@ -119,11 +119,14 @@ def _phased(params: np.ndarray) -> np.ndarray:
 
 
 def _worst_over_phase(points, layer: str, matrices=None):
-    """All phases of all points as one minus_R batch on `layer`; a point
-    fails with its first phase's error."""
-    params = points if isinstance(points, np.ndarray) else parameters([points])
+    """All phases of all points as one minus_R batch on `layer`, read off
+    `matrices` where given; a point fails with its first phase's error."""
     n = len(GAMMA_GRID)
-    values, errors = _point_values(_phased(params), Objective("minus_R", layer), matrices)
+    if matrices is None:
+        if not isinstance(points, np.ndarray):
+            points = points.rows() if isinstance(points, ModelColumns) else parameters([points])
+        points = _phased(points)
+    values, errors = _point_values(points, Objective("minus_R", layer), matrices)
     r_max = (-values).reshape(-1, n).max(axis=1)
     worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
     # the lowest phase of a point is written last, so its error stays
@@ -147,15 +150,16 @@ def _point_values(points, objective: Objective, matrices=None):
 
 def _objective_values(points, objective: Objective, matrices=None):
     """The figure of merit at one ModelConfig, or at each row of a finite
-    (N, 9) parameter array: (values, errors), NaN where the point failed,
-    one batch. A row ModelConfig rejects fails with its message (row_errors);
-    it is evaluated with the rest and its value dropped. A non-finite value
+    (N, 9) parameter array or of ModelColumns (rows or a grid): (values,
+    errors), NaN where the point failed, one batch. A row ModelConfig
+    rejects fails with its message (row_errors); it is evaluated with the
+    rest and its value dropped. A non-finite value
     is the point's error. Extreme settings overflow; the error says so, no
     warning is printed. Given `matrices`, the layer's (Q, U, errors) at the
     rows (at their _phased rows for _WorstOverPhase), the values are read
     off them."""
     values, errors = _point_values(points, objective, matrices)
-    if isinstance(points, np.ndarray):
+    if not isinstance(points, ModelConfig):
         errors.update((i, ValueError(m)) for i, m in row_errors(points).items())
     if errors:
         values = np.array(values, dtype=float)
@@ -241,73 +245,73 @@ def error_message(exc: Exception) -> str:
 
 
 # the fewest rows a chunk of a split scan gets (the README's size table): on
-# 2 cores with BLAS on one thread, splitting a minus_R scan in two took an
-# 8192-row numeric scan from 41.9 to 30.2 ms; closed-form splits paid only
-# from 16384 rows, and below 4096 rows the threads cost more than they saved
-# on either layer
+# 2 cores with BLAS on one thread, splitting an 8192-row numeric minus_R scan
+# in two took it from 41.9 to 30.2 ms on rows, and broke even on the grid
+# path on a busier machine; below 4096 rows the threads cost more than they
+# saved on either layer
 _MIN_CHUNK_ROWS = 4096
 
 
-def _chunks(n: int, count: int) -> list[slice]:
-    """Split range(n) into at most `count` contiguous, non-empty slices of
-    near-equal size, none shorter than _MIN_CHUNK_ROWS unless it is the
-    only one."""
-    count = max(1, min(count, n // _MIN_CHUNK_ROWS))
-    size, extra = divmod(n, count)
+def _chunks(spec: SearchSpec, count: int) -> list[tuple[slice, list]]:
+    """Split the spec's grid product into at most `count` sub-grids, each
+    (its contiguous range of rows, its (field, values) axes): the first
+    axis with more than one value is cut into blocks of near-equal size,
+    none shorter than _MIN_CHUNK_ROWS rows unless it is the only one."""
+    axes = [(axis.name, axis.values) for axis in spec.axes]
+    cut = next((k for k, (_, values) in enumerate(axes) if len(values) > 1), None)
+    if cut is None:
+        return [(slice(0, 1), axes)]
+    name, values = axes[cut]
+    stride = math.prod(len(v) for _, v in axes[cut + 1:])  # the rows of one value of the cut
+    count = max(1, min(count, len(values) // -(-_MIN_CHUNK_ROWS // stride)))
+    size, extra = divmod(len(values), count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    return [
+        (slice(a * stride, b * stride), axes[:cut] + [(name, values[a:b])] + axes[cut + 1:])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
-def _grid(spec: SearchSpec) -> np.ndarray:
-    """The grid product of the spec's axes as (N, 9) parameter rows in
-    lexicographic order, every other field at its base value."""
-    size = math.prod(len(axis.values) for axis in spec.axes)
-    params = np.repeat(parameters([spec.base]), size, axis=0)
-    grids = np.meshgrid(*[axis.values for axis in spec.axes], indexing="ij")
-    for axis, grid in zip(spec.axes, grids):
-        params[:, MODEL_FIELDS.index(axis.name)] = grid.ravel()
-    return params
-
-
-def _scan_result(spec: SearchSpec, params, values, errors: dict) -> ScanResult:
-    """The ScanResult of the grid rows `params` from their _objective_values
+def _scan_result(spec: SearchSpec, values, errors: dict) -> ScanResult:
+    """The ScanResult of the spec's grid rows from their _objective_values
     (values, errors)."""
     scored = ~np.isnan(values)
     best = None
     if scored.any():
-        columns = [MODEL_FIELDS.index(axis.name) for axis in spec.axes]
-        ties = (values == values[scored].max()).nonzero()[0].tolist()
-        best = min(ties, key=lambda i: params[i, columns].tolist())
+        ties = (values == values[scored].max()).nonzero()[0]
+        index = np.unravel_index(ties, [len(axis.values) for axis in spec.axes] or [1])
+        points = zip(*([axis.values[k] for k in i.tolist()] for axis, i in zip(spec.axes, index)))
+        best = min(zip(points, ties.tolist()))[1] if spec.axes else 0
     rows = values.tolist()
     for i in errors:
         rows[i] = None
-    messages = {i: error_message(e) for i, e in sorted(errors.items())}  # in row order
+    text = {e: error_message(e) for e in set(errors.values())}  # rows may share an error
+    messages = {i: text[e] for i, e in sorted(errors.items())}  # in row order
     return ScanResult(axes=spec.axes, values=tuple(rows), errors=messages, best=best)
 
 
 def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanResult:
     """Exhaustive scan over the grid product, rows in lexicographic order.
 
-    The grid is one (N, 9) parameter array (_grid): a row ModelConfig
-    would reject carries ModelConfig's message (_objective_values).
-    Pointwise failures are captured in the row's error field instead of
-    aborting the scan. The best row maximizes the value; exact ties go to
-    the numerically smallest value tuple (_scan_result). The rows are split
-    into at most `workers` contiguous chunks of at least _MIN_CHUNK_ROWS
-    rows (a smaller grid is one chunk), each evaluated as one batch; the
-    rows do not depend on the split. When workers > 1 the chunks run on a
-    thread pool of at most os.cpu_count() threads, even a single chunk: a
-    scan that asks for workers evaluates off the calling thread at every
-    size, which benchmarks/selftest.py checks (worker-thread spans under
-    grid_scan on scan_closed_form).
+    A row ModelConfig would reject carries ModelConfig's message
+    (_objective_values). Pointwise failures are captured in the row's error
+    field instead of aborting the scan. The best row maximizes the value;
+    exact ties go to the numerically smallest value tuple (_scan_result).
+    The grid is split into at most `workers` sub-grids of contiguous rows,
+    at least _MIN_CHUNK_ROWS each (_chunks), each evaluated as one batch
+    on its axis columns (ModelColumns.grid); the rows do not depend on the
+    split. When workers > 1 the chunks run on a thread pool of at most
+    os.cpu_count() threads, even a single chunk: a scan that asks for
+    workers evaluates off the calling thread at every size, which
+    benchmarks/selftest.py checks (worker-thread spans under grid_scan on
+    scan_closed_form).
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    params = _grid(spec)
-    chunks = _chunks(len(params), workers)
+    chunks = _chunks(spec, workers)
 
-    def _eval(rows: slice) -> tuple[np.ndarray, dict]:
-        return _objective_values(params[rows], objective)
+    def _eval(chunk: tuple[slice, list]) -> tuple[np.ndarray, dict]:
+        return _objective_values(ModelColumns.grid(spec.base, chunk[1]), objective)
 
     if workers == 1:
         parts = [_eval(chunk) for chunk in chunks]
@@ -318,8 +322,8 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_eval, chunks))
     values = np.concatenate([part for part, _ in parts])
-    errors = {c.start + k: e for c, (_, part) in zip(chunks, parts) for k, e in part.items()}
-    return _scan_result(spec, params, values, errors)
+    errors = {c.start + k: e for (c, _), (_, part) in zip(chunks, parts) for k, e in part.items()}
+    return _scan_result(spec, values, errors)
 
 
 def best_point(spec: SearchSpec, objective: Objective, scan: ScanResult) -> dict:
@@ -601,14 +605,12 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
             Axis("alpha", GAMMA_GRID),
         ),
     )
-    grid = _grid(spec)
+    axes = [(axis.name, axis.values) for axis in spec.axes]
+    columns = ModelColumns.grid(base, axes)
     with np.errstate(all="ignore"):
-        matrices = closed_forms.layer_matrices(
-            ModelColumns.grid(base, [(axis.name, axis.values) for axis in spec.axes]),
-            "closed_form",
-        )
+        matrices = closed_forms.layer_matrices(columns, "closed_form")
     q22 = Objective(kind="Q22")
-    scan = _scan_result(spec, grid, *_objective_values(grid, q22, matrices))
+    scan = _scan_result(spec, *_objective_values(columns, q22, matrices))
     top = refine_local(spec, q22, best_point(spec, q22, scan), 400)
     settings = [(spec, q22, top.point)]
 
@@ -616,8 +618,8 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     # phase, since a setting is only useful if no phase choice spoils it
     spec = SearchSpec(base=base, axes=spec.axes[:2])
     worst_case = _WorstOverPhase(kind="minus_R")
-    params = _grid(spec)
-    scan = _scan_result(spec, params, *_objective_values(params, worst_case, matrices))
+    columns = ModelColumns.grid(base, axes[:2])
+    scan = _scan_result(spec, *_objective_values(columns, worst_case, matrices))
     if scan.best is not None:
         free = refine_local(
             spec, worst_case, scan.point(scan.best), 200, start_value=scan.values[scan.best]

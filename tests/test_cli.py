@@ -696,16 +696,16 @@ class TestSinglePropagation:
         calls = []
         original = model._propagate
 
-        def counting(configs):
-            calls.append(len(configs))
-            return original(configs)
+        def counting(columns):
+            calls.append(columns.shape)
+            return original(columns)
 
         monkeypatch.setattr(model, "_propagate", counting)
         cfg = write_config(tmp_path, {"model": model_dict(r=0.5, x=0.5, theta=PI / 2)})
         code, out, _ = run_cli(capsys, ["eval", "--config", cfg])
         assert code in (0, 2)
         assert json.loads(out)["physicality"]["classification"] == "pure"
-        assert calls == [1]
+        assert calls == [(1,)]
 
     def test_overflowing_scan_point_is_a_row(self, tmp_path, capsys):
         cfg = write_config(

@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzsloppy import cli, optimize
 from mzsloppy.exceptions import SloppyModelError
@@ -36,6 +36,18 @@ from mzsloppy.optimize import (
 
 PI = math.pi
 HALF_GRID = tuple(i * PI / 8 for i in range(9))  # [0, pi] inclusive
+
+
+def grid_rows(spec):
+    """The grid product of the spec's axes as (N, 9) parameter rows in
+    lexicographic order, every other field at its base value: the rows a
+    scan's axis columns stand for."""
+    size = math.prod(len(axis.values) for axis in spec.axes)
+    params = np.repeat(parameters([spec.base]), size, axis=0)
+    grids = np.meshgrid(*[axis.values for axis in spec.axes], indexing="ij")
+    for axis, grid in zip(spec.axes, grids):
+        params[:, MODEL_FIELDS.index(axis.name)] = grid.ravel()
+    return params
 
 
 def q22_spec(r=0.5, x=0.5, q=0.0):
@@ -647,7 +659,7 @@ def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
     # grid_scan imports the pool class from concurrent.futures where it runs one
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 1)  # 64 rows, 64 chunks
+    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 1)  # 64 rows, a chunk per theta
     spec = SearchSpec(
         base=ModelConfig(r=0.5, x=0.5),
         axes=(Axis("theta", tuple(0.1 * k for k in range(8))),
@@ -665,9 +677,9 @@ def test_scan_chunks_are_no_smaller_than_the_floor(layer, monkeypatch):
     splits = []
     chunks = optimize._chunks
 
-    def recorded_chunks(n, count):
-        slices = chunks(n, count)
-        splits.append([c.stop - c.start for c in slices])
+    def recorded_chunks(spec, count):
+        slices = chunks(spec, count)
+        splits.append([rows.stop - rows.start for rows, _ in slices])
         return slices
 
     monkeypatch.setattr(optimize, "_chunks", recorded_chunks)
@@ -679,6 +691,38 @@ def test_scan_chunks_are_no_smaller_than_the_floor(layer, monkeypatch):
         results = [repr(grid_scan(spec, obj, workers=w)) for w in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
         assert splits[1] == sizes  # the split of workers=2
+
+
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
+def test_split_scan_cuts_its_first_axis_with_more_than_one_value(layer, monkeypatch):
+    # q has one value, so theta is cut: 7 values of 5 rows each, in blocks of
+    # at least 8 rows; x = -1 is rejected, x = 0 singular, x = 400 overflows
+    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 8)
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.4, beta=0.3, lam1=0.2),
+                      axes=(Axis("q", (0.4,)), Axis("theta", tuple(0.3 * k for k in range(7))),
+                            Axis("x", (-1.0, 0.0, 0.7, 400.0, 1.2))))
+    splits = [[(rows.start, rows.stop) for rows, _ in optimize._chunks(spec, w)] for w in (1, 2, 3)]
+    assert splits == [[(0, 35)], [(0, 20), (20, 35)], [(0, 15), (15, 25), (25, 35)]]
+    objective = Objective(kind="minus_R", layer=layer)
+    scans = [grid_scan(spec, objective, workers=w) for w in (1, 2, 3)]
+    assert repr(scans[0]) == repr(scans[1]) == repr(scans[2])
+    values, errors = _objective_values(grid_rows(spec), objective)
+    assert scans[0].values == tuple(None if i in errors else v for i, v in enumerate(values))
+    assert scans[0].errors == {i: error_message(e) for i, e in sorted(errors.items())}
+    assert len(scans[0].errors) == 21  # three of the five x values fail on every theta
+
+
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
+def test_every_row_of_a_singular_slice_carries_its_message(layer):
+    from mzsloppy.metrology import _SINGULAR_MESSAGE
+
+    spec = SearchSpec(base=ModelConfig(r=0.5, q=0.4, beta=0.3, lam1=0.2, lam2=0.1),
+                      axes=(Axis("theta", (0.2, 1.1, 2.3)), Axis("x", (0.0, 0.4, 0.8)),
+                            Axis("phi", (0.1, 0.7))))
+    scan = grid_scan(spec, Objective(kind="minus_R", layer=layer))
+    singular = [i for i in range(len(scan.values)) if scan.point(i)["x"] == 0.0]
+    assert len(singular) == 6 and list(scan.errors) == singular
+    assert all(scan.errors[i] == _SINGULAR_MESSAGE and scan.values[i] is None for i in singular)
 
 
 def test_zero_intermediate_squeezing_rows_are_errors_up_to_large_squeezing():
@@ -983,8 +1027,8 @@ def test_find_known_grid_is_the_phased_worst_case_grid():
 
     base = ModelConfig(r=0.7, x=0.4, q=0.5)
     angles = (Axis("theta", THETA_GRID), Axis("phi", PHI_GRID))
-    grid = optimize._grid(SearchSpec(base=base, axes=(*angles, Axis("alpha", GAMMA_GRID))))
-    phased = optimize._phased(optimize._grid(SearchSpec(base=base, axes=angles)))
+    grid = grid_rows(SearchSpec(base=base, axes=(*angles, Axis("alpha", GAMMA_GRID))))
+    phased = optimize._phased(grid_rows(SearchSpec(base=base, axes=angles)))
     assert grid.shape == phased.shape == (640, len(MODEL_FIELDS))
     assert grid.tobytes() == phased.tobytes()
 
@@ -1036,27 +1080,34 @@ def grid_values(name):
 
 @st.composite
 def axis_grids(draw):
+    """A spec of zero to three axes over any fields, one to five values
+    each, repeats allowed."""
     base = ModelConfig(**{name: draw(grid_values(name)) for name in MODEL_FIELDS})
-    names = draw(st.lists(st.sampled_from(MODEL_FIELDS), min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(st.sampled_from(MODEL_FIELDS), max_size=3, unique=True))
     axes = tuple(Axis(n, draw(st.lists(grid_values(n), min_size=1, max_size=5))) for n in names)
     return SearchSpec(base=base, axes=axes)
 
 
 @settings(deadline=None, max_examples=150)
 @given(spec=axis_grids())
+@example(spec=SearchSpec(base=ModelConfig(r=400.0, x=0.5), axes=()))
+@example(spec=SearchSpec(base=ModelConfig(x=0.5, q=0.3),
+                         axes=(Axis("lam2", (0.3, 0.3)), Axis("r", (0.5, 400.0, 0.5)))))
 def test_axis_column_grid_is_the_grid_rows(spec):
     from mzsloppy import closed_forms
     from mzsloppy.model import ModelColumns
 
-    with np.errstate(all="ignore"):  # gamma overflows here as in the (N, 9) columns
-        columns = ModelColumns.grid(spec.base, [(axis.name, axis.values) for axis in spec.axes])
-        q, u, errors = closed_forms.layer_matrices(columns, "closed_form")
-        q_rows, u_rows, row_errors_ = closed_forms.layer_matrices(optimize._grid(spec), "closed_form")
-    assert q.shape == q_rows.shape and q.tobytes() == q_rows.tobytes()
-    assert u.shape == u_rows.shape and u.tobytes() == u_rows.tobytes()
-    assert [(k, type(e), str(e)) for k, e in errors.items()] == [
-        (k, type(e), str(e)) for k, e in row_errors_.items()
-    ]
+    columns = ModelColumns.grid(spec.base, [(axis.name, axis.values) for axis in spec.axes])
+    assert columns.shape == (tuple(len(axis.values) for axis in spec.axes) or (1,))
+    for layer in OBJECTIVE_LAYERS:
+        with np.errstate(all="ignore"):  # gamma overflows here as in the (N, 9) columns
+            *grid, errors = closed_forms.layer_matrices(columns, layer, True)
+            *rows, row_errors_ = closed_forms.layer_matrices(grid_rows(spec), layer, True)
+        for a, b in zip(grid, rows):  # Q, U and det Q
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [(k, type(e), str(e)) for k, e in errors.items()] == [
+            (k, type(e), str(e)) for k, e in row_errors_.items()
+        ]
 
 
 # -- the merged flatness batch is each setting's degenerate_axes ---------------
@@ -1074,7 +1125,7 @@ def find_known_four_passes(r, x, q):
     spec = SearchSpec(base=base, axes=(Axis("theta", optimize.THETA_GRID),
                                        Axis("phi", optimize.PHI_GRID),
                                        Axis("alpha", optimize.GAMMA_GRID)))
-    grid = optimize._grid(spec)
+    grid = grid_rows(spec)
     with np.errstate(all="ignore"):
         matrices = closed_forms.layer_matrices(grid, "closed_form")
 
@@ -1090,7 +1141,7 @@ def find_known_four_passes(r, x, q):
 
     settings = []
     objective = Objective(kind="Q22")
-    scan = optimize._scan_result(spec, grid, *_objective_values(grid, objective, matrices))
+    scan = optimize._scan_result(spec, *_objective_values(grid, objective, matrices))
     point, refined, maximum = polish(spec, objective, best_point(spec, objective, scan),
                                      closed_forms.MAXIMUM_CONFIGURATION, 400)
     value_ok = abs(refined.value - lm["q22_max"]) <= optimize.VALUE_MATCH_RTOL * abs(lm["q22_max"])
@@ -1105,8 +1156,8 @@ def find_known_four_passes(r, x, q):
     )
     spec = SearchSpec(base=base, axes=spec.axes[:2])
     objective = _WorstOverPhase(kind="minus_R")
-    params = optimize._grid(spec)
-    scan = optimize._scan_result(spec, params, *_objective_values(params, objective, matrices))
+    params = grid_rows(spec)
+    scan = optimize._scan_result(spec, *_objective_values(params, objective, matrices))
     if scan.best is None:
         optimal = {"label": "undefined", "reason": scan.errors[0]}
     else:
