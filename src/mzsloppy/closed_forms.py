@@ -5,14 +5,14 @@ the reference analytic results for this interferometer (information-matrix
 entries, curvature entry, landmark values, ratio identities, displacement
 coefficients f22/f12). They are kept as written, typos and all: no symbolic
 simplification, no re-derivation, no reconciliation with the numeric layer.
-Each expression takes `inp`, one ModelConfig or N configurations as
-ModelColumns (or its grid form, to which each expression broadcasts), and
-reads the squeezer phase and lam1 only through
+Each expression takes `inp`, one ModelConfig or configurations as
+ModelColumns, to whose shape it broadcasts, and reads the squeezer phase
+and lam1 only through
 inp.gamma = alpha + 2*lam1; lam2 enters only the displacement term of
 u12_closed. The one edit to the transcription is the prefix of its
 functions: `xp` is math for a ModelConfig, which gives a float and raises
-on overflow, and numpy for columns, which gives an (N,) array with inf or
-NaN where a row overflows (the caller checks). One point stays on math,
+on overflow, and numpy for columns, which gives an array with inf or NaN
+where a row overflows (the caller checks). One point stays on math,
 which costs microseconds where a numpy pass costs hundreds.
 `layer_matrices` is the one evaluator of (Q, U, errors) on either layer,
 for the search and for `compare`, which reads each layer as one stack.
@@ -30,9 +30,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import metrology
-from .model import GAMMA_MESSAGE, ModelColumns, ModelConfig, jacobian_analytic, parameters
+from .model import GAMMA_MESSAGE, ModelColumns, ModelConfig, jacobian_analytic
 
-# one configuration, evaluated with math, or N of them as columns, with numpy
+# one configuration, evaluated with math, or columns of them, with numpy
 Inputs = Union[ModelConfig, ModelColumns]
 
 
@@ -178,9 +178,8 @@ def landmarks(r: float, x: float, q: float = 0.0) -> dict[str, float]:
 
 def closed_q_matrix(inp: Inputs) -> np.ndarray:
     """Reference-layer 2x2 information matrix (displacement terms included);
-    (N, 2, 2) for N configurations as columns, (*shape, 2, 2) for a grid
-    form (ModelColumns.grid), whose entries each span only the axes they
-    read until broadcast here."""
+    (*shape, 2, 2) for ModelColumns, whose entries each span only the axes
+    they read until broadcast here."""
     q11, q22, q12 = q11_closed(inp), q22_closed(inp), q12_closed(inp)
     q = np.empty((2, 2) + np.broadcast(q11, q22, q12).shape)
     q[0, 0], q[0, 1], q[1, 0], q[1, 1] = q11, q12, q12, q22
@@ -206,17 +205,15 @@ def _point_matrices(config: ModelConfig, determinant: bool):
     return (q, u, np.linalg.det(q), errors) if determinant else (q, u, errors)
 
 
-def layer_matrices(points, layer: str, determinant: bool = False):
+def layer_matrices(points: Inputs, layer: str, determinant: bool = False):
     """Stacked (Q, U, errors) on a layer, or (Q, U, det Q, errors) with
-    determinant, for one ModelConfig (a stack of one), an (N, 9) parameter
-    array of finite rows, or ModelColumns: rows, or a grid form
-    ModelColumns.grid, whose stack is its grid product's rows in
-    lexicographic order, bit for bit those of its (N, 9) array.
+    determinant, for one ModelConfig (a stack of one) or ModelColumns,
+    whose stack is its rows in C order.
 
     The numeric layer propagates all points in one pass; its det Q is the
     kernel's, the closed-form layer's the det of its Q. The closed-form
     layer evaluates one ModelConfig with math (_point_matrices), where an
-    error of math is a NaN, and an array as columns with numpy in one pass.
+    error of math is a NaN, and columns with numpy in one pass.
     On either layer a point with no error yet whose matrices are not finite
     fails with the overflow math raises, or on the closed-form layer, where
     its gamma is not finite, with the ModelConfig.gamma error.
@@ -228,15 +225,14 @@ def layer_matrices(points, layer: str, determinant: bool = False):
     elif isinstance(points, ModelConfig):
         return _point_matrices(points, determinant)
     else:
-        columns = points if isinstance(points, ModelColumns) else ModelColumns(points)
-        q, u12 = closed_q_matrix(columns), u12_closed(columns)
+        q, u12 = closed_q_matrix(points), u12_closed(points)
         # (2, 2, *shape) underneath, like q: the isfinite reductions below run faster on it
         u = np.zeros((2, 2) + np.broadcast(q[..., 0, 0], u12).shape)
         u[0, 1], u[1, 0] = u12, -u12
         u = np.moveaxis(u, (0, 1), (-2, -1))
-        if q.shape != u.shape:  # a grid form with a lam2 axis, which u12 alone reads
+        if q.shape != u.shape:  # columns whose lam2 spans an axis, which u12 alone reads
             q = np.array(np.broadcast_to(q, u.shape))
-        gamma = np.broadcast_to(columns.gamma, u.shape[:-2]).reshape(-1)
+        gamma = np.broadcast_to(points.gamma, u.shape[:-2]).reshape(-1)
         q, u = q.reshape(-1, 2, 2), u.reshape(-1, 2, 2)
         det, errors = [np.linalg.det(q)] if determinant else [], {}
     finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
@@ -302,12 +298,12 @@ def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
     the Q entries (constant offset) and on the displacement term of U12.
     """
     single = isinstance(config, ModelConfig)
-    params = parameters([config] if single else config)
-    Q, U, errors = layer_matrices(params, "numeric")
-    Qc, Uc, closed_errors = layer_matrices(params, "closed_form")
+    columns = ModelColumns.from_configs([config] if single else config)
+    Q, U, errors = layer_matrices(columns, "numeric")
+    Qc, Uc, closed_errors = layer_matrices(columns, "closed_form")
     Q, U, Qc, Uc = Q.tolist(), U.tolist(), Qc.tolist(), Uc.tolist()  # numpy scalars are slow
     reports = []
-    for i in range(len(params)):
+    for i in range(len(Q)):
         if i in errors or i in closed_errors:
             raise errors[i] if i in errors else closed_errors[i]
         records = (

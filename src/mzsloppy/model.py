@@ -9,9 +9,9 @@ configuration. Derivative order is always (lam1, lam2).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import operator
-from typing import NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -79,19 +79,9 @@ class ModelConfig:
 
 MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig))
 
-_fields = operator.attrgetter(*MODEL_FIELDS)
-
-
-def parameters(configs: Sequence[ModelConfig]) -> np.ndarray:
-    """The configs as an (N, 9) array, one row each, columns in MODEL_FIELDS
-    order."""
-    return np.array([_fields(c) for c in configs], dtype=float).reshape(-1, len(MODEL_FIELDS))
-
-
-def row_errors(points: Union[np.ndarray, ModelColumns]) -> dict:
-    """The rows of a finite (N, 9) parameter array, or of ModelColumns,
-    that ModelConfig rejects, each with the ValueError message it gives."""
-    columns = points if isinstance(points, ModelColumns) else ModelColumns(points)
+def row_errors(columns: ModelColumns) -> dict:
+    """The rows of ModelColumns that ModelConfig rejects, each with the
+    ValueError message it gives."""
     negative = np.empty((len(NON_NEGATIVE_FIELDS),) + columns.shape, dtype=bool)
     for k, name in enumerate(NON_NEGATIVE_FIELDS):
         negative[k] = getattr(columns, name) < 0
@@ -104,48 +94,56 @@ def row_errors(points: Union[np.ndarray, ModelColumns]) -> dict:
 
 
 class ModelColumns:
-    """N configurations as read-only columns: one (N,) array per model
-    field, plus gamma, which is not checked here (a row whose gamma is not
-    finite is the caller's error), and shape, (N,). The closed forms and
-    build_mz_model read it in place of a ModelConfig and evaluate all rows
-    at once; ModelColumns.grid holds a grid product in broadcastable form
-    instead (see there), which both read unedited."""
+    """Configurations as read-only columns by field name, each an array of at
+    least one dimension, all broadcasting together to shape, and gamma,
+    which is not checked here (a row whose gamma is not finite is the
+    caller's error). The rows are the C-order elements of shape. The closed
+    forms and build_mz_model read it in place of a ModelConfig and evaluate
+    all rows at once, each expression on only the axes its fields span."""
 
-    def __init__(self, params: np.ndarray):
-        columns = np.asarray(params, dtype=float).T.view()
-        columns.flags.writeable = False
-        self._set(zip(MODEL_FIELDS, columns))
+    def __init__(self, fields: Mapping[str, np.typing.ArrayLike]):
+        for name in MODEL_FIELDS:
+            # at least 1-d: numpy makes 0-d results scalars, whose powers round differently
+            column = np.array(fields[name], dtype=float, ndmin=1)
+            column.setflags(write=False)
+            setattr(self, name, column)
+        self.shape = np.broadcast(*(getattr(self, name) for name in MODEL_FIELDS)).shape
+
+    @functools.cached_property
+    def gamma(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a gamma that overflows is the caller's error
+            gamma = self.alpha + 2.0 * self.lam1
+        gamma.setflags(write=False)
+        return gamma
+
+    @classmethod
+    def from_configs(cls, configs: Sequence[ModelConfig]) -> ModelColumns:
+        """The configs as (N,) columns, one row each, in order."""
+        return cls({name: [getattr(c, name) for c in configs] for name in MODEL_FIELDS})
 
     @classmethod
     def grid(cls, base: ModelConfig, axes: Sequence[tuple[str, Sequence[float]]]) -> ModelColumns:
         """The grid product of `axes`, (field, values) pairs naming distinct
         fields, at `base`: axis k's field holds its values along dimension
-        k, every other field its base value with size-1 dimensions. An
-        expression of the fields broadcasts to the grid's shape, and its
-        C-order elements are the grid product's rows in lexicographic
-        order; transcendentals run on the axis values alone. No axes: one row."""
+        k, every other field its base value with size-1 dimensions. The
+        rows are the grid product's in lexicographic order; transcendentals
+        run on the axis values alone. No axes: one row."""
         shape = [1] * max(1, len(axes))
         fields = {name: np.full(shape, getattr(base, name)) for name in MODEL_FIELDS}
         for k, (name, values) in enumerate(axes):
-            fields[name] = np.asarray(values, dtype=float).reshape(shape[:k] + [-1] + shape[k + 1:])
-        for column in fields.values():
-            column.flags.writeable = False
-        columns = cls.__new__(cls)
-        columns._set((name, fields[name]) for name in MODEL_FIELDS)
-        return columns
+            fields[name] = np.reshape(values, shape[:k] + [-1] + shape[k + 1:])
+        return cls(fields)
 
-    def rows(self) -> np.ndarray:
-        """The (N, 9) parameter rows of the columns, a grid's in C order."""
-        fields = np.broadcast_arrays(*(getattr(self, name) for name in MODEL_FIELDS))
-        return np.stack(fields, axis=-1).reshape(-1, len(MODEL_FIELDS))
-
-    def _set(self, columns) -> None:
-        for name, column in columns:
-            setattr(self, name, column)
-        self.shape = np.broadcast(*(getattr(self, name) for name in MODEL_FIELDS)).shape
-        with np.errstate(over="ignore"):  # a gamma that overflows is the caller's error
-            self.gamma = self.alpha + 2.0 * self.lam1
-        self.gamma.flags.writeable = False
+    @classmethod
+    def concatenate(cls, parts: Sequence[ModelColumns]) -> ModelColumns:
+        """The rows of `parts`, in order, as (N,) columns."""
+        bounds = np.cumsum([0] + [math.prod(part.shape) for part in parts]).tolist()
+        fields = {}
+        for name in MODEL_FIELDS:
+            fields[name] = column = np.empty(bounds[-1])
+            for part, a, b in zip(parts, bounds, bounds[1:]):
+                column[a:b].reshape(part.shape)[...] = getattr(part, name)
+        return cls(fields)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,8 +175,8 @@ class ModelJet:
 
 def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
     """Gate sequence on two modes; inputs are vacuum + vacuum. Reads the
-    fields of one ModelConfig, or of N configurations as ModelColumns, which
-    gives gates whose parameters are (N,) arrays."""
+    fields of one ModelConfig, or of configurations as ModelColumns, which
+    gives gates whose parameters are arrays."""
     return [
         Squeezer(mode=0, magnitude=inp.r, angle=0.0),
         Squeezer(mode=1, magnitude=inp.r, angle=0.0),
@@ -194,9 +192,9 @@ _OMEGA = symplectic_form(2)
 
 
 def _propagate(columns: ModelColumns):
-    """(cov, mean, forms, shifts, symplectic) of the output for ModelColumns,
-    rows or a grid; symplectic is the product of all gates. Each gate spans
-    only the axes its parameters read; the outputs are flattened to rows.
+    """(cov, mean, forms, shifts, symplectic) of the output for ModelColumns;
+    symplectic is the product of all gates. Each gate spans only the axes
+    its parameters read; the outputs are flattened to rows.
 
     The only rotations are the estimated phases, lam1 then lam2, both
     generated by mode 0's number operator, whose quadratic form right after
@@ -227,23 +225,20 @@ def _propagate(columns: ModelColumns):
     return flat(cov), flat(mean)[..., 0], forms, shifts, flat(total)
 
 
-def jacobian_analytic(
-    config: Union[ModelConfig, Sequence[ModelConfig], np.ndarray, ModelColumns]
-) -> ModelJet:
+def jacobian_analytic(config: Union[ModelConfig, Sequence[ModelConfig], ModelColumns]) -> ModelJet:
     """Exact jet along (lam1, lam2): each phase's generator on the input vacuum.
 
-    Given a sequence of configs, an (N, 9) parameter array of finite rows
-    or ModelColumns, propagates all of them in one pass and returns a
-    stacked jet; a config whose output moments fail validation has its
-    ValueError in jet.state.errors. A single config raises it. Overflow at
-    extreme squeezing surfaces as that error, not as a warning.
+    Given a sequence of configs or ModelColumns, propagates all of them in
+    one pass and returns a stacked jet; a config whose output moments fail
+    validation has its ValueError in jet.state.errors. A single config
+    raises it. Overflow at extreme squeezing surfaces as that error, not as
+    a warning.
     """
     single = isinstance(config, ModelConfig)
-    if not isinstance(config, (np.ndarray, ModelColumns)):
-        config = parameters([config] if single else config)
-    columns = config if isinstance(config, ModelColumns) else ModelColumns(config)
+    if not isinstance(config, ModelColumns):
+        config = ModelColumns.from_configs([config] if single else config)
     with np.errstate(all="ignore"):
-        cov, mean, forms, shifts, total = _propagate(columns)
+        cov, mean, forms, shifts, total = _propagate(config)
     if single:
         cov, mean, total = cov[0], mean[0], total[0]
         forms, shifts = tuple(f[0] for f in forms), tuple(u[0] for u in shifts)

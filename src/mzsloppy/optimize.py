@@ -25,7 +25,7 @@ import numpy as np
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
 from .gaussian import unstack
-from .model import MODEL_FIELDS, ModelColumns, ModelConfig, parameters, row_errors
+from .model import MODEL_FIELDS, ModelColumns, ModelConfig, row_errors
 
 OBJECTIVE_KINDS = ("Q11", "Q22", "detQ", "minus_R", "weighted_CQ_inverse")
 OBJECTIVE_LAYERS = ("closed_form", "numeric")
@@ -86,7 +86,6 @@ class _WorstOverPhase(Objective):
 THETA_GRID = tuple(i * math.pi / 8 for i in range(8))
 PHI_GRID = tuple(i * math.pi / 8 for i in range(5))
 GAMMA_GRID = tuple(i * math.pi / 8 for i in range(16))
-_ALPHA, _LAM1 = MODEL_FIELDS.index("alpha"), MODEL_FIELDS.index("lam1")
 
 
 def _kind_values(points, objective: Objective, matrices=None):
@@ -109,13 +108,13 @@ def _kind_values(points, objective: Objective, matrices=None):
     return 1.0 / bounds.c_q, {**zero, **crb_errors, **errors}
 
 
-def _phased(params: np.ndarray) -> np.ndarray:
-    """Each parameter row at every phase of GAMMA_GRID (alpha = gamma,
-    lam1 = 0), a row's phases consecutive."""
-    phased = np.repeat(params, len(GAMMA_GRID), axis=0)
-    phased[:, _ALPHA] = np.tile(GAMMA_GRID, len(params))
-    phased[:, _LAM1] = 0.0
-    return phased
+def _phased(points: ModelConfig | ModelColumns) -> ModelColumns:
+    """The points at every phase of GAMMA_GRID (alpha = gamma, lam1 = 0) on
+    a trailing axis, so that a point's phases are consecutive rows."""
+    fields = {name: np.asarray(getattr(points, name))[..., None] for name in MODEL_FIELDS}
+    lead = np.broadcast(*fields.values()).shape  # the zeros keep every axis, alpha's and lam1's too
+    fields.update(alpha=GAMMA_GRID, lam1=np.zeros(lead))
+    return ModelColumns(fields)
 
 
 def _worst_over_phase(points, layer: str, matrices=None):
@@ -123,8 +122,6 @@ def _worst_over_phase(points, layer: str, matrices=None):
     `matrices` where given; a point fails with its first phase's error."""
     n = len(GAMMA_GRID)
     if matrices is None:
-        if not isinstance(points, np.ndarray):
-            points = points.rows() if isinstance(points, ModelColumns) else parameters([points])
         points = _phased(points)
     values, errors = _point_values(points, Objective("minus_R", layer), matrices)
     r_max = (-values).reshape(-1, n).max(axis=1)
@@ -149,12 +146,11 @@ def _point_values(points, objective: Objective, matrices=None):
 
 
 def _objective_values(points, objective: Objective, matrices=None):
-    """The figure of merit at one ModelConfig, or at each row of a finite
-    (N, 9) parameter array or of ModelColumns (rows or a grid): (values,
-    errors), NaN where the point failed, one batch. A row ModelConfig
-    rejects fails with its message (row_errors); it is evaluated with the
-    rest and its value dropped. A non-finite value
-    is the point's error. Extreme settings overflow; the error says so, no
+    """The figure of merit at one ModelConfig, or at each row of
+    ModelColumns: (values, errors), NaN where the point failed, one batch.
+    A row ModelConfig rejects fails with its message (row_errors); it is
+    evaluated with the rest and its value dropped. A non-finite value is
+    the point's error. Extreme settings overflow; the error says so, no
     warning is printed. Given `matrices`, the layer's (Q, U, errors) at the
     rows (at their _phased rows for _WorstOverPhase), the values are read
     off them."""
@@ -227,10 +223,7 @@ class ScanResult:
 
 
 def _point_config(spec: SearchSpec, values: tuple[float, ...]) -> ModelConfig:
-    fields = [getattr(spec.base, name) for name in MODEL_FIELDS]
-    for axis, v in zip(spec.axes, values):
-        fields[MODEL_FIELDS.index(axis.name)] = v
-    return ModelConfig(*fields)
+    return dataclasses.replace(spec.base, **{axis.name: v for axis, v in zip(spec.axes, values)})
 
 
 def error_message(exc: Exception) -> str:
@@ -482,31 +475,37 @@ def fold_angles(point: dict) -> dict:
     return folded
 
 
-def _flatness_probes(spec: SearchSpec, anchor: dict) -> list[np.ndarray]:
-    """degenerate_axes' probe slices, two per axis in axis order: all the
-    axis's values on the anchor's slice, then on the one shifted by 0.4 on
-    every other axis."""
-    slices = []
+_OFFSETS = (0.0, 0.4)  # the other axes' shift off the anchor, on each axis's two flatness slices
+
+
+def _slice_bounds(spec: SearchSpec) -> list[int]:
+    """Where each flatness slice starts among the probes, and where the last ends."""
+    return np.cumsum([0] + [len(axis.values) for axis in spec.axes for _ in _OFFSETS]).tolist()
+
+
+def _flatness_probes(spec: SearchSpec, anchor: dict) -> ModelColumns:
+    """degenerate_axes' probes as (N,) columns, two slices per axis in axis
+    order: all the axis's values on the anchor's slice, then on the one
+    shifted by 0.4 on every other axis."""
+    bounds = _slice_bounds(spec)
+    slices = [(axis, offset) for axis in spec.axes for offset in _OFFSETS]
+    fields = {name: getattr(spec.base, name) for name in MODEL_FIELDS}
     for axis in spec.axes:
-        for offset in (0.0, 0.4):
-            probes = np.repeat(parameters([spec.base]), len(axis.values), axis=0)
-            for other in spec.axes:
-                if other.name != axis.name:
-                    probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
-            probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
-            slices.append(probes)
-    return slices
+        fields[axis.name] = column = np.empty(bounds[-1])
+        for (probed, offset), a, b in zip(slices, bounds, bounds[1:]):
+            column[a:b] = axis.values if probed is axis else float(anchor[axis.name]) + offset
+    return ModelColumns(fields)
 
 
-def _flat_axes(spec: SearchSpec, slices: list[np.ndarray], values: np.ndarray) -> list[str]:
-    """The axes flat on both their slices (_flatness_probes), given the
-    objective's values on the slices concatenated."""
-    parts = np.split(values, np.cumsum([len(probes) for probes in slices])[:-1])
+def _flat_axes(spec: SearchSpec, values: np.ndarray) -> list[str]:
+    """The axes flat on both their slices, given the objective's values on
+    the spec's _flatness_probes."""
+    bounds = _slice_bounds(spec)
 
     def constant(part: np.ndarray) -> bool:  # a failed probe's NaN fails the bound
         return bool(part.max() - part.min() <= 1e-9 * max(1.0, np.abs(part).max()))
 
-    flat = [constant(part) for part in parts]
+    flat = [constant(values[a:b]) for a, b in zip(bounds, bounds[1:])]
     return [axis.name for k, axis in enumerate(spec.axes) if flat[2 * k] and flat[2 * k + 1]]
 
 
@@ -522,11 +521,10 @@ def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> lis
     find_known_configurations reads the same flags off one batch that
     holds both of its settings' probes (_degenerate_axes_together).
     """
-    slices = _flatness_probes(spec, anchor)
-    if not slices:
+    if not spec.axes:
         return []
-    values, _ = _objective_values(np.concatenate(slices), objective)
-    return _flat_axes(spec, slices, values)
+    values, _ = _objective_values(_flatness_probes(spec, anchor), objective)
+    return _flat_axes(spec, values)
 
 
 def _degenerate_axes_together(settings: list) -> list[list[str]]:
@@ -535,19 +533,18 @@ def _degenerate_axes_together(settings: list) -> list[list[str]]:
     pass over all their probes (the _phased probes for _WorstOverPhase):
     each objective reads its own slice of the pass."""
     probes = [_flatness_probes(spec, anchor) for spec, _, anchor in settings]
-    points = [np.concatenate(slices) for slices in probes]
-    rows = [
+    batches = [
         _phased(p) if isinstance(objective, _WorstOverPhase) else p
-        for p, (_, objective, _) in zip(points, settings)
+        for p, (_, objective, _) in zip(probes, settings)
     ]
     with np.errstate(all="ignore"):
-        q, u, errors = closed_forms.layer_matrices(np.concatenate(rows), "closed_form")
+        q, u, errors = closed_forms.layer_matrices(ModelColumns.concatenate(batches), "closed_form")
     flags, start = [], 0
-    for (spec, objective, _), slices, p, n in zip(settings, probes, points, map(len, rows)):
-        end = start + n
+    for (spec, objective, _), p, batch in zip(settings, probes, batches):
+        end = start + math.prod(batch.shape)
         mine = {i - start: e for i, e in errors.items() if start <= i < end}
         values, _ = _objective_values(p, objective, (q[start:end], u[start:end], mine))
-        flags.append(_flat_axes(spec, slices, values))
+        flags.append(_flat_axes(spec, values))
         start = end
     return flags
 

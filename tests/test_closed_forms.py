@@ -24,8 +24,9 @@ from mzsloppy.closed_forms import (
     q22_closed,
     u12_closed,
 )
-from mzsloppy.model import ModelColumns, ModelConfig, parameters
+from mzsloppy.model import ModelConfig
 from mzsloppy.optimize import Objective, SearchSpec, _supremum, error_message, grid_scan
+import rows
 
 OPT = {"theta": math.pi / 2, "phi": math.pi / 4}
 GRID = [0.25 * k for k in range(9)]  # 0 .. 2
@@ -427,7 +428,7 @@ def test_q22_without_displacement_never_exceeds_its_landmark_maximum(configs):
     # polish stops at, on one config (math) and on columns (numpy) alike
     bounds = np.array([landmarks(c.r, c.x)["q22_max"] for c in configs])
     single = np.array([q22_closed(c) for c in configs])
-    columns = q22_closed(ModelColumns(parameters(configs)))
+    columns = q22_closed(rows.columns(rows.parameters(configs)))
     for values in (single, columns):
         assert np.all(values <= bounds * (1 + 1e-12))
 
@@ -453,7 +454,7 @@ def test_displaced_q22_never_exceeds_its_supremum(configs):
     # on one config (math) and on columns (numpy) alike
     bounds = np.array([_q22_supremum(c) for c in configs])
     single = np.array([q22_closed(c) for c in configs])
-    columns = q22_closed(ModelColumns(parameters(configs)))
+    columns = q22_closed(rows.columns(rows.parameters(configs)))
     for values in (single, columns):
         assert np.all(values <= bounds * (1 + 1e-12))
 

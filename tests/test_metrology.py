@@ -270,6 +270,12 @@ class TestSloppiness:
         with pytest.raises(ValueError):
             sloppiness_report(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_non_finite_input_rejected(self):
+        # NaN once read as eigenvalues with sloppy=False, and inf as a threshold of inf
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^sloppiness_report needs a finite matrix$"):
+                sloppiness_report(np.array([[bad, 0.0], [0.0, 1.0]]))
+
 
 # -- structural properties ----------------------------------------------
 

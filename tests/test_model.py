@@ -26,6 +26,7 @@ from mzsloppy.model import (
     jacobian_analytic,
     jacobian_fd,
 )
+from rows import columns
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
@@ -182,7 +183,7 @@ class TestEvaluateState:
         params = rng.uniform(-math.pi, math.pi, size=(3000, 9))
         for name, top in (("r", 6.0), ("x", 3.0), ("q", 1.0)):
             params[:, MODEL_FIELDS.index(name)] = rng.uniform(0.0, top, 3000)
-        state = jacobian_analytic(params).state
+        state = jacobian_analytic(columns(params)).state
         assert state.errors == {}
         assert set(physicality_check(state).classification) == {"pure"}
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mzsloppy import cli, optimize
 from mzsloppy.exceptions import SloppyModelError
-from mzsloppy.model import MODEL_FIELDS, ModelConfig, parameters, row_errors
+from mzsloppy.model import MODEL_FIELDS, ModelColumns, ModelConfig, row_errors
 from mzsloppy.optimize import (
     OBJECTIVE_KINDS,
     OBJECTIVE_LAYERS,
@@ -33,6 +33,7 @@ from mzsloppy.optimize import (
     objective_value,
     refine_local,
 )
+from rows import ALPHA, LAM1, columns, parameters, phased_rows
 
 PI = math.pi
 HALF_GRID = tuple(i * PI / 8 for i in range(9))  # [0, pi] inclusive
@@ -706,7 +707,7 @@ def test_split_scan_cuts_its_first_axis_with_more_than_one_value(layer, monkeypa
     objective = Objective(kind="minus_R", layer=layer)
     scans = [grid_scan(spec, objective, workers=w) for w in (1, 2, 3)]
     assert repr(scans[0]) == repr(scans[1]) == repr(scans[2])
-    values, errors = _objective_values(grid_rows(spec), objective)
+    values, errors = _objective_values(columns(grid_rows(spec)), objective)
     assert scans[0].values == tuple(None if i in errors else v for i, v in enumerate(values))
     assert scans[0].errors == {i: error_message(e) for i, e in sorted(errors.items())}
     assert len(scans[0].errors) == 21  # three of the five x values fail on every theta
@@ -807,7 +808,6 @@ def test_refine_rejects_steps_to_non_finite_values(recwarn):
 
 
 def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
-    from mzsloppy.model import parameters
     from mzsloppy.optimize import GAMMA_GRID, _objective_values
 
     configs = [ModelConfig(r=0.5, x=0.5, q=0.3, theta=t, phi=p)
@@ -817,12 +817,12 @@ def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
     for layer in OBJECTIVE_LAYERS:
         minus_r = Objective(kind="minus_R", layer=layer)
         worst = _WorstOverPhase(kind="minus_R", layer=layer)
-        values, errors = _objective_values(parameters(configs), worst)
+        values, errors = _objective_values(columns(parameters(configs)), worst)
         assert errors == {}
         if layer == "closed_form":
             # the same phased batch: a single point runs on math, whose Q
             # differs from the batch's numpy columns in the last bits
-            r, r_errors = _objective_values(parameters(phases), minus_r)
+            r, r_errors = _objective_values(columns(parameters(phases)), minus_r)
             assert r_errors == {}
             r = (-r).tolist()
         else:
@@ -832,7 +832,7 @@ def test_worst_over_phase_is_the_largest_quantumness_over_the_phase_grid():
             assert value == -max([0.0] + r[k * n:(k + 1) * n])
         # a failed phase fails the config, with the first phase's error
         values, errors = _objective_values(
-            parameters([configs[0], ModelConfig(r=0.5, x=0.0)]), worst
+            columns(parameters([configs[0], ModelConfig(r=0.5, x=0.0)])), worst
         )
         assert list(errors) == [1] and isinstance(errors[1], SloppyModelError)
         assert math.isnan(values[1])
@@ -954,9 +954,9 @@ def flat_axes_per_slice(spec, objective, anchor):
                 if other.name != axis.name:
                     probes[:, MODEL_FIELDS.index(other.name)] = float(anchor[other.name]) + offset
             probes[:, MODEL_FIELDS.index(axis.name)] = axis.values
-            if row_errors(probes):
+            if row_errors(columns(probes)):
                 break
-            values, errors = _objective_values(probes, objective)
+            values, errors = _objective_values(columns(probes), objective)
             if errors or not values.max() - values.min() <= 1e-9 * max(1.0, np.abs(values).max()):
                 break
         else:
@@ -1022,17 +1022,6 @@ def test_flatness_batch_cases(layer, base, axes, anchor, objective, flat):
 # -- one closed-form pass serves both find-known scans ------------------------
 
 
-def test_find_known_grid_is_the_phased_worst_case_grid():
-    from mzsloppy.optimize import GAMMA_GRID, PHI_GRID, THETA_GRID
-
-    base = ModelConfig(r=0.7, x=0.4, q=0.5)
-    angles = (Axis("theta", THETA_GRID), Axis("phi", PHI_GRID))
-    grid = grid_rows(SearchSpec(base=base, axes=(*angles, Axis("alpha", GAMMA_GRID))))
-    phased = optimize._phased(grid_rows(SearchSpec(base=base, axes=angles)))
-    assert grid.shape == phased.shape == (640, len(MODEL_FIELDS))
-    assert grid.tobytes() == phased.tobytes()
-
-
 @pytest.mark.parametrize("r, x, q", [(0.5, 0.5, 0.0), (0.3, 0.8, 0.5), (0.5, 0.0, 0.0)])
 def test_find_known_makes_two_closed_form_passes(monkeypatch, r, x, q):
     from mzsloppy import closed_forms
@@ -1059,7 +1048,7 @@ def test_find_known_makes_two_closed_form_passes(monkeypatch, r, x, q):
     # math, then both settings' flatness probes in one batch: the maximum's
     # 58 and, unless the optimal is undefined, its 26 at 16 phases each
     probes = 58 if x == 0.0 else 58 + 26 * 16
-    assert calls == [("ModelColumns", 640), ("ModelConfig", 1), ("ndarray", probes)]
+    assert calls == [("ModelColumns", 640), ("ModelConfig", 1), ("ModelColumns", probes)]
 
 
 # -- property: the axis-column grid is the grid's rows, bit for bit -----------
@@ -1095,19 +1084,105 @@ def axis_grids(draw):
                          axes=(Axis("lam2", (0.3, 0.3)), Axis("r", (0.5, 400.0, 0.5)))))
 def test_axis_column_grid_is_the_grid_rows(spec):
     from mzsloppy import closed_forms
-    from mzsloppy.model import ModelColumns
 
-    columns = ModelColumns.grid(spec.base, [(axis.name, axis.values) for axis in spec.axes])
-    assert columns.shape == (tuple(len(axis.values) for axis in spec.axes) or (1,))
+    grid_columns = ModelColumns.grid(spec.base, [(axis.name, axis.values) for axis in spec.axes])
+    assert grid_columns.shape == (tuple(len(axis.values) for axis in spec.axes) or (1,))
     for layer in OBJECTIVE_LAYERS:
         with np.errstate(all="ignore"):  # gamma overflows here as in the (N, 9) columns
-            *grid, errors = closed_forms.layer_matrices(columns, layer, True)
-            *rows, row_errors_ = closed_forms.layer_matrices(grid_rows(spec), layer, True)
+            *grid, errors = closed_forms.layer_matrices(grid_columns, layer, True)
+            *rows, row_errors_ = closed_forms.layer_matrices(columns(grid_rows(spec)), layer, True)
         for a, b in zip(grid, rows):  # Q, U and det Q
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert [(k, type(e), str(e)) for k, e in errors.items()] == [
             (k, type(e), str(e)) for k, e in row_errors_.items()
         ]
+
+
+# -- the phased form and a concatenation are their rows, bit for bit ----------
+
+
+def assert_same_matrices(got, want, layer):
+    """layer_matrices of two inputs: Q, U and det Q byte for byte, and the
+    same errors in the same order."""
+    from mzsloppy import closed_forms
+
+    with np.errstate(all="ignore"):
+        *matrices, errors = closed_forms.layer_matrices(got, layer, True)
+        *oracle, oracle_errors = closed_forms.layer_matrices(want, layer, True)
+    for a, b in zip(matrices, oracle):  # Q, U and det Q
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert [(k, type(e), str(e)) for k, e in errors.items()] == [
+        (k, type(e), str(e)) for k, e in oracle_errors.items()
+    ]
+
+
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
+def test_phased_columns_are_the_phased_rows(layer):
+    from mzsloppy.optimize import GAMMA_GRID, PHI_GRID, THETA_GRID
+
+    # the find-known angles at lam1 != 0, an alpha axis that the phases
+    # replace, and an r whose rows overflow
+    base = ModelConfig(r=0.7, x=0.4, q=0.5, beta=0.3, lam1=0.2, lam2=0.1)
+    axes = (Axis("theta", THETA_GRID), Axis("phi", PHI_GRID), Axis("alpha", (0.3, 2.0)),
+            Axis("r", (0.7, 400.0)))
+    rows = grid_rows(SearchSpec(base=base, axes=axes))
+    grid = ModelColumns.grid(base, [(axis.name, axis.values) for axis in axes])
+    for form in (columns(rows), grid):
+        assert_same_matrices(optimize._phased(form), columns(phased_rows(rows)), layer)
+    # at lam1 = 0 the maximum's grid is the optimal's phased grid, row for
+    # row, so one find-known pass serves both scans
+    base = dataclasses.replace(base, lam1=0.0)
+    angles = axes[:2]
+    grid = grid_rows(SearchSpec(base=base, axes=(*angles, Axis("alpha", GAMMA_GRID))))
+    phased = phased_rows(grid_rows(SearchSpec(base=base, axes=angles)))
+    assert grid.shape == phased.shape == (640, len(MODEL_FIELDS))
+    assert grid.tobytes() == phased.tobytes()
+
+
+def test_zero_dimensional_fields_are_a_row():
+    config = ModelConfig(r=0.7, x=0.4, q=0.5, beta=0.3, theta=1.1, phi=0.6, alpha=0.9,
+                         lam1=0.2, lam2=0.1)
+    point = ModelColumns({name: getattr(config, name) for name in MODEL_FIELDS})
+    assert point.shape == (1,) and point.gamma.shape == (1,)
+    assert not point.gamma.flags.writeable and not point.r.flags.writeable
+    # alpha and lam1 alone 0-d, next to (N,) columns
+    rows = parameters([config, dataclasses.replace(config, theta=2.0, r=400.0)])
+    fields = dict(zip(MODEL_FIELDS, rows.T))
+    fields.update(alpha=config.alpha, lam1=config.lam1)
+    for layer in OBJECTIVE_LAYERS:
+        assert_same_matrices(point, columns(rows[:1]), layer)
+        assert_same_matrices(ModelColumns(fields), columns(rows), layer)
+
+
+@st.composite
+def column_forms(draw):
+    """A grid, a phased grid and a row form, maybe with alpha and lam1 0-d,
+    in any order, each with its oracle rows."""
+    grid, phased = draw(axis_grids()), draw(axis_grids())
+    fields = {name: grid_values(name) for name in MODEL_FIELDS}
+    configs = draw(st.lists(st.builds(ModelConfig, **fields), min_size=1, max_size=4))
+    rows = parameters(configs)
+    fields = dict(zip(MODEL_FIELDS, rows.T))
+    if draw(st.booleans()):
+        fields.update(alpha=configs[0].alpha, lam1=configs[0].lam1)
+        rows[:, ALPHA], rows[:, LAM1] = configs[0].alpha, configs[0].lam1
+    forms = [
+        (ModelColumns.grid(grid.base, [(a.name, a.values) for a in grid.axes]), grid_rows(grid)),
+        (optimize._phased(ModelColumns.grid(phased.base, [(a.name, a.values) for a in phased.axes])),
+         phased_rows(grid_rows(phased))),
+        (ModelColumns(fields), rows),
+    ]
+    return draw(st.permutations(forms))
+
+
+@settings(deadline=None, max_examples=100)
+@given(forms=column_forms())
+def test_concatenated_columns_are_their_rows_concatenated(forms):
+    joined = ModelColumns.concatenate([form for form, _ in forms])
+    rows = np.concatenate([rows for _, rows in forms])
+    assert joined.shape == (len(rows),)
+    for layer in OBJECTIVE_LAYERS:
+        assert_same_matrices(joined, columns(rows), layer)
 
 
 # -- the merged flatness batch is each setting's degenerate_axes ---------------
@@ -1125,7 +1200,7 @@ def find_known_four_passes(r, x, q):
     spec = SearchSpec(base=base, axes=(Axis("theta", optimize.THETA_GRID),
                                        Axis("phi", optimize.PHI_GRID),
                                        Axis("alpha", optimize.GAMMA_GRID)))
-    grid = grid_rows(spec)
+    grid = columns(grid_rows(spec))
     with np.errstate(all="ignore"):
         matrices = closed_forms.layer_matrices(grid, "closed_form")
 
@@ -1156,7 +1231,7 @@ def find_known_four_passes(r, x, q):
     )
     spec = SearchSpec(base=base, axes=spec.axes[:2])
     objective = _WorstOverPhase(kind="minus_R")
-    params = grid_rows(spec)
+    params = columns(grid_rows(spec))
     scan = optimize._scan_result(spec, *_objective_values(params, objective, matrices))
     if scan.best is None:
         optimal = {"label": "undefined", "reason": scan.errors[0]}
