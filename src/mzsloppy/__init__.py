@@ -21,7 +21,6 @@ from .gaussian import (
     physicality_check,
     symplectic_eigenvalues,
     symplectic_form,
-    vacuum_state,
 )
 from .model import (
     ModelConfig,
@@ -29,7 +28,6 @@ from .model import (
     build_mz_model,
     evaluate_state,
     jacobian_analytic,
-    jacobian_fd,
 )
 from .metrology import (
     ScalarBounds,
@@ -46,7 +44,6 @@ from .closed_forms import (
     DiscrepancyRecord,
     DiscrepancyReport,
     compare,
-    det_ratio,
     f12,
     f22,
     landmarks,
@@ -93,7 +90,6 @@ __all__ = [
     "build_mz_model",
     "compare",
     "default_threshold",
-    "det_ratio",
     "evaluate_state",
     "f12",
     "f22",
@@ -102,7 +98,6 @@ __all__ = [
     "gate_symplectic",
     "grid_scan",
     "jacobian_analytic",
-    "jacobian_fd",
     "landmarks",
     "objective_value",
     "physicality_check",
@@ -119,6 +114,5 @@ __all__ = [
     "symplectic_form",
     "u12_closed",
     "uhlmann_matrix",
-    "vacuum_state",
     "__version__",
 ]

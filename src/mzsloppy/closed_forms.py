@@ -137,15 +137,6 @@ def f12(inp: Inputs):
     )
 
 
-def f22_optimal(r: float, x: float, beta: float, gamma: float) -> float:
-    """f22 evaluated at the balanced, quarter-phase configuration."""
-    return -math.sinh(2 * r) * (
-        math.cosh(2 * x) * math.sin(2 * beta) + math.sinh(2 * x) * math.sin(gamma)
-    ) + math.cosh(2 * r) * math.cosh(2 * x) * (
-        math.cosh(2 * x) + math.sinh(2 * x) * math.cos(gamma - 2 * beta)
-    )
-
-
 def u12_closed(inp: Inputs):
     xp = _xp(inp)
     return 2 * (
@@ -242,23 +233,6 @@ def layer_matrices(points: Inputs, layer: str, determinant: bool = False):
             i, OverflowError("math range error") if gamma_ok[i] else ValueError(GAMMA_MESSAGE)
         )
     return (q, u, *det, errors)
-
-
-def det_ratio(r: float, x: float) -> float:
-    """det Q at the maximum configuration over det Q at the optimal one.
-
-    Both determinants vanish at x=0 (sloppy baseline); that case returns
-    NaN as the undefined-ratio marker rather than raising.
-    """
-    if r < 0 or x < 0:
-        raise ValueError("r and x must be non-negative")
-    maximum = ModelConfig(r=r, x=x, **MAXIMUM_CONFIGURATION)
-    optimal = ModelConfig(r=r, x=x, **OPTIMAL_CONFIGURATION)
-    det_max = float(np.linalg.det(closed_q_matrix(maximum)))
-    det_opt = float(np.linalg.det(closed_q_matrix(optimal)))
-    if x == 0 or det_opt == 0:
-        return float("nan")
-    return det_max / det_opt
 
 
 @dataclasses.dataclass(frozen=True)

@@ -151,14 +151,6 @@ class Displacement:
 Gate = Union[PhaseRotation, Squeezer, BeamSplitter, Displacement]
 
 
-def vacuum_state(modes: int) -> GaussianState:
-    """M-mode vacuum: zero mean, covariance identity/2."""
-    if not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise ValueError("modes must be a positive integer")
-    n = 2 * modes
-    return GaussianState(modes=int(modes), mean=np.zeros(n), cov=np.eye(n) / 2)
-
-
 def _set_block(S: np.ndarray, i: int, j: int, a, b, c, d) -> None:
     """Write the 2x2 block [[a, b], [c, d]] at (i, j) of every matrix in S."""
     S[..., i, j], S[..., i, j + 1] = a, b

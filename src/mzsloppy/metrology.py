@@ -191,6 +191,8 @@ def sloppiness_report(Q: np.ndarray, threshold: float | None = None) -> Sloppine
     threshold; the matching eigenvectors are reported as null directions.
     """
     Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError(f"sloppiness_report needs a square matrix, got shape {Q.shape}")
     if not np.isfinite(Q).all():
         raise ValueError("sloppiness_report needs a finite matrix")
     if np.max(np.abs(Q - Q.T)) > 1e-10 * max(1.0, float(np.max(np.abs(Q)))):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -23,14 +23,7 @@ from .gaussian import (
     PhaseRotation,
     Squeezer,
     gate_symplectic,
-    symplectic_form,
 )
-
-FD_STEP_DEFAULT = 1e-5
-FD_STEP_MIN = 1e-8
-FD_STEP_MAX = 1e-3
-
-PARAMETER_NAMES = ("lam1", "lam2")
 
 # checked in this order, so the first negative one names a config's error
 NON_NEGATIVE_FIELDS = ("r", "x", "q")
@@ -160,18 +153,6 @@ class ModelJet:
     shifts: tuple[np.ndarray, np.ndarray]
     symplectic: np.ndarray
 
-    @property
-    def dcov(self) -> tuple[np.ndarray, np.ndarray]:
-        """dcov_j = S (Omega F_j - F_j Omega) S^T / 2."""
-        S, St = self.symplectic, np.swapaxes(self.symplectic, -1, -2)
-        return tuple(S @ (_OMEGA @ f - f @ _OMEGA) @ St / 2 for f in self.forms)
-
-    @property
-    def dmean(self) -> tuple[np.ndarray, np.ndarray]:
-        """dmean_j = S Omega u_j: no gate after lam1 shifts the mean (the
-        Displacement is the third gate, before both phases)."""
-        return tuple((self.symplectic @ (u @ _OMEGA.T)[..., None])[..., 0] for u in self.shifts)
-
 
 def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
     """Gate sequence on two modes; inputs are vacuum + vacuum. Reads the
@@ -186,9 +167,6 @@ def build_mz_model(inp: Union[ModelConfig, ModelColumns]) -> list[Gate]:
         Squeezer(mode=0, magnitude=inp.x, angle=inp.alpha),
         PhaseRotation(mode=0, angle=inp.lam2),
     ]
-
-
-_OMEGA = symplectic_form(2)
 
 
 def _propagate(columns: ModelColumns):
@@ -248,25 +226,3 @@ def jacobian_analytic(config: Union[ModelConfig, Sequence[ModelConfig], ModelCol
 def evaluate_state(config: Union[ModelConfig, Sequence[ModelConfig]]) -> GaussianState:
     """Output state: the state of the same propagation as jacobian_analytic."""
     return jacobian_analytic(config).state
-
-
-class MomentDerivatives(NamedTuple):
-    dcov: tuple[np.ndarray, np.ndarray]
-    dmean: tuple[np.ndarray, np.ndarray]
-
-
-def jacobian_fd(config: ModelConfig, step: float = FD_STEP_DEFAULT) -> MomentDerivatives:
-    """Central-difference (dcov, dmean) from output states alone; the oracle
-    for those of jacobian_analytic, whose propagation of the states it
-    shares (tests check those against a separate oracle)."""
-    if not (FD_STEP_MIN <= step <= FD_STEP_MAX):
-        raise ValueError(
-            f"step must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}], got {step:g}"
-        )
-    dcov, dmean = [], []
-    for name in PARAMETER_NAMES:
-        lo = evaluate_state(dataclasses.replace(config, **{name: getattr(config, name) - step}))
-        hi = evaluate_state(dataclasses.replace(config, **{name: getattr(config, name) + step}))
-        dcov.append((hi.cov - lo.cov) / (2 * step))
-        dmean.append((hi.mean - lo.mean) / (2 * step))
-    return MomentDerivatives((dcov[0], dcov[1]), (dmean[0], dmean[1]))

@@ -13,10 +13,8 @@ from mzsloppy import closed_forms
 from mzsloppy.closed_forms import (
     closed_q_matrix,
     compare,
-    det_ratio,
     f12,
     f22,
-    f22_optimal,
     landmarks,
     layer_matrices,
     q11_closed,
@@ -26,6 +24,7 @@ from mzsloppy.closed_forms import (
 )
 from mzsloppy.model import ModelConfig
 from mzsloppy.optimize import Objective, SearchSpec, _supremum, error_message, grid_scan
+from oracles import det_ratio, f22_optimal
 import rows
 
 OPT = {"theta": math.pi / 2, "phi": math.pi / 4}

@@ -18,8 +18,8 @@ from mzsloppy.gaussian import (
     physicality_check,
     symplectic_eigenvalues,
     symplectic_form,
-    vacuum_state,
 )
+from oracles import vacuum_state
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 MAGNITUDES = st.floats(min_value=0.0, max_value=2.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,12 @@ class TestSloppiness:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="^sloppiness_report needs a finite matrix$"):
                 sloppiness_report(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)])
+    def test_non_square_input_rejected(self, shape):
+        message = f"sloppiness_report needs a square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sloppiness_report(np.ones(shape))
 
 
 # -- structural properties ----------------------------------------------
