@@ -113,11 +113,19 @@ def _invariants(Q: np.ndarray, U: np.ndarray):
     return P, s, det, R, dict.fromkeys(singular, SloppyModelError(_SINGULAR_MESSAGE))
 
 
+def _stacks(Q, U):
+    """(Q, U, stacked): Q and U as float stacks (one matrix is a stack of
+    one); ValueError unless U has Q's shape."""
+    Q, U = np.asarray(Q, dtype=float), np.asarray(U, dtype=float)
+    if U.shape != Q.shape:
+        raise ValueError(f"U must have Q's shape, got Q {Q.shape} and U {U.shape}")
+    stacked = Q.ndim == 3
+    return (Q, U, stacked) if stacked else (Q[None], U[None], stacked)
+
+
 def quantumness_general(Q: np.ndarray, U: np.ndarray):
     """R = |U12| / sqrt(det Q), the largest eigenvalue modulus of Q^-1 U."""
-    Q, U = np.asarray(Q, dtype=float), np.asarray(U, dtype=float)
-    stacked = Q.ndim == 3
-    Q, U = (Q, U) if stacked else (Q[None], U[None])
+    Q, U, stacked = _stacks(Q, U)
     *_, R, errors = _invariants(Q, U)
     return (R, errors) if stacked else float(unstack(R, errors, False))
 
@@ -152,14 +160,19 @@ def check_weight(weight) -> np.ndarray:
     return W
 
 
+def check_repetitions(repetitions) -> None:
+    """ValueError unless repetitions is a positive integer, not a bool."""
+    integer = isinstance(repetitions, (int, np.integer)) and not isinstance(repetitions, bool)
+    if not (integer and repetitions >= 1):
+        raise ValueError("repetitions must be a positive integer")
+
+
 def scalar_crb(Q: np.ndarray, U: np.ndarray, weight: np.ndarray, repetitions: int = 1):
     """Scalar Cramer-Rao bound c_q = Tr[W Q^-1]/M = Tr[W adj Q]/(det Q M)
     and its (1+R) bracket; on a stack, c_q and bracket_upper are arrays."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    Q, U, W = np.asarray(Q, dtype=float), np.asarray(U, dtype=float), check_weight(weight)
-    stacked = Q.ndim == 3
-    Q, U = (Q, U) if stacked else (Q[None], U[None])
+    check_repetitions(repetitions)
+    W = check_weight(weight)
+    Q, U, stacked = _stacks(Q, U)
     P, s, det, r, errors = _invariants(Q, U)  # its errors are the singular-Q gate's
     with np.errstate(all="ignore"):  # an overflowing bound is inf, as with Python floats
         adj_trace = W[0, 0] * P[:, 1, 1] + W[1, 1] * P[:, 0, 0] - (W[0, 1] + W[1, 0]) * P[:, 0, 1]

@@ -37,6 +37,9 @@ VALUE_MATCH_RTOL = 1e-6
 # what one configuration can fail with; anything else is a programming error
 POINT_ERRORS = (ValueError, ArithmeticError, SloppyModelError)
 
+# the error of a weighted_CQ_inverse point whose bound is zero
+_ZERO = "weighted scalar bound is zero, its reciprocal objective is undefined"
+
 
 @dataclasses.dataclass(frozen=True)
 class Objective:
@@ -72,8 +75,7 @@ class Objective:
             object.__setattr__(self, "weight", w)
         elif self.weight is not None:
             raise ValueError(f"objective {self.kind} takes no weight matrix")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be a positive integer")
+        metrology.check_repetitions(self.repetitions)
 
 
 class _WorstOverPhase(Objective):
@@ -88,26 +90,6 @@ PHI_GRID = tuple(i * math.pi / 8 for i in range(5))
 GAMMA_GRID = tuple(i * math.pi / 8 for i in range(16))
 
 
-def _kind_values(points, objective: Objective, matrices=None):
-    if objective.kind == "detQ":  # only it pays for det Q on the numeric layer
-        _, _, det, errors = closed_forms.layer_matrices(points, objective.layer, determinant=True)
-        return det, errors
-    q, u, errors = matrices or closed_forms.layer_matrices(points, objective.layer)
-    if objective.kind == "Q11":
-        return q[:, 0, 0], errors
-    if objective.kind == "Q22":
-        return q[:, 1, 1], errors
-    if objective.kind == "minus_R":
-        r, r_errors = metrology.quantumness_general(q, u)
-        return -r, {**r_errors, **errors}
-    bounds, crb_errors = metrology.scalar_crb(q, u, objective.weight, objective.repetitions)
-    zero = {
-        i: SloppyModelError("weighted scalar bound is zero, its reciprocal objective is undefined")
-        for i in (bounds.c_q <= 0).nonzero()[0].tolist()
-    }
-    return 1.0 / bounds.c_q, {**zero, **crb_errors, **errors}
-
-
 def _phased(points: ModelConfig | ModelColumns) -> ModelColumns:
     """The points at every phase of GAMMA_GRID (alpha = gamma, lam1 = 0) on
     a trailing axis, so that a point's phases are consecutive rows."""
@@ -117,26 +99,39 @@ def _phased(points: ModelConfig | ModelColumns) -> ModelColumns:
     return ModelColumns(fields)
 
 
-def _worst_over_phase(points, layer: str, matrices=None):
-    """All phases of all points as one minus_R batch on `layer`, read off
-    `matrices` where given; a point fails with its first phase's error."""
-    n = len(GAMMA_GRID)
-    if matrices is None:
-        points = _phased(points)
-    values, errors = _point_values(points, Objective("minus_R", layer), matrices)
-    r_max = (-values).reshape(-1, n).max(axis=1)
-    worst = np.where(r_max > 0.0, r_max, 0.0)  # +0.0 where no phase has R > 0
-    # the lowest phase of a point is written last, so its error stays
-    return -worst, {k // n: errors[k] for k in sorted(errors, reverse=True)}
+def _rows(points, objective: Objective):
+    """The rows the objective's layer pass covers: the _phased points for
+    _WorstOverPhase, else the points."""
+    return _phased(points) if isinstance(objective, _WorstOverPhase) else points
 
 
-def _point_values(points, objective: Objective, matrices=None):
-    """_objective_values without its row check."""
-    with np.errstate(all="ignore"):
-        if isinstance(objective, _WorstOverPhase):
-            values, errors = _worst_over_phase(points, objective.layer, matrices)
-        else:
-            values, errors = _kind_values(points, objective, matrices)
+def _read(objective: Objective, matrices):
+    """(values, errors) of the objective read off one layer pass at its
+    _rows: (Q, U, errors), with det Q before the errors for detQ. The worst
+    case folds its per-phase minus_R values; a point fails with its first
+    phase's error. A non-finite value is its row's error."""
+    if isinstance(objective, _WorstOverPhase):
+        n = len(GAMMA_GRID)
+        values, errors = _read(Objective("minus_R", objective.layer), matrices)
+        r_max = (-values).reshape(-1, n).max(axis=1)
+        values = -np.where(r_max > 0.0, r_max, 0.0)  # -0.0 where no phase has R > 0
+        # the lowest phase of a point is written last, so its error stays
+        errors = {k // n: errors[k] for k in sorted(errors, reverse=True)}
+    else:
+        q, u, *det, errors = matrices
+        if objective.kind == "detQ":
+            values = det[0]
+        elif objective.kind == "Q11":
+            values = q[:, 0, 0]
+        elif objective.kind == "Q22":
+            values = q[:, 1, 1]
+        elif objective.kind == "minus_R":
+            r, r_errors = metrology.quantumness_general(q, u)
+            values, errors = -r, {**r_errors, **errors}
+        else:  # weighted_CQ_inverse, undefined where the bound is zero
+            bounds, crb_errors = metrology.scalar_crb(q, u, objective.weight, objective.repetitions)
+            zero = dict.fromkeys((bounds.c_q <= 0).nonzero()[0].tolist(), SloppyModelError(_ZERO))
+            values, errors = 1.0 / bounds.c_q, {**zero, **crb_errors, **errors}
     nonfinite = {
         i: ValueError(f"objective {objective.kind} is {float(values[i])}, not a finite number")
         for i in (~np.isfinite(values)).nonzero()[0].tolist()
@@ -149,12 +144,16 @@ def _objective_values(points, objective: Objective, matrices=None):
     """The figure of merit at one ModelConfig, or at each row of
     ModelColumns: (values, errors), NaN where the point failed, one batch.
     A row ModelConfig rejects fails with its message (row_errors); it is
-    evaluated with the rest and its value dropped. A non-finite value is
-    the point's error. Extreme settings overflow; the error says so, no
-    warning is printed. Given `matrices`, the layer's (Q, U, errors) at the
-    rows (at their _phased rows for _WorstOverPhase), the values are read
-    off them."""
-    values, errors = _point_values(points, objective, matrices)
+    evaluated with the rest and its value dropped. Extreme settings
+    overflow; the error says so, no warning is printed. The values are
+    read (_read) off `matrices`, the objective's layer pass at the points'
+    _rows where given, else off the one pass made here."""
+    with np.errstate(all="ignore"):
+        if matrices is None:
+            matrices = closed_forms.layer_matrices(
+                _rows(points, objective), objective.layer, objective.kind == "detQ"
+            )
+        values, errors = _read(objective, matrices)
     if not isinstance(points, ModelConfig):
         errors.update((i, ValueError(m)) for i, m in row_errors(points).items())
     if errors:
@@ -299,7 +298,7 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     benchmarks/selftest.py checks (worker-thread spans under grid_scan on
     scan_closed_form).
     """
-    if workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError("workers must be a positive integer")
     chunks = _chunks(spec, workers)
 
@@ -517,33 +516,31 @@ def degenerate_axes(spec: SearchSpec, objective: Objective, anchor: dict) -> lis
     every other axis shifted off the anchor. Each axis's two slices, the
     anchor's and the one shifted by 0.4 on every other axis, probe all its
     values, and all slices of all axes are one batch. A probe that fails,
-    a row ModelConfig rejects among them, leaves its slice not flat.
-    find_known_configurations reads the same flags off one batch that
-    holds both of its settings' probes (_degenerate_axes_together).
+    a row ModelConfig rejects among them, leaves its slice not flat. This
+    is the one-setting case of _degenerate_axes_together, whose one batch
+    find_known_configurations fills with both of its settings' probes.
     """
     if not spec.axes:
         return []
-    values, _ = _objective_values(_flatness_probes(spec, anchor), objective)
-    return _flat_axes(spec, values)
+    return _degenerate_axes_together([(spec, objective, anchor)])[0]
 
 
 def _degenerate_axes_together(settings: list) -> list[list[str]]:
     """degenerate_axes(spec, objective, anchor) of each setting, for
-    closed-form objectives over at least one axis, from one layer_matrices
-    pass over all their probes (the _phased probes for _WorstOverPhase):
-    each objective reads its own slice of the pass."""
+    objectives on one layer over at least one axis, from one layer_matrices
+    pass over all their probes at their objectives' _rows, with det Q where
+    an objective is detQ: each objective reads its own slice of the pass."""
     probes = [_flatness_probes(spec, anchor) for spec, _, anchor in settings]
-    batches = [
-        _phased(p) if isinstance(objective, _WorstOverPhase) else p
-        for p, (_, objective, _) in zip(probes, settings)
-    ]
+    batches = [_rows(p, objective) for p, (_, objective, _) in zip(probes, settings)]
+    (layer,) = {objective.layer for _, objective, _ in settings}
+    det = any(objective.kind == "detQ" for _, objective, _ in settings)
     with np.errstate(all="ignore"):
-        q, u, errors = closed_forms.layer_matrices(ModelColumns.concatenate(batches), "closed_form")
+        *stacks, errors = closed_forms.layer_matrices(ModelColumns.concatenate(batches), layer, det)
     flags, start = [], 0
     for (spec, objective, _), p, batch in zip(settings, probes, batches):
         end = start + math.prod(batch.shape)
         mine = {i - start: e for i, e in errors.items() if start <= i < end}
-        values, _ = _objective_values(p, objective, (q[start:end], u[start:end], mine))
+        values, _ = _objective_values(p, objective, [m[start:end] for m in stacks] + [mine])
         flags.append(_flat_axes(spec, values))
         start = end
     return flags

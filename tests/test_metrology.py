@@ -183,6 +183,12 @@ class TestScalarBounds:
         with pytest.raises(SloppyModelError):
             scalar_crb(np.diag([1.0, 0.0]), u, np.eye(2))
 
+    @pytest.mark.parametrize("repetitions", [2.5, True, 0])
+    def test_repetitions_must_be_a_positive_integer(self, repetitions):
+        # 2.5 once divided c_q by 2.5 and reported 2 repetitions; True read as 1
+        with pytest.raises(ValueError, match="^repetitions must be a positive integer$"):
+            scalar_crb(np.diag([4.0, 1.0]), np.zeros((2, 2)), np.eye(2), repetitions=repetitions)
+
     def test_large_rank_one_weights_are_positive_semidefinite(self):
         # outer(v, v) is positive semidefinite; the computed smallest
         # eigenvalue is round-off on the scale of its largest entry
@@ -282,6 +288,20 @@ class TestSloppiness:
         message = f"sloppiness_report needs a square matrix, got shape {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sloppiness_report(np.ones(shape))
+
+
+# a U of another 2-D shape was once read at its [0, 1] entry, and a 1-D U
+# raised an IndexError
+@pytest.mark.parametrize("u_shape", [(3, 3), (2, 3), (2,)])
+@pytest.mark.parametrize("function", [
+    quantumness_general,
+    quantumness_two_param,
+    lambda q, u: scalar_crb(q, u, np.eye(2)),
+], ids=["quantumness_general", "quantumness_two_param", "scalar_crb"])
+def test_curvature_must_have_the_information_shape(function, u_shape):
+    message = f"U must have Q's shape, got Q (2, 2) and U {u_shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(np.array([[2.0, 0.3], [0.3, 1.0]]), np.full(u_shape, 0.2))
 
 
 # -- structural properties ----------------------------------------------

@@ -80,6 +80,12 @@ class TestObjective:
         with pytest.raises(ValueError, match="repetitions"):
             Objective(kind="Q22", repetitions=0)
 
+    @pytest.mark.parametrize("repetitions", [2.5, True, 0])
+    def test_repetitions_must_be_a_positive_integer(self, repetitions):
+        with pytest.raises(ValueError, match="^repetitions must be a positive integer$"):
+            Objective(kind="weighted_CQ_inverse", weight=((1.0, 0.0), (0.0, 1.0)),
+                      repetitions=repetitions)
+
     def test_malformed_weight_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             Objective(kind="weighted_CQ_inverse", weight=((1.0, 0.2), (0.0, 1.0)))
@@ -211,6 +217,16 @@ class TestGridScan:
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             grid_scan(q22_spec(), Objective(kind="Q22"), workers=0)
+
+    @pytest.mark.parametrize("workers", [2.5, True, 0])
+    @pytest.mark.parametrize("shape", [(3,), (128, 128)], ids=["3_rows", "16384_rows"])
+    def test_workers_must_be_a_positive_integer(self, workers, shape):
+        # 2.5 once ran the 3-row grid and raised a TypeError on the
+        # 16384-row one, and True ran as one worker
+        axes = tuple(Axis(name, tuple(range(n))) for name, n in zip(("theta", "phi"), shape))
+        spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=axes)
+        with pytest.raises(ValueError, match="^workers must be a positive integer$"):
+            grid_scan(spec, Objective(kind="Q22"), workers=workers)
 
 
 class TestRefine:
@@ -1022,8 +1038,9 @@ def test_flatness_batch_cases(layer, base, axes, anchor, objective, flat):
 # -- one closed-form pass serves both find-known scans ------------------------
 
 
-@pytest.mark.parametrize("r, x, q", [(0.5, 0.5, 0.0), (0.3, 0.8, 0.5), (0.5, 0.0, 0.0)])
-def test_find_known_makes_two_closed_form_passes(monkeypatch, r, x, q):
+def spy_layer_matrices(monkeypatch) -> list:
+    """The list that each closed_forms.layer_matrices call from here on
+    appends its (input type, row count) to."""
     from mzsloppy import closed_forms
 
     calls = []
@@ -1035,6 +1052,12 @@ def test_find_known_makes_two_closed_form_passes(monkeypatch, r, x, q):
         return result
 
     monkeypatch.setattr(closed_forms, "layer_matrices", spy)
+    return calls
+
+
+@pytest.mark.parametrize("r, x, q", [(0.5, 0.5, 0.0), (0.3, 0.8, 0.5), (0.5, 0.0, 0.0)])
+def test_find_known_makes_two_closed_form_passes(monkeypatch, r, x, q):
+    calls = spy_layer_matrices(monkeypatch)
     found = find_known_configurations(r, x, q)
     if x == 0.0:
         # the worst-case scan's row 0 fails, and its message is the reason
@@ -1049,6 +1072,51 @@ def test_find_known_makes_two_closed_form_passes(monkeypatch, r, x, q):
     # 58 and, unless the optimal is undefined, its 26 at 16 phases each
     probes = 58 if x == 0.0 else 58 + 26 * 16
     assert calls == [("ModelColumns", 640), ("ModelConfig", 1), ("ModelColumns", probes)]
+
+
+# -- an objective is evaluated in one layer pass, or read off a given one -----
+
+
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
+def test_given_matrices_are_read_without_a_layer_pass(monkeypatch, layer):
+    from mzsloppy import closed_forms
+
+    points = columns(grid_rows(mixed_spec()))  # rows that fail, and rows ModelConfig rejects
+    objectives = [
+        Objective(kind=kind, layer=layer,
+                  weight=WEIGHTS[0] if kind == "weighted_CQ_inverse" else None)
+        for kind in OBJECTIVE_KINDS
+    ] + [_WorstOverPhase(kind="minus_R", layer=layer)]
+    calls = spy_layer_matrices(monkeypatch)
+    for objective in objectives:
+        rows = optimize._phased(points) if isinstance(objective, _WorstOverPhase) else points
+        with np.errstate(all="ignore"):
+            matrices = closed_forms.layer_matrices(rows, layer, objective.kind == "detQ")
+        calls.clear()
+        values, errors = _objective_values(points, objective, matrices)
+        assert calls == []  # detQ once made a second pass of its own
+        evaluated, evaluated_errors = _objective_values(points, objective)
+        assert calls == [("ModelColumns", math.prod(rows.shape))]
+        assert values.tobytes() == evaluated.tobytes()
+        assert [(k, type(e), str(e)) for k, e in errors.items()] == [
+            (k, type(e), str(e)) for k, e in evaluated_errors.items()
+        ]
+
+
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
+@pytest.mark.parametrize("kind", ["Q22", "detQ", "worst"])
+def test_degenerate_axes_makes_one_layer_pass(monkeypatch, layer, kind):
+    spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.3), axes=TWO_ANGLES)
+    objective = (_WorstOverPhase(kind="minus_R", layer=layer) if kind == "worst"
+                 else Objective(kind=kind, layer=layer))
+    anchor = {"theta": 0.0, "phi": 0.0}
+    calls = spy_layer_matrices(monkeypatch)
+    flat = degenerate_axes(spec, objective, anchor)
+    # each axis's values on two slices, at 16 phases each for the worst case
+    probes = 2 * (len(HALF_GRID) + 3)
+    assert calls == [("ModelColumns", probes * (16 if kind == "worst" else 1))]
+    monkeypatch.undo()
+    assert flat == flat_axes_per_slice(spec, objective, anchor)
 
 
 # -- property: the axis-column grid is the grid's rows, bit for bit -----------
