@@ -41,8 +41,10 @@ _SINGULAR_MESSAGE = (
 )
 
 
-# Stacked products go through matmul, the same BLAS call on every point as
-# on one matrix, so a point's value does not depend on its stack.
+# Each point is summed over its own contiguous row of X, the same reduction
+# on every point as on one, so a point's value does not depend on its stack.
+# multiplied, not divided: a complex / real in numpy multiplies so, and det Q keeps its bits
+_R8, _R2 = 1 / math.sqrt(8), 1 / math.sqrt(2)
 
 
 def information_and_curvature(jet: ModelJet, determinant: bool = False):
@@ -52,31 +54,37 @@ def information_and_curvature(jet: ModelJet, determinant: bool = False):
     V_j = (Y_j / sqrt 8, w_j / sqrt 2). With B B^H = (I + i Omega)/2 the
     vacuum's, B's column on mode m being (e_q - i e_p)/sqrt 2,
     Y_j = 2 B^H F_j conj(B) and w_j = 2 B^H u_j are sums of the q and p
-    blocks of phase j's form and shift. Q + iU is positive semidefinite to
-    round-off (squared at vacuum). Q = 4 X X^T with X = [Re V | Im V], so
-    det Q is 16 times the sum of the squared 2x2 minors of X (Cauchy-Binet),
-    which does not cancel where the det of the rounded Q does (entries about
-    q^2); its 66 minors cost more than G, so it is computed on request."""
-    u = np.stack(jet.shifts, axis=-2).reshape(-1, 2, 4)  # a single jet is a stack of one
+    blocks of phase j's form and shift. G is read in real arithmetic off
+    X = [Re V | Im V], rows a and b: Q = 4 X X^T and U12 = -U21 =
+    4 (Im a . Re b - Re a . Im b), exactly symmetric and antisymmetric.
+    Q + iU is positive semidefinite to round-off (squared at vacuum). det Q
+    is 16 times the sum of the squared 2x2 minors of X (Cauchy-Binet), which
+    does not cancel where the det of the rounded Q does (entries about q^2);
+    its 66 minors cost more than G, so it is computed on request."""
     errors = dict(jet.state.errors)
+    n = math.prod(jet.state.cov.shape[:-2])
+    X = np.empty((n, 2, 2, 3, 2))  # point, phase, (Re, Im), (Y's rows, w), mode
     with np.errstate(all="ignore"):  # an overflow is the caller's error
-        Y = [F[..., ::2, ::2] - F[..., 1::2, 1::2] + 1j * (F[..., ::2, 1::2] + F[..., 1::2, ::2])
-             for F in jet.forms]  # per phase: the forms are not restacked (see _propagate)
-        Y = np.stack(Y, axis=-3).reshape(-1, 2, 2, 2)
-        w = u[..., ::2] + 1j * u[..., 1::2]
-        V = np.concatenate([Y.reshape(Y.shape[:2] + (4,)) / math.sqrt(8), w / math.sqrt(2)], -1)
-        V[list(errors)] = np.nan
-        G = V.conj() @ V.transpose(0, 2, 1)
-        G = (G + G.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
-    # -Im G is read as the transpose of Im G (G is Hermitian): U's diagonal stays +0.0.
-    # Both are (2, 2, N) underneath, as on the closed-form layer: per-point reductions run faster
-    Q = np.multiply(4.0, G.real.transpose(1, 2, 0), order="C").transpose(2, 0, 1)
-    U = np.multiply(4.0, G.imag.transpose(2, 1, 0), order="C").transpose(2, 0, 1)
+        for j, (F, u) in enumerate(zip(jet.forms, jet.shifts)):  # not restacked (see _propagate)
+            np.multiply(F[..., ::2, ::2] - F[..., 1::2, 1::2], _R8, out=X[:, j, 0, :2])
+            np.multiply(F[..., ::2, 1::2] + F[..., 1::2, ::2], _R8, out=X[:, j, 1, :2])
+            np.multiply(u[..., ::2], _R2, out=X[:, j, 0, 2])
+            np.multiply(u[..., 1::2], _R2, out=X[:, j, 1, 2])
+        X = X.reshape(n, 2, 12)
+        X[list(errors)] = np.nan
+        a, b = X[:, 0], X[:, 1]
+        aa, bb, ab, e1, e2 = (np.einsum("nk,nk->n", x, y) for x, y in (
+            (a, a), (b, b), (a, b), (a[:, 6:], b[:, :6]), (a[:, :6], b[:, 6:])))
+        # (2, 2, N) underneath, as on the closed-form layer: per-point reductions run faster.
+        # U's zeros, and e1 - e2 where e1 = e2, are +0.0
+        zero = np.zeros(n)
+        Q = np.multiply(4.0, [[aa, ab], [ab, bb]]).transpose(2, 0, 1)
+        U = np.multiply(4.0, [[zero, e1 - e2], [e2 - e1, zero]]).transpose(2, 0, 1)
     if not determinant:
         return Q, U, errors
     # X[:, j, 0] and X[:, j, 1]: row j at the pairs' a and b, per point contiguous, so
     # each point is summed alike in any stack
-    X = np.take(np.concatenate([V.real, V.imag], -1), np.triu_indices(12, 1), axis=-1)
+    X = np.take(X, np.triu_indices(12, 1), axis=-1)
     with np.errstate(all="ignore"):
         minors = X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]
         return Q, U, 16.0 * (minors * minors).sum(axis=-1), errors

@@ -76,6 +76,8 @@ class Objective:
         elif self.weight is not None:
             raise ValueError(f"objective {self.kind} takes no weight matrix")
         metrology.check_repetitions(self.repetitions)
+        if self.repetitions != 1 and self.kind != "weighted_CQ_inverse":  # only c_q reads it
+            raise ValueError(f"objective {self.kind} takes no repetitions")
 
 
 class _WorstOverPhase(Objective):
@@ -236,26 +238,26 @@ def error_message(exc: Exception) -> str:
     return str(exc)
 
 
-# the fewest rows a chunk of a split scan gets (the README's size table): on
-# 2 cores with BLAS on one thread, splitting an 8192-row numeric minus_R scan
-# in two took it from 41.9 to 30.2 ms on rows, and broke even on the grid
-# path on a busier machine; below 4096 rows the threads cost more than they
-# saved on either layer
-_MIN_CHUNK_ROWS = 4096
+# the fewest rows a chunk of a split scan gets, per layer (the README's size
+# tables): on 2 cores with BLAS on one thread, splitting an 8192-row numeric
+# minus_R scan in two took it from 41.9 to 30.2 ms on rows, and broke even on
+# the grid path on a busier machine; a closed-form split cost 0.5-1.9 ms up
+# to 32 768 rows and paid at 65 536 only where a second core was free
+_MIN_CHUNK_ROWS = {"closed_form": 32768, "numeric": 4096}
 
 
-def _chunks(spec: SearchSpec, count: int) -> list[tuple[slice, list]]:
+def _chunks(spec: SearchSpec, count: int, floor: int) -> list[tuple[slice, list]]:
     """Split the spec's grid product into at most `count` sub-grids, each
     (its contiguous range of rows, its (field, values) axes): the first
     axis with more than one value is cut into blocks of near-equal size,
-    none shorter than _MIN_CHUNK_ROWS rows unless it is the only one."""
+    none shorter than `floor` rows unless it is the only one."""
     axes = [(axis.name, axis.values) for axis in spec.axes]
     cut = next((k for k, (_, values) in enumerate(axes) if len(values) > 1), None)
     if cut is None:
         return [(slice(0, 1), axes)]
     name, values = axes[cut]
     stride = math.prod(len(v) for _, v in axes[cut + 1:])  # the rows of one value of the cut
-    count = max(1, min(count, len(values) // -(-_MIN_CHUNK_ROWS // stride)))
+    count = max(1, min(count, len(values) // -(-floor // stride)))
     size, extra = divmod(len(values), count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     return [
@@ -290,7 +292,7 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     field instead of aborting the scan. The best row maximizes the value;
     exact ties go to the numerically smallest value tuple (_scan_result).
     The grid is split into at most `workers` sub-grids of contiguous rows,
-    at least _MIN_CHUNK_ROWS each (_chunks), each evaluated as one batch
+    at least _MIN_CHUNK_ROWS[layer] each (_chunks), each evaluated as one batch
     on its axis columns (ModelColumns.grid); the rows do not depend on the
     split. When workers > 1 the chunks run on a thread pool of at most
     os.cpu_count() threads, even a single chunk: a scan that asks for
@@ -300,7 +302,7 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     """
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError("workers must be a positive integer")
-    chunks = _chunks(spec, workers)
+    chunks = _chunks(spec, workers, _MIN_CHUNK_ROWS[objective.layer])
 
     def _eval(chunk: tuple[slice, list]) -> tuple[np.ndarray, dict]:
         return _objective_values(ModelColumns.grid(spec.base, chunk[1]), objective)

@@ -14,6 +14,10 @@ What each is independent of:
   configurations. Neither is a check of the engine.
 - `vacuum_state` is the input state of the circuit, for the state-level
   gate tests.
+- `complex_gram_information` is the kernel's complex route: the Gram
+  vectors `V` as complex numbers and `G = V^* V^T` from one complex matrix
+  product per point. It shares the kernel's formula, so it checks the real
+  arithmetic of `metrology.information_and_curvature`, not the physics.
 The physics checks that share nothing with the engine's propagation stay
 the Fock-space and fidelity-Hessian oracles (test_fock_oracle.py and
 test_fidelity_oracle.py).
@@ -106,3 +110,24 @@ def vacuum_state(modes: int) -> GaussianState:
         raise ValueError("modes must be a positive integer")
     n = 2 * modes
     return GaussianState(modes=int(modes), mean=np.zeros(n), cov=np.eye(n) / 2)
+
+
+def complex_gram_information(jet: ModelJet):
+    """(Q, U, det Q, errors) of a stacked jet through complex arithmetic:
+    V_j = (Y_j / sqrt 8, w_j / sqrt 2) with Y_j and w_j complex, G = V^* V^T
+    made Hermitian, Q = 4 Re G, U = -4 Im G, and det Q from the 2x2 minors of
+    [Re V | Im V] (see metrology.information_and_curvature)."""
+    u = np.stack(jet.shifts, axis=-2).reshape(-1, 2, 4)
+    errors = dict(jet.state.errors)
+    with np.errstate(all="ignore"):
+        Y = [F[..., ::2, ::2] - F[..., 1::2, 1::2] + 1j * (F[..., ::2, 1::2] + F[..., 1::2, ::2])
+             for F in jet.forms]
+        Y = np.stack(Y, axis=-3).reshape(-1, 2, 4)
+        w = u[..., ::2] + 1j * u[..., 1::2]
+        V = np.concatenate([Y / math.sqrt(8), w / math.sqrt(2)], -1)
+        V[list(errors)] = np.nan
+        G = V.conj() @ V.transpose(0, 2, 1)
+        G = (G + G.conj().transpose(0, 2, 1)) / 2
+        X = np.take(np.concatenate([V.real, V.imag], -1), np.triu_indices(12, 1), axis=-1)
+        minors = X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]
+        return 4.0 * G.real, -4.0 * G.imag, 16.0 * (minors * minors).sum(axis=-1), errors

@@ -551,11 +551,13 @@ class TestDriver:
             ("scan", dict(SCAN_CFG, axes=["theta"]), "each axis must be an object"),
             ("scan", dict(SCAN_CFG, workers=1.5),
              "config field 'workers' must be a positive integer"),
+            ("scan", dict(SCAN_CFG, objective={"kind": "Q22", "repetitions": 5}),
+             "objective Q22 takes no repetitions"),
             ("compare", {"phi_values": []}, "config field 'phi_values' must be a non-empty array"),
         ],
         ids=["model_not_object", "weight_not_2x2", "repetitions_zero", "objective_not_object",
              "layer_not_string", "axes_empty", "axes_not_array", "axis_not_object",
-             "workers_not_integer", "compare_values_empty"],
+             "workers_not_integer", "repetitions_unread", "compare_values_empty"],
     )
     def test_config_error_line(self, tmp_path, capsys, command, config, message):
         cfg = write_config(tmp_path, config)

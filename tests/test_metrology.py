@@ -24,6 +24,7 @@ from mzsloppy.metrology import (
     uhlmann_matrix,
 )
 from mzsloppy.model import ModelConfig, ModelJet, jacobian_analytic
+from oracles import complex_gram_information
 
 
 def jet_at(**kwargs):
@@ -579,3 +580,39 @@ def test_information_and_curvature_form_a_gram_matrix(**fields):
         # lie in the two-photon sector of mode 0, so they are parallel)
         amplification = np.trace(Q[0]) ** 2 / np.linalg.det(Q[0])
         assert 0.0 <= R[0] <= 1.0 + 1e-12 * max(1.0, amplification)
+
+
+# -- the kernel's real arithmetic against its complex route -------------------
+
+def _kernel_stack(seed: int) -> list:
+    # large squeezing and displacement, and x = 0 rows, where U12 is zero (the
+    # last two exactly)
+    rng = np.random.default_rng(seed)
+    configs = [random_config(rng, q_max=1e3, r_max=6.0, x_max=6.0) for _ in range(300)]
+    return configs + [dataclasses.replace(c, x=0.0) for c in configs[:30]] + [
+        ModelConfig(r=0.5, q=0.3, x=0.0), ModelConfig(r=0.5, q=0.3, beta=0.2, theta=0.3, phi=0.2)]
+
+
+@pytest.mark.parametrize("seed", [34, 35])
+def test_real_kernel_matches_the_complex_route(seed):
+    jet = jacobian_analytic(_kernel_stack(seed))
+    Q, U, det, errors = information_and_curvature(jet, determinant=True)
+    Qc, Uc, det_c, errors_c = complex_gram_information(jet)
+    assert errors == errors_c == {}
+    tolerance = 4 * np.finfo(float).eps * np.abs(Qc).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(Q - Qc) <= tolerance).all() and (np.abs(U - Uc) <= tolerance).all()
+    # both read the same [Re V | Im V]: scaled by multiplying with 1/sqrt 8 and
+    # 1/sqrt 2, as numpy divides a complex by a real
+    assert np.array_equal(det, det_c)
+
+
+def test_real_kernel_is_exactly_symmetric_and_antisymmetric():
+    configs = _kernel_stack(36)
+    Q, U, errors = information_and_curvature(jacobian_analytic(configs))
+    assert errors == {}
+    assert np.array_equal(Q, Q.transpose(0, 2, 1))
+    assert np.array_equal(U, -U.transpose(0, 2, 1))
+    zero = U == 0.0
+    assert zero[:, [0, 1], [0, 1]].all()
+    # an exact zero is +0.0 (the JSON writer would print -0.0), as at x = 0
+    assert zero[-2:, 0, 1].all() and not np.signbit(U[zero]).any()

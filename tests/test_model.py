@@ -324,6 +324,34 @@ def test_squeezer_phase_combination_invariance(delta, lam1, alpha):
     assert np.max(np.abs(a.mean - b.mean)) < 1e-12
 
 
+@settings(deadline=None, max_examples=60)
+@given(r=st.floats(0.0, 2.0), x=st.floats(0.0, 2.0), q=st.floats(0.0, 2.0), beta=ANGLES,
+       theta=ANGLES, phi=ANGLES, alpha=ANGLES, lam1=ANGLES, lam2=ANGLES, d=ANGLES, e=ANGLES)
+def test_the_squeezer_phase_is_redundant_with_the_two_phases(d, e, **fields):
+    # the squeezer at angle alpha is a rotation by -alpha/2 of mode 0, the
+    # squeezer at angle 0 and the rotation back, between the lam1 and lam2
+    # rotations of that mode: (lam1, lam2, alpha) -> (lam1 + d, lam2 - d,
+    # alpha - 2d) leaves the circuit, so the state, and the model around it,
+    # so Q and U. Shifting lam2 alone rotates the state by the gate whose
+    # generator it is, which leaves Q and U too
+    from mzsloppy.metrology import information_and_curvature
+
+    cfg = ModelConfig(**fields)
+    moved = dataclasses.replace(cfg, lam1=cfg.lam1 + d, lam2=cfg.lam2 - d, alpha=cfg.alpha - 2 * d)
+    last = dataclasses.replace(cfg, lam2=cfg.lam2 + e)
+    jet = jacobian_analytic([cfg, moved, last])
+    cov, mean = jet.state.cov, jet.state.mean
+    scale = np.abs(cov[0]).max()  # S S^T / 2, so |S| <= sqrt(2 scale) bounds the mean's
+    assert np.abs(cov[1] - cov[0]).max() <= 1e-12 * scale
+    assert np.abs(mean[1] - mean[0]).max() <= 1e-12 * cfg.q * math.sqrt(2 * scale)
+    Q, U, errors = information_and_curvature(jet)
+    assert errors == {}
+    tolerance = 1e-12 * max(np.abs(Q[0]).max(), scale ** 2)  # terms of Q's sums, as at vacuum
+    for k in (1, 2):
+        assert np.abs(Q[k] - Q[0]).max() <= tolerance
+        assert np.abs(U[k] - U[0]).max() <= tolerance
+
+
 @settings(deadline=None, max_examples=20)
 @given(delta=st.floats(min_value=-1.0, max_value=1.0))
 def test_pair_shift_leaves_information_content_invariant(delta):

@@ -85,6 +85,16 @@ class TestObjective:
         with pytest.raises(ValueError, match="^repetitions must be a positive integer$"):
             Objective(kind="weighted_CQ_inverse", weight=((1.0, 0.0), (0.0, 1.0)),
                       repetitions=repetitions)
+        # the type check comes first on the kinds that take no repetitions too
+        with pytest.raises(ValueError, match="^repetitions must be a positive integer$"):
+            Objective(kind="Q22", repetitions=repetitions)
+
+    @pytest.mark.parametrize("kind", ["Q11", "Q22", "detQ", "minus_R"])
+    def test_repetitions_only_where_they_are_read(self, kind):
+        # only the weighted bound divides by them; 1 is the default, so it passes
+        with pytest.raises(ValueError, match=f"^objective {kind} takes no repetitions$"):
+            Objective(kind=kind, repetitions=5)
+        assert Objective(kind=kind, repetitions=1) == Objective(kind=kind)
 
     def test_malformed_weight_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -557,7 +567,7 @@ CHUNKING_CASES = [pytest.param("numeric", kind, id=kind) for kind in OBJECTIVE_K
 def test_numeric_scan_independent_of_chunking(layer, kind, monkeypatch):
     # 40 points: with no chunk floor, three workers get ragged chunks of 14,
     # 13 and 13
-    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 1)
+    monkeypatch.setitem(optimize._MIN_CHUNK_ROWS, layer, 1)
     spec = SearchSpec(
         base=ModelConfig(r=0.6, q=0.4, beta=0.3, lam1=0.2, lam2=0.5),
         axes=(Axis("x", (0.0, 0.4, 0.9, 1.3)), Axis("theta", HALF_GRID[:5]),
@@ -676,7 +686,7 @@ def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
     # grid_scan imports the pool class from concurrent.futures where it runs one
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 1)  # 64 rows, a chunk per theta
+    monkeypatch.setitem(optimize._MIN_CHUNK_ROWS, "closed_form", 1)  # 64 rows, a chunk per theta
     spec = SearchSpec(
         base=ModelConfig(r=0.5, x=0.5),
         axes=(Axis("theta", tuple(0.1 * k for k in range(8))),
@@ -689,13 +699,14 @@ def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
 
 @pytest.mark.parametrize("layer", ["closed_form", "numeric"])
 def test_scan_chunks_are_no_smaller_than_the_floor(layer, monkeypatch):
-    # two workers split a grid only when each chunk gets _MIN_CHUNK_ROWS rows
-    floor = optimize._MIN_CHUNK_ROWS
+    # two workers split a grid only when each chunk gets its layer's
+    # _MIN_CHUNK_ROWS rows
+    floor = optimize._MIN_CHUNK_ROWS[layer]
     splits = []
     chunks = optimize._chunks
 
-    def recorded_chunks(spec, count):
-        slices = chunks(spec, count)
+    def recorded_chunks(spec, count, floor):
+        slices = chunks(spec, count, floor)
         splits.append([rows.stop - rows.start for rows, _ in slices])
         return slices
 
@@ -714,11 +725,11 @@ def test_scan_chunks_are_no_smaller_than_the_floor(layer, monkeypatch):
 def test_split_scan_cuts_its_first_axis_with_more_than_one_value(layer, monkeypatch):
     # q has one value, so theta is cut: 7 values of 5 rows each, in blocks of
     # at least 8 rows; x = -1 is rejected, x = 0 singular, x = 400 overflows
-    monkeypatch.setattr(optimize, "_MIN_CHUNK_ROWS", 8)
+    monkeypatch.setitem(optimize._MIN_CHUNK_ROWS, layer, 8)
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.4, beta=0.3, lam1=0.2),
                       axes=(Axis("q", (0.4,)), Axis("theta", tuple(0.3 * k for k in range(7))),
                             Axis("x", (-1.0, 0.0, 0.7, 400.0, 1.2))))
-    splits = [[(rows.start, rows.stop) for rows, _ in optimize._chunks(spec, w)] for w in (1, 2, 3)]
+    splits = [[(rows.start, rows.stop) for rows, _ in optimize._chunks(spec, w, 8)] for w in (1, 2, 3)]
     assert splits == [[(0, 35)], [(0, 20), (20, 35)], [(0, 15), (15, 25), (25, 35)]]
     objective = Objective(kind="minus_R", layer=layer)
     scans = [grid_scan(spec, objective, workers=w) for w in (1, 2, 3)]
@@ -875,8 +886,9 @@ def scans(draw):
                  for n in names)
     kind = draw(st.sampled_from(OBJECTIVE_KINDS))
     weight = draw(st.sampled_from(WEIGHTS)) if kind == "weighted_CQ_inverse" else None
+    repetitions = draw(st.integers(1, 3)) if kind == "weighted_CQ_inverse" else 1
     objective = Objective(kind=kind, layer=draw(st.sampled_from(OBJECTIVE_LAYERS)),
-                          weight=weight, repetitions=draw(st.integers(1, 3)))
+                          weight=weight, repetitions=repetitions)
     return SearchSpec(base=base, axes=axes), objective, draw(st.integers(1, 3))
 
 
