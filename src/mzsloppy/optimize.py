@@ -241,8 +241,9 @@ def error_message(exc: Exception) -> str:
 # the fewest rows a chunk of a split scan gets, per layer (the README's size
 # tables): on 2 cores with BLAS on one thread, splitting an 8192-row numeric
 # minus_R scan in two took it from 41.9 to 30.2 ms on rows, and broke even on
-# the grid path on a busier machine; a closed-form split cost 0.5-1.9 ms up
-# to 32 768 rows and paid at 65 536 only where a second core was free
+# the grid path on a busier machine; a closed-form split cost 0.5-1.7 ms at
+# 8192-32 768 rows, and at 65 536 it paid in an earlier table (12.2 against
+# 10.2 ms) but broke even within the noise on a shared second core
 _MIN_CHUNK_ROWS = {"closed_form": 32768, "numeric": 4096}
 
 

@@ -23,8 +23,8 @@ as text under DIR/<case>/. --compare parses both sides (JSON by path, any
 other text as CSV fields) and prints, per case, each path whose floats
 differ, with the count and the largest relative move |a - b| / max(|a|, |b|)
 (the records of a list, such as a scan's rows, share one path). It exits 1 on any difference that is not a float
-moving, on a flip of a zero's sign, and on a move beyond --tolerance
-(1e-12). pytest does not collect this file.
+moving, on a flip of a zero's sign, and on a move beyond TOLERANCE
+(1e-12 relative). pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from mzsloppy.cli import main  # noqa: E402
 
 # what --dump writes per run, in the order of run()'s record
 PARTS = ("exit", "stdout", "stderr", "out")
+
+# the largest relative move --compare allows: round-off in the last digits
+TOLERANCE = 1e-12
 
 
 def run(argv: list, work: Path, out: Path | None = None) -> str:
@@ -164,7 +167,7 @@ def _natural(name: str) -> list:
     return [int(part) if part.isdigit() else part for part in re.split(r"(\d+)", name)]
 
 
-def compare(a: Path, b: Path, tolerance: float) -> int:
+def compare(a: Path, b: Path) -> int:
     """Print the drift report of two --dump directories; 1 on a failure."""
     runs = [sorted(str(p.parent.relative_to(d)) for p in d.rglob("exit")) for d in (a, b)]
     failed, moved_cases, largest = False, 0, 0.0
@@ -188,7 +191,7 @@ def compare(a: Path, b: Path, tolerance: float) -> int:
         print(f"{case}: {sum(count for count, _ in moved.values())} floats moved, "
               f"largest {case_largest:.3g} relative")
         for path, (count, move) in moved.items():
-            flag = "  FAIL: beyond the tolerance" if not move <= tolerance else ""
+            flag = "  FAIL: beyond the tolerance" if not move <= TOLERANCE else ""
             print(f"  {path}  {count} moved, largest {move:.3g}{flag}")
             failed |= bool(flag)
         for failure in failures:
@@ -196,7 +199,7 @@ def compare(a: Path, b: Path, tolerance: float) -> int:
         failed |= bool(failures)
     total = len(set(runs[0]) | set(runs[1]))
     print(f"{total} runs, {moved_cases} with moved floats, largest move {largest:.3g} relative, "
-          f"{'FAILED' if failed else 'within'} tolerance {tolerance:g}")
+          f"{'FAILED' if failed else 'within'} tolerance {TOLERANCE:g}")
     return int(failed)
 
 
@@ -208,11 +211,9 @@ def main_digest(argv=None) -> int:
                         help="also write each run's output text under DIR/<case>/")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="run nothing: print the drift report of two --dump directories")
-    parser.add_argument("--tolerance", type=float, default=1e-12,
-                        help="largest relative move --compare allows")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, args.tolerance)
+        return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for case, argv_, out in cases(work, args.ops, args.seeds):

@@ -309,43 +309,29 @@ def test_baseline_depends_on_phase_sum_only(delta, lam1, lam2):
     assert np.max(np.abs(a.mean - b.mean)) < 1e-12
 
 
-@settings(deadline=None, max_examples=30)
-@given(delta=ANGLES, lam1=ANGLES, alpha=ANGLES)
-def test_squeezer_phase_combination_invariance(delta, lam1, alpha):
-    # (alpha, lam1, lam2) -> (alpha + 2d, lam1 - d, lam2 + d) rebuilds the
-    # same mode-0 operator gate by gate, so the full state is unchanged
-    cfg = ModelConfig(r=0.6, q=0.8, beta=0.9, theta=0.8, phi=0.35, x=0.7,
-                      alpha=alpha, lam1=lam1, lam2=0.4)
-    shifted = dataclasses.replace(
-        cfg, alpha=alpha + 2 * delta, lam1=lam1 - delta, lam2=cfg.lam2 + delta
-    )
-    a, b = evaluate_state(cfg), evaluate_state(shifted)
-    assert np.max(np.abs(a.cov - b.cov)) < 1e-12
-    assert np.max(np.abs(a.mean - b.mean)) < 1e-12
-
-
 @settings(deadline=None, max_examples=60)
-@given(r=st.floats(0.0, 2.0), x=st.floats(0.0, 2.0), q=st.floats(0.0, 2.0), beta=ANGLES,
+@given(r=st.floats(0.0, 1.0), x=st.floats(0.0, 1.0), q=st.floats(0.0, 2.0), beta=ANGLES,
        theta=ANGLES, phi=ANGLES, alpha=ANGLES, lam1=ANGLES, lam2=ANGLES, d=ANGLES, e=ANGLES)
-def test_the_squeezer_phase_is_redundant_with_the_two_phases(d, e, **fields):
+def test_squeezer_phase_combination_invariance(d, e, **fields):
     # the squeezer at angle alpha is a rotation by -alpha/2 of mode 0, the
     # squeezer at angle 0 and the rotation back, between the lam1 and lam2
-    # rotations of that mode: (lam1, lam2, alpha) -> (lam1 + d, lam2 - d,
-    # alpha - 2d) leaves the circuit, so the state, and the model around it,
-    # so Q and U. Shifting lam2 alone rotates the state by the gate whose
-    # generator it is, which leaves Q and U too
+    # rotations of that mode: (alpha, lam1, lam2) -> (alpha - 2d, lam1 + d,
+    # lam2 - d) rebuilds the same mode-0 operator gate by gate, so the full
+    # state is unchanged, and the model around it, so Q and U. Shifting lam2
+    # alone rotates the state by the gate whose generator it is, which
+    # leaves Q and U too
     from mzsloppy.metrology import information_and_curvature
 
     cfg = ModelConfig(**fields)
-    moved = dataclasses.replace(cfg, lam1=cfg.lam1 + d, lam2=cfg.lam2 - d, alpha=cfg.alpha - 2 * d)
+    moved = dataclasses.replace(cfg, alpha=cfg.alpha - 2 * d, lam1=cfg.lam1 + d, lam2=cfg.lam2 - d)
     last = dataclasses.replace(cfg, lam2=cfg.lam2 + e)
     jet = jacobian_analytic([cfg, moved, last])
-    cov, mean = jet.state.cov, jet.state.mean
-    scale = np.abs(cov[0]).max()  # S S^T / 2, so |S| <= sqrt(2 scale) bounds the mean's
-    assert np.abs(cov[1] - cov[0]).max() <= 1e-12 * scale
-    assert np.abs(mean[1] - mean[0]).max() <= 1e-12 * cfg.q * math.sqrt(2 * scale)
+    a, b = jet.state.cov, jet.state.mean
+    assert np.max(np.abs(a[1] - a[0])) < 1e-12
+    assert np.max(np.abs(b[1] - b[0])) < 1e-12
     Q, U, errors = information_and_curvature(jet)
     assert errors == {}
+    scale = np.abs(a[0]).max()
     tolerance = 1e-12 * max(np.abs(Q[0]).max(), scale ** 2)  # terms of Q's sums, as at vacuum
     for k in (1, 2):
         assert np.abs(Q[k] - Q[0]).max() <= tolerance
