@@ -37,7 +37,7 @@ import numpy as np
 
 from . import closed_forms, metrology, optimize
 from .exceptions import SloppyModelError
-from .gaussian import physicality_check
+from .gaussian import check_positive_integer, physicality_check
 from .model import MODEL_FIELDS, ModelConfig, jacobian_analytic
 
 THREADS_ENV_VAR = "MZSLOPPY_THREADS"
@@ -80,22 +80,27 @@ def _require_number(value, name: str) -> float:
     return float(value)
 
 
-def _parse_model(obj) -> ModelConfig:
+def _check_fields(obj, where: str, allowed: tuple, required: tuple = ()) -> None:
+    """ConfigError unless obj, named `where`, is an object with keys in `allowed`
+    and each of `required`: a non-object fails first, then an unknown key, then a missing one."""
     if not isinstance(obj, dict):
-        raise ConfigError("config field 'model' must be an object")
-    _check_keys(obj, MODEL_FIELDS, "model")
+        raise ConfigError(f"config field {where!r} must be an object")
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"unknown {where} field {key!r}")
+    for name in required:
+        if name not in obj:
+            raise ConfigError(f"missing {where} field {name!r}")
+
+
+def _parse_model(obj) -> ModelConfig:
+    _check_fields(obj, "model", MODEL_FIELDS)
     fields = {}
     for name in MODEL_FIELDS:
         if name not in obj:
             raise ConfigError(f"missing model field {name!r}")
         fields[name] = _require_number(obj[name], f"model.{name}")
     return ModelConfig(**fields)
-
-
-def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown {where} field {key!r}")
 
 
 def _model_dict(config: ModelConfig) -> dict:
@@ -114,10 +119,12 @@ def _parse_weight(obj) -> np.ndarray:
     )
 
 
-def _parse_repetitions(obj) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int) or obj < 1:
-        raise ConfigError("config field 'repetitions' must be a positive integer")
-    return obj
+def _positive_integer(value, name: str, given: str = "") -> int:
+    """check_positive_integer(value, name), its ValueError as a ConfigError with `given` appended."""
+    try:
+        return check_positive_integer(value, name)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}{given}") from None
 
 
 # -- eval ----------------------------------------------------------------
@@ -125,9 +132,7 @@ def _parse_repetitions(obj) -> int:
 
 @np.errstate(all="ignore")  # an overflow is the error below, not a warning
 def run_eval(config_obj: dict) -> tuple[dict, int]:
-    _check_keys(config_obj, ("model", "weight", "repetitions", "threshold"), "eval")
-    if "model" not in config_obj:
-        raise ConfigError("missing eval field 'model'")
+    _check_fields(config_obj, "eval", ("model", "weight", "repetitions", "threshold"), ("model",))
     config = _parse_model(config_obj["model"])
 
     jet = jacobian_analytic(config)
@@ -167,7 +172,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
     }
     if "weight" in config_obj:
         weight = _parse_weight(config_obj["weight"])
-        reps = _parse_repetitions(config_obj.get("repetitions", 1))
+        reps = _positive_integer(config_obj.get("repetitions", 1), "config field 'repetitions'")
         try:
             bounds = metrology.scalar_crb(q, u, weight, repetitions=reps)
             payload["scalar_bounds"] = {
@@ -190,9 +195,7 @@ def run_eval(config_obj: dict) -> tuple[dict, int]:
 
 
 def _parse_objective(obj) -> optimize.Objective:
-    if not isinstance(obj, dict):
-        raise ConfigError("config field 'objective' must be an object")
-    _check_keys(obj, ("kind", "layer", "weight", "repetitions"), "objective")
+    _check_fields(obj, "objective", ("kind", "layer", "weight", "repetitions"))
     if "kind" not in obj or not isinstance(obj["kind"], str):
         raise ConfigError("config field 'objective.kind' must be a string")
     layer = obj.get("layer", "closed_form")
@@ -201,7 +204,7 @@ def _parse_objective(obj) -> optimize.Objective:
     weight = None
     if "weight" in obj:
         weight = tuple(tuple(row) for row in _parse_weight(obj["weight"]).tolist())
-    reps = _parse_repetitions(obj.get("repetitions", 1))
+    reps = _positive_integer(obj.get("repetitions", 1), "config field 'repetitions'")
     return optimize.Objective(kind=obj["kind"], layer=layer, weight=weight, repetitions=reps)
 
 
@@ -212,7 +215,7 @@ def _parse_axes(obj) -> tuple[optimize.Axis, ...]:
     for item in obj:
         if not isinstance(item, dict):
             raise ConfigError("each axis must be an object")
-        _check_keys(item, ("name", "values"), "axis")
+        _check_fields(item, "axis", ("name", "values"))
         if "name" not in item or not isinstance(item["name"], str):
             raise ConfigError("config field 'axis.name' must be a string")
         if "values" not in item or not isinstance(item["values"], list):
@@ -224,22 +227,13 @@ def _parse_axes(obj) -> tuple[optimize.Axis, ...]:
 
 def _resolve_workers(config_obj: dict) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}"
-            )
-        return workers
-    if "workers" in config_obj:
-        workers = config_obj["workers"]
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ConfigError("config field 'workers' must be a positive integer")
-        return workers
-    return 1
+    if env is None:
+        return _positive_integer(config_obj.get("workers", 1), "config field 'workers'")
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = env  # refused: a string is not an integer
+    return _positive_integer(workers, THREADS_ENV_VAR, f", got {env!r}")
 
 
 def _parse_search(
@@ -247,10 +241,8 @@ def _parse_search(
 ) -> tuple[optimize.SearchSpec, optimize.Objective, int]:
     """The model/objective/axes/workers config of scan and of the custom
     optimize mode; `command` names the command in error messages."""
-    _check_keys(config_obj, ("model", "objective", "axes", "workers"), command)
-    for required in ("model", "objective", "axes"):
-        if required not in config_obj:
-            raise ConfigError(f"missing {command} field {required!r}")
+    _check_fields(config_obj, command, ("model", "objective", "axes", "workers"),
+                  ("model", "objective", "axes"))
     base = _parse_model(config_obj["model"])
     objective = _parse_objective(config_obj["objective"])
     axes = _parse_axes(config_obj["axes"])
@@ -391,10 +383,7 @@ def run_optimize(config_obj: dict) -> tuple[dict, int]:
         }
         return payload, 0
 
-    _check_keys(config_obj, ("r", "x", "q"), "optimize")
-    for required in ("r", "x"):
-        if required not in config_obj:
-            raise ConfigError(f"missing optimize field {required!r}")
+    _check_fields(config_obj, "optimize", ("r", "x", "q"), ("r", "x"))
     r = _require_number(config_obj["r"], "r")
     x = _require_number(config_obj["x"], "x")
     q = _require_number(config_obj.get("q", 0.0), "q")
@@ -501,7 +490,7 @@ def _parse_value_list(obj, name: str) -> tuple[float, ...]:
 
 
 def run_compare_command(config_obj: dict) -> tuple[dict, int]:
-    _check_keys(config_obj, ("r", "q_values", "phi_values", "x_values"), "compare")
+    _check_fields(config_obj, "compare", ("r", "q_values", "phi_values", "x_values"))
     kwargs = {}
     if "r" in config_obj:
         kwargs["r"] = _require_number(config_obj["r"], "r")
@@ -552,7 +541,7 @@ def main(argv=None) -> int:
                 config_obj = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(config_obj, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -561,9 +550,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"mzsloppy: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
-        # a config the engine cannot evaluate, a result the JSON writer
-        # refuses, or a field value the model or search types reject
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        # a config the engine cannot evaluate or allocate, a result the JSON
+        # writer refuses, or a field value the model or search types reject
         print(f"mzsloppy: error: {optimize.error_message(exc)}", file=sys.stderr)
         return 1
     except SloppyModelError as exc:

@@ -35,6 +35,9 @@ from .model import GAMMA_MESSAGE, ModelColumns, ModelConfig, jacobian_analytic
 # one configuration, evaluated with math, or columns of them, with numpy
 Inputs = Union[ModelConfig, ModelColumns]
 
+# the layers layer_matrices evaluates: these expressions, and the engine
+LAYERS = ("closed_form", "numeric")
+
 
 def _xp(inp: Inputs):
     return math if isinstance(inp, ModelConfig) else np
@@ -207,8 +210,11 @@ def layer_matrices(points: Inputs, layer: str, determinant: bool = False):
     error of math is a NaN, and columns with numpy in one pass.
     On either layer a point with no error yet whose matrices are not finite
     fails with the overflow math raises, or on the closed-form layer, where
-    its gamma is not finite, with the ModelConfig.gamma error.
+    its gamma is not finite, with the ModelConfig.gamma error. A layer not
+    in LAYERS is a ValueError.
     """
+    if layer not in LAYERS:
+        raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
     if layer == "numeric":
         jet = jacobian_analytic([points] if isinstance(points, ModelConfig) else points)
         q, u, *det, errors = metrology.information_and_curvature(jet, determinant)

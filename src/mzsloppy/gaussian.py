@@ -42,10 +42,16 @@ _EPS = float(np.finfo(float).eps)
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def check_positive_integer(value, name: str):
+    """value, if an int or numpy integer (not a bool) of at least 1; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return value
+
+
 def symplectic_form(modes: int) -> np.ndarray:
     """Block-diagonal symplectic form for the given number of modes."""
-    if not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise ValueError("modes must be a positive integer")
+    check_positive_integer(modes, "modes")
     out = np.zeros((2 * modes, 2 * modes))
     for k in range(modes):
         out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _OMEGA_BLOCK
@@ -95,8 +101,7 @@ class GaussianState:
     errors: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("modes must be a positive integer")
+        check_positive_integer(self.modes, "modes")
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         n = 2 * self.modes

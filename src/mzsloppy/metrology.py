@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .exceptions import SloppyModelError
-from .gaussian import unstack
+from .gaussian import check_positive_integer, unstack
 from .model import ModelJet
 
 # Q is singular for R and c_q when its smallest eigenvalue is <= this * max(1, largest)
@@ -168,17 +168,10 @@ def check_weight(weight) -> np.ndarray:
     return W
 
 
-def check_repetitions(repetitions) -> None:
-    """ValueError unless repetitions is a positive integer, not a bool."""
-    integer = isinstance(repetitions, (int, np.integer)) and not isinstance(repetitions, bool)
-    if not (integer and repetitions >= 1):
-        raise ValueError("repetitions must be a positive integer")
-
-
 def scalar_crb(Q: np.ndarray, U: np.ndarray, weight: np.ndarray, repetitions: int = 1):
     """Scalar Cramer-Rao bound c_q = Tr[W Q^-1]/M = Tr[W adj Q]/(det Q M)
     and its (1+R) bracket; on a stack, c_q and bracket_upper are arrays."""
-    check_repetitions(repetitions)
+    check_positive_integer(repetitions, "repetitions")
     W = check_weight(weight)
     Q, U, stacked = _stacks(Q, U)
     P, s, det, r, errors = _invariants(Q, U)  # its errors are the singular-Q gate's

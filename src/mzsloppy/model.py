@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -53,7 +54,9 @@ class ModelConfig:
     def __post_init__(self):
         for name in MODEL_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not isinstance(v, (float, numbers.Real)):  # float first: the fast common case
+                raise ValueError(f"model field {name} must be a real number")
+            if not math.isfinite(v):
                 raise ValueError(f"model field {name} must be finite")
             object.__setattr__(self, name, float(v))
         for name in NON_NEGATIVE_FIELDS:

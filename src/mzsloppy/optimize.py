@@ -24,11 +24,11 @@ import numpy as np
 
 from . import closed_forms, metrology
 from .exceptions import SloppyModelError
-from .gaussian import unstack
+from .gaussian import check_positive_integer, unstack
 from .model import MODEL_FIELDS, ModelColumns, ModelConfig, row_errors
 
 OBJECTIVE_KINDS = ("Q11", "Q22", "detQ", "minus_R", "weighted_CQ_inverse")
-OBJECTIVE_LAYERS = ("closed_form", "numeric")
+OBJECTIVE_LAYERS = closed_forms.LAYERS
 
 # label tolerances for recovered configurations
 ANGLE_MATCH_TOL = 1e-3
@@ -59,14 +59,10 @@ class Objective:
     repetitions: int = 1
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise ValueError(
-                f"unknown objective kind {self.kind!r}; expected one of {OBJECTIVE_KINDS}"
-            )
-        if self.layer not in OBJECTIVE_LAYERS:
-            raise ValueError(
-                f"unknown objective layer {self.layer!r}; expected one of {OBJECTIVE_LAYERS}"
-            )
+        for name, allowed in (("kind", OBJECTIVE_KINDS), ("layer", OBJECTIVE_LAYERS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown objective {name} {value!r}; expected one of {allowed}")
         if self.kind == "weighted_CQ_inverse":
             if self.weight is None:
                 raise ValueError("objective weighted_CQ_inverse requires a weight matrix")
@@ -75,7 +71,7 @@ class Objective:
             object.__setattr__(self, "weight", w)
         elif self.weight is not None:
             raise ValueError(f"objective {self.kind} takes no weight matrix")
-        metrology.check_repetitions(self.repetitions)
+        check_positive_integer(self.repetitions, "repetitions")
         if self.repetitions != 1 and self.kind != "weighted_CQ_inverse":  # only c_q reads it
             raise ValueError(f"objective {self.kind} takes no repetitions")
 
@@ -301,8 +297,7 @@ def grid_scan(spec: SearchSpec, objective: Objective, workers: int = 1) -> ScanR
     benchmarks/selftest.py checks (worker-thread spans under grid_scan on
     scan_closed_form).
     """
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError("workers must be a positive integer")
+    check_positive_integer(workers, "workers")
     chunks = _chunks(spec, workers, _MIN_CHUNK_ROWS[objective.layer])
 
     def _eval(chunk: tuple[slice, list]) -> tuple[np.ndarray, dict]:
@@ -587,8 +582,6 @@ def find_known_configurations(r: float, x: float, q: float = 0.0) -> dict:
     comes after both polishes: both settings' flatness probes, as one
     batch (_degenerate_axes_together).
     """
-    if r < 0 or x < 0 or q < 0:
-        raise ValueError("r, x and q must be non-negative")
     base = ModelConfig(r=r, x=x, q=q)
     lm = closed_forms.landmarks(r, x, q)
 

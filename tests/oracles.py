@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from mzsloppy.closed_forms import MAXIMUM_CONFIGURATION, OPTIMAL_CONFIGURATION, closed_q_matrix
-from mzsloppy.gaussian import GaussianState, symplectic_form
+from mzsloppy.gaussian import GaussianState, check_positive_integer, symplectic_form
 from mzsloppy.model import ModelConfig, ModelJet, evaluate_state
 
 FD_STEP_DEFAULT = 1e-5
@@ -106,9 +106,7 @@ def det_ratio(r: float, x: float) -> float:
 
 def vacuum_state(modes: int) -> GaussianState:
     """M-mode vacuum: zero mean, covariance identity/2."""
-    if not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise ValueError("modes must be a positive integer")
-    n = 2 * modes
+    n = 2 * check_positive_integer(modes, "modes")
     return GaussianState(modes=int(modes), mean=np.zeros(n), cov=np.eye(n) / 2)
 
 

@@ -291,6 +291,17 @@ class TestScan:
             assert code == 1
             assert THREADS_ENV_VAR in err
 
+    def test_threads_env_var_message(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, SCAN_CFG)
+        for bad in ("soup", "0", "2.0", ""):
+            monkeypatch.setenv(THREADS_ENV_VAR, bad)
+            code, out, err = run_cli(capsys, ["scan", "--config", cfg])
+            assert code == 1 and out == ""
+            assert err == f"mzsloppy: error: {THREADS_ENV_VAR} must be a positive integer, got {bad!r}\n"
+        monkeypatch.setenv(THREADS_ENV_VAR, " 2 ")  # int() reads it
+        code, out, _ = run_cli(capsys, ["scan", "--config", cfg])
+        assert code == 0 and json.loads(out)["workers"] == 2
+
     def test_unknown_objective_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SCAN_CFG, objective={"kind": "Q33"}))
         code, _, err = run_cli(capsys, ["scan", "--config", cfg])
@@ -309,7 +320,7 @@ class TestScan:
         # sum, so only its rows fail; the numeric layer keeps its values
         model = model_dict(r=0.5, alpha=1e308, lam1=1e308)
         rows = {}
-        for layer in ("closed_form", "numeric"):
+        for layer in closed_forms.LAYERS:
             cfg = write_config(tmp_path, {
                 "model": model,
                 "objective": {"kind": "Q22", "layer": layer},
@@ -414,6 +425,13 @@ class TestOptimize:
         code, _, err = run_cli(capsys, ["optimize", "--config", cfg])
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["r", "x", "q"])
+    def test_negative_input_named_as_eval_and_scan_name_it(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, {"r": 0.5, "x": 0.5, "q": 0.5, name: -0.5})
+        code, out, err = run_cli(capsys, ["optimize", "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == f"mzsloppy: error: model field {name} must be non-negative\n"
+
 
 class TestCompare:
     def test_default_grid(self, tmp_path, capsys):
@@ -496,6 +514,34 @@ class TestDriver:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("opening", ["[", '{"r": '])
+    def test_config_nested_too_deep_is_invalid_json(self, tmp_path, capsys, opening):
+        # json.load raises RecursionError on it: one error line, not a traceback
+        path = tmp_path / "deep.json"
+        closing = "]" if opening == "[" else "}"
+        path.write_text(opening * 100_000 + ("" if opening == "[" else "0") + closing * 100_000)
+        code, out, err = run_cli(capsys, ["compare", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("mzsloppy: error: config file is not valid JSON: maximum recursion")
+        assert err.count("\n") == 1
+
+    def test_grid_too_large_to_allocate_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # numpy's MemoryError, as a grid of 10^12 rows raises it, is one error
+        # line; a real allocation of that size fails at once only where the
+        # machine does not overcommit memory, so a stand-in raises it here
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(10000, 10000, 10000) and data type float64")
+
+        def allocation_failure(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(closed_forms, "layer_matrices", allocation_failure)
+        cfg = write_config(tmp_path, SCAN_CFG)
+        for command in ("scan", "optimize"):
+            code, out, err = run_cli(capsys, [command, "--config", cfg])
+            assert code == 1 and out == ""
+            assert err == f"mzsloppy: error: {message}\n"
+
     def test_non_object_config(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -560,6 +606,41 @@ class TestDriver:
              "workers_not_integer", "repetitions_unread", "compare_values_empty"],
     )
     def test_config_error_line(self, tmp_path, capsys, command, config, message):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert code == 1 and out == ""
+        assert err == f"mzsloppy: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("eval", {"model": model_dict(), "seed": 1}, "unknown eval field 'seed'"),
+            ("eval", {"weight": [[1.0, 0.0], [0.0, 1.0]]}, "missing eval field 'model'"),
+            ("eval", {"model": model_dict(waist=1.0)}, "unknown model field 'waist'"),
+            ("eval", {"model": {"r": "0.5", "lam2": 0.0}}, "config field 'model.r' must be a number"),
+            ("eval", {"model": {"r": 0.5, "lam2": "0.0"}}, "missing model field 'q'"),
+            ("scan", dict(SCAN_CFG, seed=1), "unknown scan field 'seed'"),
+            ("scan", {"model": model_dict(), "axes": []}, "missing scan field 'objective'"),
+            ("scan", {"axes": 1, "seed": 1}, "unknown scan field 'seed'"),
+            ("scan", dict(SCAN_CFG, objective={"kind": "Q22", "seed": 1}),
+             "unknown objective field 'seed'"),
+            ("scan", dict(SCAN_CFG, axes=[{"name": "theta", "values": [0.0], "step": 1}]),
+             "unknown axis field 'step'"),
+            ("optimize", dict(SCAN_CFG, seed=1), "unknown optimize field 'seed'"),
+            ("optimize", {"model": model_dict(), "objective": {"kind": "Q22"}},
+             "missing optimize field 'axes'"),
+            ("optimize", {"r": 0.5, "x": 0.5, "seed": 1}, "unknown optimize field 'seed'"),
+            ("optimize", {"x": 0.5}, "missing optimize field 'r'"),
+            ("compare", {"r_values": [0.5]}, "unknown compare field 'r_values'"),
+        ],
+        ids=["eval_unknown", "eval_missing", "model_unknown", "model_not_number_first",
+             "model_missing", "scan_unknown", "scan_missing", "scan_unknown_first",
+             "objective_unknown", "axis_unknown", "optimize_unknown", "optimize_missing",
+             "find_known_unknown", "find_known_missing", "compare_unknown"],
+    )
+    def test_field_check_line(self, tmp_path, capsys, command, config, message):
+        # an unknown field fails before a missing one; a model field fails in
+        # field order, whether it is missing or not a number
         cfg = write_config(tmp_path, config)
         code, out, err = run_cli(capsys, [command, "--config", cfg])
         assert code == 1 and out == ""
@@ -832,10 +913,10 @@ SCANS = st.fixed_dictionaries({
     "model": MODELS,
     "objective": st.fixed_dictionaries(
         {"kind": st.sampled_from(["Q11", "Q22", "detQ", "minus_R"]),
-         "layer": st.sampled_from(["closed_form", "numeric"])},
+         "layer": st.sampled_from(closed_forms.LAYERS)},
     ) | st.fixed_dictionaries(
         {"kind": st.just("weighted_CQ_inverse"), "weight": WEIGHTS,
-         "layer": st.sampled_from(["closed_form", "numeric"])},
+         "layer": st.sampled_from(closed_forms.LAYERS)},
         optional={"repetitions": st.integers(1, 3)},
     ),
     "axes": st.lists(

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mzsloppy import closed_forms
 from mzsloppy.closed_forms import (
+    LAYERS,
     closed_q_matrix,
     compare,
     f12,
@@ -22,8 +23,15 @@ from mzsloppy.closed_forms import (
     q22_closed,
     u12_closed,
 )
-from mzsloppy.model import ModelConfig
-from mzsloppy.optimize import Objective, SearchSpec, _supremum, error_message, grid_scan
+from mzsloppy.model import ModelColumns, ModelConfig
+from mzsloppy.optimize import (
+    OBJECTIVE_LAYERS,
+    Objective,
+    SearchSpec,
+    _supremum,
+    error_message,
+    grid_scan,
+)
 from oracles import det_ratio, f22_optimal
 import rows
 
@@ -531,3 +539,18 @@ def test_one_config_reads_the_math_closed_forms():
         assert message in str(errors[0])
         scan = grid_scan(SearchSpec(base=config, axes=()), Objective(kind="Q22"))
         assert scan.errors[0] == error_message(errors[0])
+
+
+@pytest.mark.parametrize("layer", ["Numeric", "closed-form", ""])
+def test_unknown_layer_is_refused_before_any_work(monkeypatch, layer):
+    # a misspelt layer must not fall through to the closed forms
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluated a layer")
+
+    for name in ("jacobian_analytic", "_point_matrices", "closed_q_matrix", "u12_closed"):
+        monkeypatch.setattr(closed_forms, name, no_work)
+    config = ModelConfig(r=0.5, x=0.5)
+    for points in (config, ModelColumns.from_configs([config, config])):
+        with pytest.raises(ValueError, match=f"^unknown layer {layer!r}; expected one of"):
+            layer_matrices(points, layer)
+    assert OBJECTIVE_LAYERS is LAYERS  # one list of layer names

@@ -14,6 +14,7 @@ from mzsloppy.gaussian import (
     Squeezer,
     apply_circuit,
     apply_gate,
+    check_positive_integer,
     gate_symplectic,
     physicality_check,
     symplectic_eigenvalues,
@@ -60,6 +61,22 @@ class TestSymplecticForm:
             omega = symplectic_form(m)
             np.testing.assert_array_equal(omega, -omega.T)
             np.testing.assert_allclose(omega @ omega, -np.eye(2 * m), atol=0)
+
+
+@pytest.mark.parametrize("modes", [True, 2.0, 0, -1, "2"])
+def test_mode_count_must_be_a_positive_integer(modes):
+    # both mode-count checks refuse a bool and a float alike
+    with pytest.raises(ValueError, match="^modes must be a positive integer$"):
+        symplectic_form(modes)
+    with pytest.raises(ValueError, match="^modes must be a positive integer$"):
+        GaussianState(modes=modes, mean=np.zeros(4), cov=np.eye(4) / 2)
+
+
+def test_numpy_integer_mode_count_is_taken():
+    assert check_positive_integer(np.int64(2), "modes") == 2
+    np.testing.assert_array_equal(symplectic_form(np.int64(2)), symplectic_form(2))
+    state = GaussianState(modes=np.int64(2), mean=np.zeros(4), cov=np.eye(4) / 2)
+    np.testing.assert_array_equal(state.cov, np.eye(4) / 2)
 
 
 class TestGateSymplectic:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ class TestConfig:
         for field in ("r", "x", "q"):
             with pytest.raises(ValueError):
                 ModelConfig(**{field: -0.1})
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), Fraction(1, 2), 1, True])
+    def test_any_real_number_is_taken_as_a_float(self, value):
+        # a numpy scalar or a Fraction is a real number; a bool stays one too
+        config = ModelConfig(r=value)
+        assert type(config.r) is float and config.r == float(value)
+
+    @pytest.mark.parametrize("value, message", [
+        ("0.5", "must be a real number"), (None, "must be a real number"),
+        (1 + 0j, "must be a real number"), (math.inf, "must be finite"),
+        (np.float64(math.nan), "must be finite"),
+    ])
+    def test_non_number_and_non_finite_read_apart(self, value, message):
+        with pytest.raises(ValueError, match=f"^model field phi {message}$"):
+            ModelConfig(phi=value)
 
 
 class TestBuildModel:

@@ -494,7 +494,7 @@ def mixed_spec():
     )
 
 
-@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
 @pytest.mark.parametrize("kind", ["Q22", "minus_R"])
 def test_mixed_grid_never_raises_and_names_every_failure(layer, kind, recwarn):
     result = grid_scan(mixed_spec(), Objective(kind=kind, layer=layer), workers=2)
@@ -511,7 +511,7 @@ def test_mixed_grid_never_raises_and_names_every_failure(layer, kind, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
 def test_huge_displacement_scans_silently(layer, recwarn):
     # finite states whose information overflows inside the metrology layer
     spec = SearchSpec(
@@ -617,7 +617,7 @@ def test_closed_form_columns_match_single_points(kind):
         assert value == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
 def test_first_negative_field_names_the_row(layer):
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5, q=0.5),
                       axes=(Axis("q", (-1.0, 0.5)), Axis("x", (-1.0, 0.5)),
@@ -662,7 +662,7 @@ def test_non_finite_gamma_is_the_closed_form_row_error():
 
 def test_more_workers_than_points():
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("theta", (0.0, 1.0)),))
-    for layer in ("closed_form", "numeric"):
+    for layer in OBJECTIVE_LAYERS:
         obj = Objective(kind="Q22", layer=layer)
         assert repr(grid_scan(spec, obj, workers=5)) == repr(grid_scan(spec, obj))
 
@@ -697,7 +697,7 @@ def test_scan_pool_is_bounded_by_the_machine(monkeypatch):
     assert pools == [2]
 
 
-@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
 def test_scan_chunks_are_no_smaller_than_the_floor(layer, monkeypatch):
     # two workers split a grid only when each chunk gets its layer's
     # _MIN_CHUNK_ROWS rows
@@ -763,7 +763,7 @@ def test_zero_intermediate_squeezing_rows_are_errors_up_to_large_squeezing():
             Axis("alpha", (0.5, 2.5, 4.5)),
         ),
     )
-    for layer in ("closed_form", "numeric"):
+    for layer in OBJECTIVE_LAYERS:
         result = grid_scan(spec, Objective(kind="minus_R", layer=layer))
         assert result.best is None
         assert all(
@@ -772,7 +772,7 @@ def test_zero_intermediate_squeezing_rows_are_errors_up_to_large_squeezing():
         )
 
 
-@pytest.mark.parametrize("layer", ["closed_form", "numeric"])
+@pytest.mark.parametrize("layer", OBJECTIVE_LAYERS)
 def test_chunk_with_no_valid_configuration(layer):
     spec = SearchSpec(base=ModelConfig(r=0.5, x=0.5), axes=(Axis("x", (-1.0, -2.0)),))
     result = grid_scan(spec, Objective(kind="minus_R", layer=layer))
