@@ -41,8 +41,8 @@ from .metrology import (
     uhlmann_matrix,
 )
 from .closed_forms import (
-    DiscrepancyRecord,
-    DiscrepancyReport,
+    ENTRIES,
+    Comparison,
     compare,
     f12,
     f22,
@@ -70,9 +70,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis",
     "BeamSplitter",
-    "DiscrepancyRecord",
-    "DiscrepancyReport",
+    "Comparison",
     "Displacement",
+    "ENTRIES",
     "GaussianState",
     "ModelConfig",
     "ModelJet",

@@ -38,7 +38,7 @@ import numpy as np
 from . import closed_forms, metrology, optimize
 from .exceptions import SloppyModelError
 from .gaussian import check_positive_integer, physicality_check
-from .model import MODEL_FIELDS, ModelConfig, jacobian_analytic
+from .model import MODEL_FIELDS, ModelColumns, ModelConfig, jacobian_analytic
 
 THREADS_ENV_VAR = "MZSLOPPY_THREADS"
 
@@ -77,7 +77,10 @@ class ConfigError(Exception):
 def _require_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {name!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float: the checks downstream name it
+        return math.inf if value > 0 else -math.inf
 
 
 def _check_fields(obj, where: str, allowed: tuple, required: tuple = ()) -> None:
@@ -321,7 +324,7 @@ def _dumps(obj) -> str:
 def _json_text(payload: dict) -> str:
     """payload as json.dumps writes it with sort_keys=True, indent=2, plus a
     newline. The table under "rows" (a scan's ScanResult) or "records"
-    (compare's configs and reports) comes from its writer in _TABLES,
+    (compare's Comparison) comes from its writer in _TABLES,
     spliced into the dump of the rest: json.dumps writes indented output in
     pure Python, which costs more than the scan or comparison itself. One
     join writes the output, so the table text and the output are its only
@@ -410,32 +413,41 @@ def run_compare(
 ) -> dict:
     """Closed-form vs engine comparison over a displacement/mixer/squeezer grid.
 
-    Returns the full payload: each config with its report (written as one
-    record per matrix entry), plus a summary with the calibration residuals
-    (the q-dependent part of Q11 on the phi = 0 slice, where the two layers
-    genuinely agree) and the standing discrepancy notes.
+    Returns the full payload: the grid's closed_forms.Comparison (written as
+    one record per row and entry), plus a summary with the calibration
+    residuals (the q-dependent part of Q11 on the phi = 0 slice, where the
+    two layers genuinely agree) and the standing discrepancy notes.
     """
     for name, given in (("q_values", q_values), ("phi_values", phi_values), ("x_values", x_values)):
         if len(given) == 0:
             raise ValueError(f"compare grid {name!r} is empty: it needs at least one value")
-    configs = []
-    try:
-        for q, phi, x in itertools.product(q_values, phi_values, x_values):
-            configs.append(ModelConfig(r=r, q=q, phi=phi, x=x))
-    finally:  # the configs before one that ModelConfig rejects fail first
-        reports = closed_forms.compare(configs)
-
-    # records[0] is Q11; a later duplicate of a q = 0 config wins its key
-    offsets = [report.records[0].closed_form - report.records[0].numeric for report in reports]
-    offsets_q0 = {(c.phi, c.x): offset for c, offset in zip(configs, offsets) if c.q == 0.0}
+    try:  # ModelConfig rejects a row exactly where it rejects one of its values
+        for q, phi, x in itertools.zip_longest(q_values, phi_values, x_values, fillvalue=0.0):
+            ModelConfig(r=r, q=q, phi=phi, x=x)
+    except (ValueError, ArithmeticError):
+        configs = []
+        try:  # the first rejected row raises, unless a row before it fails first
+            for q, phi, x in itertools.product(q_values, phi_values, x_values):
+                configs.append(ModelConfig(r=r, q=q, phi=phi, x=x))
+        finally:
+            closed_forms.compare(ModelColumns.from_configs(configs))
+    # (N,) rows, not ModelColumns.grid: at 27 rows broadcasting costs more than it saves
+    q, phi, x = zip(*itertools.product(q_values, phi_values, x_values))
+    fields = {**_model_dict(ModelConfig(r=r)), "q": q, "phi": phi, "x": x}
+    comparison = closed_forms.compare(ModelColumns(fields))
+    # the rows' floats, as ModelConfig makes them from the values given
+    q, phi, x = (getattr(comparison.points, name).tolist() for name in ("q", "phi", "x"))
+    offsets = (comparison.closed_form[:, 0] - comparison.numeric[:, 0]).tolist()  # Q11's
+    # a later duplicate of a q = 0 row wins its key
+    offsets_q0 = {(p, v): offset for c, p, v, offset in zip(q, phi, x, offsets) if c == 0.0}
     calibration = [
-        {"q": c.q, "x": c.x, "entry": "Q11", "residual": abs(offset - offsets_q0[c.phi, c.x])}
-        for c, offset in zip(configs, offsets)
-        if c.q > 0.0 and c.phi == 0.0 and (c.phi, c.x) in offsets_q0
+        {"q": c, "x": v, "entry": "Q11", "residual": abs(offset - offsets_q0[p, v])}
+        for c, p, v, offset in zip(q, phi, x, offsets)
+        if c > 0.0 and p == 0.0 and (p, v) in offsets_q0
     ]
     summary = {
-        "record_count": sum(len(report.records) for report in reports),
-        "max_abs_difference": max(report.flags["max_abs_difference"] for report in reports),
+        "record_count": comparison.closed_form.size,
+        "max_abs_difference": comparison.abs_difference.max().item(),
         "calibration": calibration,
         "calibration_max_residual": max((c["residual"] for c in calibration), default=None),
         "notes": COMPARE_NOTES,
@@ -443,50 +455,44 @@ def run_compare(
     return {
         "schema": _SCHEMAS["compare"],
         "grid": {"r": r, "q_values": q_values, "phi_values": phi_values, "x_values": x_values},
-        "records": list(zip(configs, reports)),
+        "records": comparison,
         "summary": summary,
     }
 
 
-_RECORD_TEMPLATE = (
-    '    {{\n      "abs_difference": {3},\n      "closed_form": {1},\n      "entry": {0},\n'
-    '      "model": {{\n{model}\n      }},\n      "numeric": {2},\n'
-    '      "rel_difference": {4}\n    }}'
-)
-_MODEL_KEYS = [f'        "{name}": ' for name in sorted(MODEL_FIELDS)]
-_model_values = operator.attrgetter(*sorted(MODEL_FIELDS))
+_RECORD_HEAD = '    {\n      "abs_difference": '
+_RECORD_KEYS = (',\n      "closed_form": ', ',\n      "entry": ', ',\n      "model": {\n',
+                '\n      },\n      "numeric": ', ',\n      "rel_difference": ')
+_RECORD_SEP = "\n    },\n" + _RECORD_HEAD
+_MODEL_KEYS = [(name, f'        "{name}": ') for name in sorted(MODEL_FIELDS)]
+_ENTRY_TEXTS = [encode_basestring_ascii(entry) for entry in closed_forms.ENTRIES]
 
 
-def _compare_records_text(records) -> str:
-    """compare's (config, report) pairs as json.dumps(sort_keys=True,
-    indent=2) writes their records inside the payload, each one
-    {"model": config fields, **DiscrepancyRecord fields}: one string
-    template, each config's "model" block formatted once. float.__repr__
-    and encode_basestring_ascii give the text json.dumps writes, -0.0
-    included; a float that is not finite raises the OverflowError that
-    _dumps raises for one."""
-    texts = []
-    for config, report in records:
-        values = _model_values(config)
-        floats = [(rec.closed_form, rec.numeric, rec.abs_difference, rec.rel_difference)
-                  for rec in report.records]
-        if not all(map(math.isfinite, itertools.chain(values, *floats))):
-            raise OverflowError("math range error")
-        model = ",\n".join(key + float.__repr__(v) for key, v in zip(_MODEL_KEYS, values))
-        for rec, f in zip(report.records, floats):
-            entry = encode_basestring_ascii(rec.entry)
-            texts.append(_RECORD_TEMPLATE.format(entry, *map(float.__repr__, f), model=model))
-    return ",\n".join(texts)
+def _compare_records_text(comparison: closed_forms.Comparison) -> str:
+    """A Comparison's records as json.dumps(sort_keys=True, indent=2) writes them
+    in the payload, by row, then entry: {"model": the row's fields, "entry", and its
+    value in each table}, from C-level joins as a scan's rows, each field's column
+    formatted once; a float that is not finite raises the OverflowError of _dumps."""
+    columns = [getattr(comparison.points, name) for name, _ in _MODEL_KEYS]
+    tables = (comparison.abs_difference, comparison.closed_form,
+              comparison.numeric, comparison.rel_difference)
+    if not all(np.isfinite(a).all() for a in itertools.chain(columns, tables)):
+        raise OverflowError("math range error")
+    lines = [np.array([key + text for text in map(float.__repr__, column.ravel().tolist())],
+                      dtype=object).reshape(column.shape)
+             for (_, key), column in zip(_MODEL_KEYS, columns)]
+    models = (block for block in map(",\n".join, np.broadcast(*lines))  # once per entry
+              for _ in _ENTRY_TEXTS)
+    keys = [itertools.repeat(key) for key in _RECORD_KEYS]
+    abs_, closed, numeric, rel = (map(float.__repr__, t.ravel().tolist()) for t in tables)
+    seps = [_RECORD_SEP] * (comparison.closed_form.size - 1) + ["\n    }"]
+    pieces = zip(abs_, keys[0], closed, keys[1], itertools.cycle(_ENTRY_TEXTS), keys[2],
+                 models, keys[3], numeric, keys[4], rel, seps)
+    return "".join(itertools.chain((_RECORD_HEAD,), itertools.chain.from_iterable(pieces)))
 
 
 # the tables _json_text writes itself, each by its own row writer
 _TABLES = {"rows": _scan_rows_text, "records": _compare_records_text}
-
-
-def _parse_value_list(obj, name: str) -> tuple[float, ...]:
-    if not isinstance(obj, list) or not obj:
-        raise ConfigError(f"config field {name!r} must be a non-empty array")
-    return tuple(_require_number(v, name) for v in obj)
 
 
 def run_compare_command(config_obj: dict) -> tuple[dict, int]:
@@ -496,7 +502,10 @@ def run_compare_command(config_obj: dict) -> tuple[dict, int]:
         kwargs["r"] = _require_number(config_obj["r"], "r")
     for name in ("q_values", "phi_values", "x_values"):
         if name in config_obj:
-            kwargs[name] = _parse_value_list(config_obj[name], name)
+            values = config_obj[name]
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"config field {name!r} must be a non-empty array")
+            kwargs[name] = tuple(_require_number(v, name) for v in values)
     return run_compare(**kwargs), 0
 
 

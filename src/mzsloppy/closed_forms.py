@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -241,66 +241,54 @@ def layer_matrices(points: Inputs, layer: str, determinant: bool = False):
     return (q, u, *det, errors)
 
 
-@dataclasses.dataclass(frozen=True)
-class DiscrepancyRecord:
-    entry: str
-    closed_form: float
-    numeric: float
-    abs_difference: float
-    rel_difference: float
+# the entries compare reads, in the order of its tables' columns
+ENTRIES = ("Q11", "Q22", "Q12", "U12")
 
 
-@dataclasses.dataclass(frozen=True)
-class DiscrepancyReport:
-    records: tuple[DiscrepancyRecord, ...]
-    flags: dict
+@dataclasses.dataclass(frozen=True, eq=False)
+class Comparison:
+    """compare's result for the rows of `points`: (N, 4) tables, a column per
+    entry of ENTRIES, and (N,) flags. rel_difference is 0 where both values
+    are; q_offset_value is the mean of the Q entries' closed_form - numeric,
+    q_offset_shared whether their spread is within 1e-9 max(1, their largest |value|)."""
 
-
-def _record(entry: str, cf: float, num: float) -> DiscrepancyRecord:
-    diff = abs(cf - num)
-    scale = max(abs(cf), abs(num))
-    return DiscrepancyRecord(
-        entry=entry,
-        closed_form=float(cf),
-        numeric=float(num),
-        abs_difference=float(diff),
-        rel_difference=float(diff / scale) if scale > 0 else 0.0,
-    )
+    points: ModelColumns
+    closed_form: np.ndarray
+    numeric: np.ndarray
+    abs_difference: np.ndarray
+    rel_difference: np.ndarray
+    max_abs_difference: np.ndarray
+    max_rel_difference: np.ndarray
+    q_offset_shared: np.ndarray
+    q_offset_value: np.ndarray
+    u12_abs_difference: np.ndarray
 
 
 @np.errstate(all="ignore")  # an overflow is the error raised below, not a warning
-def compare(config: Union[ModelConfig, Sequence[ModelConfig]]):
-    """Entrywise closed-form vs first-principles values: the DiscrepancyReport
-    of one config, or a tuple of them for a sequence, from one stacked
-    layer_matrices call per layer. The first failing config in order raises
-    its engine error, else its closed-form error. Reports, never asserts:
-    the two layers are known to disagree on the displacement-free parts of
-    the Q entries (constant offset) and on the displacement term of U12.
-    """
-    single = isinstance(config, ModelConfig)
-    columns = ModelColumns.from_configs([config] if single else config)
-    Q, U, errors = layer_matrices(columns, "numeric")
-    Qc, Uc, closed_errors = layer_matrices(columns, "closed_form")
-    Q, U, Qc, Uc = Q.tolist(), U.tolist(), Qc.tolist(), Uc.tolist()  # numpy scalars are slow
-    reports = []
-    for i in range(len(Q)):
-        if i in errors or i in closed_errors:
-            raise errors[i] if i in errors else closed_errors[i]
-        records = (
-            _record("Q11", Qc[i][0][0], Q[i][0][0]),
-            _record("Q22", Qc[i][1][1], Q[i][1][1]),
-            _record("Q12", Qc[i][0][1], Q[i][0][1]),
-            _record("U12", Uc[i][0][1], U[i][0][1]),
-        )
-        diffs = [rec.closed_form - rec.numeric for rec in records[:3]]
-        spread = max(diffs) - min(diffs)
-        scale = max(1.0, max(abs(d) for d in diffs))
-        flags = {
-            "max_abs_difference": max(rec.abs_difference for rec in records),
-            "max_rel_difference": max(rec.rel_difference for rec in records),
-            "q_offset_shared": bool(spread <= 1e-9 * scale),
-            "q_offset_value": sum(d / 3 for d in diffs),  # a sum of the diffs can overflow
-            "u12_abs_difference": records[3].abs_difference,
-        }
-        reports.append(DiscrepancyReport(records=records, flags=flags))
-    return reports[0] if single else tuple(reports)
+def compare(inp: Inputs) -> Comparison:
+    """Entrywise closed-form vs first-principles values of one ModelConfig (a
+    Comparison of one row) or of ModelColumns: one layer_matrices call per
+    layer, then whole-array numpy. The first failing row raises its engine
+    error, else its closed-form error. Reports, never asserts: the layers
+    are known to disagree on the displacement-free parts of the Q entries
+    (constant offset) and on the displacement term of U12."""
+    points = ModelColumns.from_configs([inp]) if isinstance(inp, ModelConfig) else inp
+    Q, U, errors = layer_matrices(points, "numeric")
+    Qc, Uc, closed_errors = layer_matrices(points, "closed_form")
+    if errors or closed_errors:
+        i = min(errors.keys() | closed_errors.keys())
+        raise errors[i] if i in errors else closed_errors[i]
+    closed, numeric = (np.stack((q[:, 0, 0], q[:, 1, 1], q[:, 0, 1], u[:, 0, 1]), axis=1)
+                       for q, u in ((Qc, Uc), (Q, U)))
+    diff = closed - numeric
+    abs_diff, scale = np.abs(diff), np.maximum(np.abs(closed), np.abs(numeric))
+    rel = np.where(scale > 0, abs_diff / scale, 0.0)
+    q_diff = diff[:, :3]
+    spread = q_diff.max(axis=1) - q_diff.min(axis=1)
+    return Comparison(
+        points, closed, numeric, abs_diff, rel,
+        max_abs_difference=abs_diff.max(axis=1), max_rel_difference=rel.max(axis=1),
+        q_offset_shared=spread <= 1e-9 * np.maximum(1.0, np.abs(q_diff).max(axis=1)),
+        q_offset_value=(q_diff / 3).sum(axis=1),  # a sum of the diffs can overflow
+        u12_abs_difference=abs_diff[:, 3],
+    )

@@ -215,6 +215,12 @@ ERRORS = [
     ("compare/x_values_not_array", "compare", {"x_values": 0.5}),
     ("compare/value_not_number", "compare", {"q_values": [0.0, "1"]}),
     ("compare/moments_overflow", "compare", {"r": 0.5, "x_values": [0.0, 400.0]}),
+    # the first failing grid row in (q, phi, x) order names the error
+    ("compare/overflow_before_negative_x", "compare", {"x_values": [400.0, -1.0]}),
+    ("compare/q_nan_after_good_row", "compare", {"q_values": [0.0, math.nan]}),
+    ("compare/negative_x_in_first_phi_block", "compare",
+     {"phi_values": [0.0, 0.3], "x_values": [0.5, -1.0]}),
+    ("compare/q_huge_integer", "compare", {"q_values": [0.0, 10**400]}),
 ]
 
 

@@ -2,8 +2,15 @@
 json.dumps would write for them: json.dumps of a listed payload is the byte
 oracle of the JSON writer."""
 
-import dataclasses
 import itertools
+
+import numpy as np
+
+from mzsloppy.closed_forms import ENTRIES
+from mzsloppy.model import MODEL_FIELDS
+
+# a Comparison's (N, 4) tables, each written as a record field
+TABLES = ("closed_form", "numeric", "abs_difference", "rel_difference")
 
 
 def listed_rows(scan):
@@ -16,13 +23,18 @@ def listed_rows(scan):
     ]
 
 
-def listed_records(records):
-    """compare's (config, report) pairs as the record dicts json.dumps would
-    write, one per DiscrepancyRecord, in order."""
+def listed_records(comparison):
+    """A closed_forms.Comparison as the record dicts json.dumps would write,
+    one per row and entry, in order: the row's model fields, the entry, and
+    its value in each table."""
+    points = comparison.points
+    fields = np.broadcast_arrays(*(getattr(points, name) for name in MODEL_FIELDS))
+    models = [dict(zip(MODEL_FIELDS, row)) for row in zip(*(f.ravel().tolist() for f in fields))]
+    tables = {name: getattr(comparison, name).tolist() for name in TABLES}
     return [
-        {"model": dataclasses.asdict(config), **dataclasses.asdict(rec)}
-        for config, report in records
-        for rec in report.records
+        {"model": model, "entry": entry, **{name: tables[name][i][j] for name in TABLES}}
+        for i, model in enumerate(models)
+        for j, entry in enumerate(ENTRIES)
     ]
 
 

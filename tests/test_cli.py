@@ -15,15 +15,17 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzsloppy
-from listing import listed_payload, listed_records
+import rows
+from listing import TABLES, listed_payload, listed_records
 from mzsloppy import cli, closed_forms
 from mzsloppy.cli import THREADS_ENV_VAR, main
-from mzsloppy.closed_forms import DiscrepancyRecord, DiscrepancyReport
-from mzsloppy.model import MODEL_FIELDS, ModelConfig
+from mzsloppy.closed_forms import Comparison
+from mzsloppy.model import MODEL_FIELDS, ModelColumns, ModelConfig
 from mzsloppy.optimize import Axis, Objective, ScanResult, objective_value
 
 PI = math.pi
@@ -475,6 +477,34 @@ class TestCompare:
         with pytest.raises(ValueError, match=f"^compare grid '{name}' is empty"):
             cli.run_compare(0.5, **{name: ()})
 
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"x_values": (400.0, -1.0)}, ValueError, "state moments must be finite"),
+            ({"x_values": (0.0, 400.0, -1.0)}, ValueError, "state moments must be finite"),
+            ({"q_values": (0.0, math.nan)}, ValueError, "model field q must be finite"),
+            ({"phi_values": (0.0, 0.3), "x_values": (0.5, -1.0)}, ValueError,
+             "model field x must be non-negative"),
+            ({"phi_values": (0.0, math.nan), "x_values": (0.0, 400.0)}, ValueError,
+             "state moments must be finite"),
+            ({"phi_values": (math.nan, 0.0), "x_values": (400.0,)}, ValueError,
+             "model field phi must be finite"),
+            ({"r": math.inf}, ValueError, "model field r must be finite"),
+            # ModelConfig checks every field's finiteness before any sign
+            ({"r": -0.5, "q_values": (math.nan,)}, ValueError, "model field q must be finite"),
+            ({"q_values": (0.0, "1")}, ValueError, "model field q must be a real number"),
+            ({"q_values": (1e200,), "x_values": (0.0, -1.0)}, OverflowError, "math range error"),
+        ],
+        ids=["overflow_then_negative_x", "good_overflow_negative_x", "nan_q", "negative_x",
+             "overflow_before_nan_phi", "nan_phi_first", "infinite_r", "nan_q_before_negative_r",
+             "string_q", "closed_form_overflow_before_negative_x"],
+    )
+    def test_library_call_fails_as_its_first_failing_row(self, kwargs, error, message):
+        # the first row in (q, phi, x) order that fails names the error:
+        # ModelConfig's message, else the engine's, else the closed forms'
+        with pytest.raises(error, match=f"^{message}$"):
+            cli.run_compare(**kwargs)
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -891,6 +921,27 @@ class TestEngineErrors:
         assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("eval", {"model": model_dict(r=10**400)}, "model field r must be finite"),
+        ("eval", {"model": model_dict(r=0.5, x=-(10**400))}, "model field x must be finite"),
+        ("eval", {"model": model_dict(r=0.5, x=0.5), "weight": [[10**400, 0], [0, 1]]},
+         "weight must have finite entries"),
+        ("optimize", {"r": 10**400, "x": 0.5}, "model field r must be finite"),
+        ("compare", {"q_values": [0.0, 10**400]}, "model field q must be finite"),
+    ],
+    ids=["eval_r", "eval_negative_x", "eval_weight", "find_known_r", "compare_q"],
+)
+def test_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, command, config,
+                                                       message):
+    # json.load gives such an integer as an int, which float() refuses with
+    # an OverflowError: it is read as a signed inf, which the field's own
+    # check names, as it names Infinity
+    code, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, config)])
+    assert (code, out, err) == (1, "", f"mzsloppy: error: {message}\n")
+
+
 # -- property: every finite config ends in a documented exit code -------------
 
 # moderate values, magnitudes up to 1e300, and values at which the moments
@@ -1043,18 +1094,27 @@ COMPARE_GRIDS = st.fixed_dictionaries({name: st.lists(pool, min_size=1, max_size
 @settings(deadline=None, max_examples=60)
 @given(r=COMPARE_R, grid=COMPARE_GRIDS)
 def test_compare_payload_matches_its_reports(r, grid):
+    # the payload holds the grid's Comparison: its rows are the (q, phi, x)
+    # product's, each array that of closed_forms.compare on the product's
+    # rows, and the summary is read off its Q11 column
     grid = {name: tuple(values) for name, values in grid.items()}
     payload = cli.run_compare(r, **grid)
+    comparison = payload["records"]
     configs = [ModelConfig(r=r, q=q, phi=phi, x=x) for q, phi, x in itertools.product(
         grid["q_values"], grid["phi_values"], grid["x_values"])]
-    reports = closed_forms.compare(configs)
+    assert isinstance(comparison, Comparison)
+    assert comparison.closed_form.shape == (len(configs), 4)
+    expected = closed_forms.compare(rows.columns(rows.parameters(configs)))
+    for name in COMPARISON_ARRAYS:
+        assert getattr(comparison, name).tobytes() == getattr(expected, name).tobytes()
     records = [
-        {"model": model_dict(r=c.r, q=c.q, phi=c.phi, x=c.x), **dataclasses.asdict(rec)}
-        for c, report in zip(configs, reports) for rec in report.records
+        {"model": dataclasses.asdict(c), "entry": entry,
+         **{table: getattr(comparison, table)[i, j].item() for table in TABLES}}
+        for i, c in enumerate(configs) for j, entry in enumerate(closed_forms.ENTRIES)
     ]
     # each q > 0 config on the phi = 0 slice against the last q = 0 config
     # with its phi and x, compared with ==, so 0.0 and -0.0 match
-    offset = [report.records[0].closed_form - report.records[0].numeric for report in reports]
+    offset = [rec["closed_form"] - rec["numeric"] for rec in records[::4]]
     calibration = []
     for i, c in enumerate(configs):
         zeros = [j for j, z in enumerate(configs) if z.q == 0 and (z.phi, z.x) == (c.phi, c.x)]
@@ -1062,7 +1122,7 @@ def test_compare_payload_matches_its_reports(r, grid):
             calibration.append({"q": c.q, "x": c.x, "entry": "Q11",
                                 "residual": abs(offset[i] - offset[zeros[-1]])})
     # the JSON text tells 0.0 from -0.0, which == does not
-    assert json.dumps(listed_records(payload["records"])) == json.dumps(records)
+    assert json.dumps(listed_records(comparison)) == json.dumps(records)
     assert payload["grid"] == {"r": r, **grid}  # the grid goes out as given
     summary = payload["summary"]
     assert summary["record_count"] == 4 * len(configs) == len(records)
@@ -1084,31 +1144,48 @@ def test_compare_json_writer_matches_json_dumps(r, grid):
 
 
 NON_NEGATIVE_FLOATS = FINITE_FLOATS.filter(lambda v: not v < 0)  # -0.0 stays
+# every array of a Comparison: the fields after its points
+COMPARISON_ARRAYS = tuple(field.name for field in dataclasses.fields(Comparison))[1:]
+
+
+def _field_values(name):
+    return NON_NEGATIVE_FLOATS if name in ("r", "q", "x") else FINITE_FLOATS
 
 
 @st.composite
-def compare_records(draw):
-    """(config, report) pairs as closed_forms.compare returns them, holding
-    any finite values and any entry text."""
-    pairs = []
-    for _ in range(draw(st.integers(1, 3))):
-        config = ModelConfig(**{
-            name: draw(NON_NEGATIVE_FLOATS if name in ("r", "q", "x") else FINITE_FLOATS)
+def comparisons(draw):
+    """Comparisons holding any finite values, both zeros and repeated values
+    among them, on 1 to 3 rows of (N,) columns or on a grid of up to 3 axes
+    whose other fields have size-1 dimensions (the grid form run_compare
+    builds)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        points = ModelColumns({
+            name: draw(st.lists(_field_values(name), min_size=n, max_size=n))
             for name in MODEL_FIELDS
         })
-        records = tuple(
-            DiscrepancyRecord(draw(ROW_ERRORS), *draw(st.tuples(*[FINITE_FLOATS] * 4)))
-            for _ in range(draw(st.integers(1, 4)))
-        )
-        pairs.append((config, DiscrepancyReport(records=records, flags={})))
-    return pairs
+    else:
+        base = ModelConfig(**{name: draw(_field_values(name)) for name in MODEL_FIELDS})
+        names = draw(st.permutations(list(MODEL_FIELDS)))[: draw(st.integers(0, 3))]
+        points = ModelColumns.grid(base, [
+            (name, draw(st.lists(_field_values(name), min_size=1, max_size=2)))
+            for name in names
+        ])
+    size = math.prod(points.shape)
+    tables = {
+        name: np.array(draw(st.lists(FINITE_FLOATS, min_size=4 * size, max_size=4 * size)))
+        .reshape(size, 4)
+        for name in TABLES
+    }
+    flags = {name: np.zeros(size) for name in COMPARISON_ARRAYS if name not in TABLES}
+    return Comparison(points=points, **tables, **flags)
 
 
 @settings(deadline=None, max_examples=300)
-@given(records=compare_records())
-def test_compare_json_writer_matches_json_dumps_on_any_finite_record(records):
-    payload = {"schema": "mzsloppy.compare/1", "records": records,
-               "summary": {"record_count": sum(len(rep.records) for _, rep in records)}}
+@given(comparison=comparisons())
+def test_compare_json_writer_matches_json_dumps_on_any_finite_record(comparison):
+    payload = {"schema": "mzsloppy.compare/1", "records": comparison,
+               "summary": {"record_count": comparison.closed_form.size}}
     listed = listed_payload(payload)
     assert cli._json_text(payload) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
 
@@ -1118,16 +1195,20 @@ def test_compare_json_writer_matches_json_dumps_on_any_finite_record(records):
     "field", ["closed_form", "numeric", "abs_difference", "rel_difference", "alpha"])
 def test_compare_json_writer_refuses_a_non_finite_record(field, value):
     # the value is in the records alone, so the writer, not the dump of the
-    # rest of the payload, must refuse it
+    # rest of the payload, must refuse it: in the last row's last entry of a
+    # table, or in the last row's model field
     payload = cli.run_compare(0.5, (0.0, 0.5), (0.3,), (0.5,))
-    first, (config, report) = payload["records"]
+    comparison = payload["records"]
     cli._json_text(payload)  # finite as built
     if field in MODEL_FIELDS:
-        config = dataclasses.replace(config)
-        object.__setattr__(config, field, value)  # past ModelConfig's own check
+        points = comparison.points
+        fields = {name: np.broadcast_to(getattr(points, name), points.shape).ravel()
+                  for name in MODEL_FIELDS}
+        fields[field] = np.array([fields[field][0], value])
+        payload["records"] = dataclasses.replace(comparison, points=ModelColumns(fields))
     else:
-        last = dataclasses.replace(report.records[-1], **{field: value})
-        report = DiscrepancyReport(records=(*report.records[:-1], last), flags=report.flags)
-    payload["records"] = [first, (config, report)]
+        table = getattr(comparison, field).copy()
+        table[-1, -1] = value
+        payload["records"] = dataclasses.replace(comparison, **{field: table})
     with pytest.raises(OverflowError, match="^math range error$"):
         cli._json_text(payload)

@@ -1,6 +1,7 @@
 """Reference expressions: values, identities, parities, cross-check engine."""
 
 import dataclasses
+import itertools
 import math
 import types
 from fractions import Fraction
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from mzsloppy import closed_forms
 from mzsloppy.closed_forms import (
+    ENTRIES,
     LAYERS,
+    Comparison,
     closed_q_matrix,
     compare,
     f12,
@@ -23,7 +26,7 @@ from mzsloppy.closed_forms import (
     q22_closed,
     u12_closed,
 )
-from mzsloppy.model import ModelColumns, ModelConfig
+from mzsloppy.model import MODEL_FIELDS, ModelColumns, ModelConfig
 from mzsloppy.optimize import (
     OBJECTIVE_LAYERS,
     Objective,
@@ -263,77 +266,82 @@ class TestDetRatio:
 
 class TestCompare:
     def test_report_is_complete(self):
-        report = compare(ModelConfig(r=0.5, x=0.5, theta=0.3, phi=0.2))
-        assert [rec.entry for rec in report.records] == ["Q11", "Q22", "Q12", "U12"]
-        for rec in report.records:
-            assert rec.abs_difference == pytest.approx(
-                abs(rec.closed_form - rec.numeric), rel=1e-12
-            )
+        comparison = compare(ModelConfig(r=0.5, x=0.5, theta=0.3, phi=0.2))
+        assert ENTRIES == ("Q11", "Q22", "Q12", "U12")
+        for table in ("closed_form", "numeric", "abs_difference", "rel_difference"):
+            assert getattr(comparison, table).shape == (1, 4)
+        for flag in ("max_abs_difference", "max_rel_difference", "q_offset_shared",
+                     "q_offset_value", "u12_abs_difference"):
+            assert getattr(comparison, flag).shape == (1,)
+        np.testing.assert_allclose(
+            comparison.abs_difference, abs(comparison.closed_form - comparison.numeric),
+            rtol=1e-12, atol=0,
+        )
 
     def test_constant_offset_surfaced_not_hidden(self):
         # fully transmitting mixer: reference says 2 cosh^2(2r), the
         # engine says 2 sinh^2(2r); the gap of exactly 2 must be reported
-        report = compare(ModelConfig(r=0.5, x=0.0))
-        q11 = report.records[0]
-        assert q11.closed_form == pytest.approx(2 * math.cosh(1.0) ** 2, rel=1e-13)
-        assert q11.numeric == pytest.approx(2 * math.sinh(1.0) ** 2, rel=1e-12)
-        assert q11.abs_difference == pytest.approx(2.0, abs=1e-9)
+        comparison = compare(ModelConfig(r=0.5, x=0.0))
+        assert comparison.closed_form[0, 0] == pytest.approx(2 * math.cosh(1.0) ** 2, rel=1e-13)
+        assert comparison.numeric[0, 0] == pytest.approx(2 * math.sinh(1.0) ** 2, rel=1e-12)
+        assert comparison.abs_difference[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_offset_shared_across_entries_without_displacement(self):
         rng = np.random.default_rng(59)
-        for _ in range(10):
-            cfg = ModelConfig(
+        configs = [
+            ModelConfig(
                 r=rng.uniform(0.1, 1.2), q=0.0, beta=rng.uniform(0, 2 * math.pi),
                 theta=rng.uniform(0, 2 * math.pi), phi=rng.uniform(0, math.pi / 2),
                 x=rng.uniform(0.1, 1.2), alpha=rng.uniform(0, 2 * math.pi),
                 lam1=rng.uniform(0, 2 * math.pi), lam2=rng.uniform(0, 2 * math.pi),
             )
-            report = compare(cfg)
-            assert report.flags["q_offset_shared"] is True
+            for _ in range(10)
+        ]
+        comparison = compare(rows.columns(rows.parameters(configs)))
+        assert comparison.q_offset_shared.dtype == bool
+        assert comparison.q_offset_shared.tolist() == [True] * 10
 
     def test_phi_zero_offset_is_two(self):
-        for theta, x in [(0.0, 0.0), (1.1, 0.5), (2.3, 1.0)]:
-            report = compare(ModelConfig(r=0.7, theta=theta, phi=0.0, x=x, alpha=0.3))
-            assert report.flags["q_offset_value"] == pytest.approx(2.0, abs=1e-9)
+        configs = [ModelConfig(r=0.7, theta=theta, phi=0.0, x=x, alpha=0.3)
+                   for theta, x in [(0.0, 0.0), (1.1, 0.5), (2.3, 1.0)]]
+        comparison = compare(rows.columns(rows.parameters(configs)))
+        for value in comparison.q_offset_value:
+            assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_offset_value_of_huge_finite_differences_is_finite(self):
         # the three Q differences are finite, 5.7e307 to 8.6e307, but their
         # sum is not: the mean must be taken without forming it
-        report = compare(ModelConfig(r=0.9, q=4.6e153, beta=-2.7, theta=-2.2, phi=-1.1, x=0.4))
-        diffs = [rec.closed_form - rec.numeric for rec in report.records[:3]]
+        comparison = compare(ModelConfig(r=0.9, q=4.6e153, beta=-2.7, theta=-2.2, phi=-1.1, x=0.4))
+        diffs = (comparison.closed_form[0, :3] - comparison.numeric[0, :3]).tolist()
         assert all(math.isfinite(d) for d in diffs) and not math.isfinite(sum(diffs))
         exact = float(sum(map(Fraction, diffs)) / 3)
-        assert report.flags["q_offset_value"] == pytest.approx(exact, rel=1e-15)
+        assert comparison.q_offset_value[0] == pytest.approx(exact, rel=1e-15)
         assert exact == pytest.approx(7.14e307, rel=1e-3)
 
     def test_displacement_calibration_at_transmissive_angles(self):
         # q-dependent part of Q11 at theta = phi = 0 agrees between layers
-        for q in (0.5, 1.0):
-            with_q = compare(ModelConfig(r=0.5, q=q))
-            without = compare(ModelConfig(r=0.5, q=0.0))
-            gap_q = with_q.records[0].closed_form - with_q.records[0].numeric
-            gap_0 = without.records[0].closed_form - without.records[0].numeric
-            assert abs(gap_q - gap_0) < 1e-8
+        fields = {**dataclasses.asdict(ModelConfig(r=0.5)), "q": [0.0, 0.5, 1.0]}
+        comparison = compare(ModelColumns(fields))
+        gap = comparison.closed_form[:, 0] - comparison.numeric[:, 0]
+        assert np.all(abs(gap[1:] - gap[0]) < 1e-8)
 
     def test_curvature_agrees_at_optimal_configuration(self):
-        report = compare(ModelConfig(r=0.5, x=0.5, theta=math.pi / 2,
-                                     phi=math.pi / 4, alpha=1.3))
-        u12 = report.records[3]
-        assert abs(u12.closed_form) < 1e-12
-        assert abs(u12.numeric) < 1e-10
-        assert report.flags["u12_abs_difference"] < 1e-10
+        comparison = compare(ModelConfig(r=0.5, x=0.5, theta=math.pi / 2,
+                                         phi=math.pi / 4, alpha=1.3))
+        assert abs(comparison.closed_form[0, 3]) < 1e-12
+        assert abs(comparison.numeric[0, 3]) < 1e-10
+        assert comparison.u12_abs_difference[0] < 1e-10
 
     def test_curvature_normalization_gap_documented(self):
         # the gap is closed: without displacement the reference curvature
         # equals the engine's -4 Im G, which the Fock oracle confirms
         # (tests/test_fock_oracle.py)
-        for cfg in (
+        comparison = compare(rows.columns(rows.parameters([
             ModelConfig(r=0.5, x=0.5, theta=0.0, phi=0.0, alpha=math.pi / 2),
             ModelConfig(r=0.8, x=0.6, theta=0.9, phi=0.3, alpha=1.7, lam1=0.4),
-        ):
-            report = compare(cfg)
-            u12 = report.records[3]
-            assert u12.numeric == pytest.approx(u12.closed_form, rel=1e-9)
+        ])))
+        np.testing.assert_allclose(comparison.numeric[:, 3], comparison.closed_form[:, 3],
+                                   rtol=1e-9, atol=0)
 
     def test_displacement_curvature_law_disagrees(self):
         # at the balanced setting with beta = lam2 = 0 the reference q-term
@@ -343,16 +351,15 @@ class TestCompare:
         r, x, q, gamma = 0.5, 0.7, 0.9, 1.1
         cfg = ModelConfig(r=r, q=q, x=x, alpha=gamma,
                           theta=math.pi / 2, phi=math.pi / 4)
-        report = compare(cfg)
-        u12 = report.records[3]
-        assert abs(u12.closed_form) < 1e-12
-        assert u12.numeric == pytest.approx(
+        comparison = compare(cfg)
+        assert abs(comparison.closed_form[0, 3]) < 1e-12
+        assert comparison.numeric[0, 3] == pytest.approx(
             -q * q * math.sinh(2 * x) * math.sin(gamma), rel=1e-9
         )
-        assert report.flags["u12_abs_difference"] > 1.0
+        assert comparison.u12_abs_difference[0] > 1.0
 
     def test_sequence_is_its_single_reports(self):
-        # one stacked engine pass gives every config exactly its own report
+        # one stacked engine pass gives every row exactly one config's comparison
         rng = np.random.default_rng(2026)
         pi = math.pi
         configs = [
@@ -364,21 +371,24 @@ class TestCompare:
             )
             for _ in range(40)
         ]
-        reports = compare(configs)
-        assert isinstance(reports, tuple) and len(reports) == len(configs)
-        for config, report in zip(configs, reports):
+        comparison = compare(rows.columns(rows.parameters(configs)))
+        assert comparison.closed_form.shape == (len(configs), 4)
+        for i, config in enumerate(configs):
             single = compare(config)
-            assert report.records == single.records
-            assert report.flags == single.flags
+            assert rows.parameters(configs)[i].tolist() == [
+                getattr(single.points, name)[0] for name in MODEL_FIELDS]
+            for name in COMPARISON_ARRAYS:
+                row = getattr(comparison, name)[i:i + 1]
+                assert getattr(single, name).tobytes() == row.tobytes()
 
     def test_sequence_raises_the_first_failing_config(self):
         # the first config's closed forms overflow; the second one's engine
-        # moments do too, but it comes later in the sequence
+        # moments do too, but it comes later in the rows
         configs = [ModelConfig(r=0.5, q=1e160, x=x) for x in (0.0, 400.0)]
         with pytest.raises(ValueError, match="state moments must be finite"):
             compare(configs[1])
         with pytest.raises(OverflowError):
-            compare(configs)
+            compare(rows.columns(rows.parameters(configs)))
 
     def test_closed_form_errors_read_as_the_objectives_do(self):
         # math.cos(inf) leaves math's domain: the overflow of a scan row;
@@ -396,6 +406,35 @@ class TestCompare:
                              alpha=0.67, lam1=1.14, lam2=0.57)
         with pytest.raises(OverflowError, match="math range error"):
             compare(config)
+
+
+# every array of a Comparison, each with a row per configuration: the fields after its points
+COMPARISON_ARRAYS = tuple(field.name for field in dataclasses.fields(Comparison))[1:]
+GRID_VALUES = st.sampled_from([0.0, -0.0, 0.3, 0.5, 1.0, 2.5])
+
+
+@settings(deadline=None, max_examples=100)
+@given(base=st.builds(ModelConfig, r=st.floats(0, 2), q=st.floats(0, 2), beta=st.floats(-4, 4),
+                      theta=st.floats(-4, 4), phi=st.floats(-4, 4), x=st.floats(0, 2),
+                      alpha=st.floats(-4, 4), lam1=st.floats(-4, 4), lam2=st.floats(-4, 4)),
+       names=st.permutations(["q", "phi", "x", "theta", "lam2"]).map(lambda p: p[:3]),
+       values=st.lists(st.lists(GRID_VALUES, min_size=1, max_size=3), min_size=3, max_size=3))
+def test_compare_on_a_grid_is_its_rows(base, names, values):
+    # the grid form of a compare grid (cli.run_compare's) gives every array
+    # bit for bit as the (N,) rows of its grid product, and the same error
+    axes = list(zip(names, values))
+    grid = ModelColumns.grid(base, axes)
+    product = [dataclasses.replace(base, **dict(zip(names, row)))
+               for row in itertools.product(*values)]
+    outcomes = []
+    for points in (grid, rows.columns(rows.parameters(product))):
+        try:
+            comparison = compare(points)
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append([getattr(comparison, name).tobytes() for name in COMPARISON_ARRAYS])
+    assert outcomes[0] == outcomes[1]
 
 
 ANGLES = st.floats(-1e308, 1e308)
